@@ -24,7 +24,6 @@ from .engine import (
     always_success_script,
     estimate_loop_time,
     inner_loop,
-    outer_loop,
     scripted_feedback,
 )
 from .files import (
@@ -63,7 +62,6 @@ from .model import (
 )
 from .preconditions import Precondition, PreconditionError
 from .responses import (
-    ASSET_LOCAL_RESPONSES,
     CatalogError,
     effective_cost,
     generate_candidates,

@@ -58,11 +58,7 @@ def run(scenario_ref, algorithm, mode, iterations, seed, velocities,
         saw_benefit_weight, out_path, fmt, no_timings) -> None:
     """Run a scenario in one evaluation mode and emit the selection series."""
     try:
-        saw_cfg = None
-        if saw_benefit_weight is not None:
-            saw_cfg = SawConfig(
-                w_benefit=saw_benefit_weight, w_cost=1.0 - saw_benefit_weight
-            )
+        saw_cfg = None if saw_benefit_weight is None else SawConfig(w_benefit=saw_benefit_weight)
         scenario = load_scenario(resolve_scenario_ref(scenario_ref))
         if mode == "static":
             result = run_static_quality(scenario, algorithm, saw_cfg=saw_cfg)

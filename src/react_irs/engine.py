@@ -322,20 +322,6 @@ class Engine:
         raise DomainError(f"unknown feedback verdict: {verdict!r}")
 
 
-def outer_loop(
-    initial_event: IntrusionEvent,
-    catalog: Sequence[ResponseSpec],
-    selector: Selector,
-    feedback: FeedbackSource,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    adaptation: AdaptationConfig = AdaptationConfig(),
-    effects: Mapping[int, Mapping[str, bool]] | None = None,
-) -> EngineTrace:
-    """Convenience wrapper: build an engine and run one intrusion sequence."""
-    engine = Engine(catalog, selector, adaptation=adaptation, effects=effects)
-    return engine.run(initial_event, feedback, max_iterations)
-
-
 def scripted_feedback(verdicts: Sequence[FeedbackVerdict]) -> FeedbackSource:
     """Feedback source that replays a fixed verdict list (Success once
     exhausted)."""

@@ -13,7 +13,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .engine import Failure, FeedbackVerdict, NewIntrusion, Success
 from .model import (
     Asset,
     AssetKind,
@@ -28,6 +27,7 @@ from .model import (
     StopCondition,
     StopKind,
     VehicleState,
+    check_weight,
 )
 from .preconditions import Precondition, PreconditionError
 
@@ -183,7 +183,7 @@ def _parse_response(doc: Mapping[str, Any]) -> ResponseSpec:
         cost=_parse_cost_vector(_require(doc, "cost", context), f"{context}.cost"),
         benefit=benefit,
         original_benefit=benefit,
-        terminal=bool(doc.get("terminal", index == 31)),
+        terminal=bool(doc.get("terminal", False)),
     )
 
 
@@ -198,10 +198,6 @@ def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
     terminals = [spec for spec in responses if spec.terminal]
     if len(terminals) != 1:
         raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    if terminals[0].index != 31:
-        raise SchemaError(
-            f"the terminal entry must be index 31, found {terminals[0].index}"
-        )
     return Catalog(
         name=doc.get("name", ""),
         responses=responses,
@@ -315,15 +311,6 @@ class Scenario:
     def architecture_path(self) -> Path:
         return (self.base_dir / self.architecture_ref).resolve()
 
-    def verdicts(self, event: IntrusionEvent) -> list[FeedbackVerdict]:
-        """Materialize the file's feedback script against a concrete event."""
-        mapping: dict[str, FeedbackVerdict] = {
-            "success": Success(),
-            "failure": Failure(),
-            "new_intrusion": NewIntrusion(event),
-        }
-        return [mapping[name] for name in self.feedback_script]
-
 
 def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenario:
     _check_header(doc, "scenario", "scenario")
@@ -343,8 +330,11 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     except (TypeError, ValueError):
         raise SchemaError(f"{context}: effects keys must be response indices") from None
     velocity = _require(doc, "velocity_kmh", context)
-    if velocity < 0:
-        raise SchemaError(f"{context}: velocity_kmh must be >= 0")
+    try:
+        velocity = check_weight(velocity, "velocity_kmh")
+        environment_weight = check_weight(doc.get("environment_weight", 1.0), "environment_weight")
+    except DomainError as exc:
+        raise SchemaError(f"{context}: {exc}") from None
     return Scenario(
         name=_require(doc, "name", context),
         architecture_ref=doc.get("architecture_ref", "architecture.json"),
@@ -355,11 +345,11 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
             _require(doc, "intrusion_result", context),
             f"{context}.intrusion_result",
         ),
-        velocity_kmh=float(velocity),
+        velocity_kmh=velocity,
         impact_params=_parse_impact_vector(
             _require(doc, "impact_params", context), f"{context}.impact_params"
         ),
-        environment_weight=float(doc.get("environment_weight", 1.0)),
+        environment_weight=environment_weight,
         facts={str(k): bool(v) for k, v in doc.get("facts", {}).items()},
         catalog_ref=_require(doc, "catalog_ref", context),
         catalog_overrides=dict(doc.get("catalog_overrides", {})),

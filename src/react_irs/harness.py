@@ -24,6 +24,7 @@ from typing import IO, Sequence
 
 from .engine import (
     AdaptationConfig,
+    Attempt,
     Engine,
     always_failure_script,
     always_success_script,
@@ -71,6 +72,20 @@ class RunReport:
     seed: int | None = None
 
 
+def _row(step: int, attempt: Attempt, impact: float, selection_time_ms: float,
+         velocity_kmh: float | None = None) -> SelectionRow:
+    return SelectionRow(
+        step=step,
+        response_index=attempt.response_index,
+        target_asset=attempt.target_asset,
+        cost=attempt.cost,
+        benefit=attempt.benefit,
+        impact=impact,
+        selection_time_ms=selection_time_ms,
+        velocity_kmh=velocity_kmh,
+    )
+
+
 def _peak_memory_bytes() -> int | None:
     """Best-effort resident-set high-water mark; informational only."""
     try:
@@ -106,27 +121,18 @@ def run_static_quality(
         precondition_policy=lambda candidate: False,
     )
     impact = event_impact(event)
-    report = RunReport(
+    return RunReport(
         mode="static",
         algorithm=algorithm,
         scenario=scenario.name,
         impact=impact,
+        selections=[
+            _row(step, attempt, impact, attempt.selection_time_ms)
+            for step, attempt in enumerate(attempts, start=1)
+        ],
         list_generation_time_s=generation_s,
         peak_memory_bytes=_peak_memory_bytes(),
     )
-    for step, attempt in enumerate(attempts, start=1):
-        report.selections.append(
-            SelectionRow(
-                step=step,
-                response_index=attempt.response_index,
-                target_asset=attempt.target_asset,
-                cost=attempt.cost,
-                benefit=attempt.benefit,
-                impact=impact,
-                selection_time_ms=attempt.selection_time_ms,
-            )
-        )
-    return report
 
 
 def run_dynamic(
@@ -165,28 +171,18 @@ def run_dynamic(
     )
     trace = engine.run(event, scripted_feedback(script), max_iterations=iterations)
 
-    report = RunReport(
+    return RunReport(
         mode=mode,
         algorithm=algorithm,
         scenario=scenario.name,
         impact=trace.records[0].impact if trace.records else 0.0,
+        selections=[
+            _row(r.iteration, r.applied, r.impact, r.selection_time_ms)
+            for r in trace.records
+        ],
         peak_memory_bytes=_peak_memory_bytes(),
         seed=seed,
     )
-    for record in trace.records:
-        applied = record.applied
-        report.selections.append(
-            SelectionRow(
-                step=record.iteration,
-                response_index=applied.response_index,
-                target_asset=applied.target_asset,
-                cost=applied.cost,
-                benefit=applied.benefit,
-                impact=record.impact,
-                selection_time_ms=record.selection_time_ms,
-            )
-        )
-    return report
 
 
 def run_velocity_sweep(
@@ -216,33 +212,13 @@ def run_velocity_sweep(
                 scenario=scenario.name,
                 impact=impact,
                 selections=[
-                    SelectionRow(
-                        step=1,
-                        response_index=applied.response_index,
-                        target_asset=applied.target_asset,
-                        cost=applied.cost,
-                        benefit=applied.benefit,
-                        impact=impact,
-                        selection_time_ms=applied.selection_time_ms,
-                        velocity_kmh=float(velocity),
-                    )
+                    _row(1, applied, impact, applied.selection_time_ms, float(velocity))
                 ],
                 list_generation_time_s=generation_s,
                 peak_memory_bytes=_peak_memory_bytes(),
             )
         )
     return reports
-
-
-def time_candidate_generation(catalog_responses, event, repeats: int = 5) -> float:
-    """Median wall-clock seconds for one generate_candidates call."""
-    samples = []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        generate_candidates(event, catalog_responses)
-        samples.append(time.perf_counter() - t0)
-    samples.sort()
-    return samples[len(samples) // 2]
 
 
 def _rows(reports: Sequence[RunReport], include_timings: bool):

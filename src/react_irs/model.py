@@ -7,6 +7,7 @@ share between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -22,15 +23,22 @@ class DomainError(ValueError):
 
 
 def check_level(value: int, what: str = "level") -> int:
-    if value not in LEVELS:
+    # ``True == 1``, so a JSON ``true`` would pass the membership test alone.
+    if value not in LEVELS or type(value) is bool:
         raise DomainError(f"{what} must be one of {LEVELS}, got {value!r}")
     return value
 
 
 def check_weight(value: float, what: str = "weight") -> float:
-    if value < 0:
-        raise DomainError(f"{what} must be non-negative, got {value!r}")
-    return float(value)
+    """Accept a finite non-negative number.  Rejects bool, non-numbers,
+    infinities and NaN, which fails the range test because every
+    comparison with it is false."""
+    try:
+        if 0 <= value < math.inf and type(value) is not bool:
+            return float(value)
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be a finite non-negative number, got {value!r}")
 
 
 class AssetKind(str, Enum):

@@ -24,13 +24,6 @@ from .model import (
     ResponseSpec,
 )
 
-#: Responses that act on one system at a time (restarts, re-initialization,
-#: isolation, process kill).  When the intrusion involves two distinct
-#: assets and the entry is applicable at both ends, these are instantiated
-#: once per asset.
-ASSET_LOCAL_RESPONSES = frozenset({4, 7, 19, 20, 26})
-
-
 class CatalogError(DomainError):
     """The catalog violates a structural requirement (e.g. no terminal entry)."""
 
@@ -56,18 +49,16 @@ def effective_cost(candidate: CandidateInstance, impact: float) -> float:
 
 
 def _instantiate(spec: ResponseSpec, event: IntrusionEvent) -> list[CandidateInstance]:
-    if (
-        spec.index in ASSET_LOCAL_RESPONSES
-        and spec.place is Place.BOTH
-        and event.infected_asset != event.affected_asset
-    ):
-        return [
-            CandidateInstance(spec, event.infected_asset),
-            CandidateInstance(spec, event.affected_asset),
-        ]
+    """One instance at the entry's place; a ``both`` entry gets one per
+    involved asset, infected first, when the two assets differ."""
+    infected, affected = event.infected_asset, event.affected_asset
+    # Destination first: most entries take this branch with a single enum
+    # member lookup, which is slow on Python 3.11.
+    if spec.place is Place.DESTINATION or infected == affected:
+        return [CandidateInstance(spec, affected)]
     if spec.place is Place.SOURCE:
-        return [CandidateInstance(spec, event.infected_asset)]
-    return [CandidateInstance(spec, event.affected_asset)]
+        return [CandidateInstance(spec, infected)]
+    return [CandidateInstance(spec, infected), CandidateInstance(spec, affected)]
 
 
 def generate_candidates(

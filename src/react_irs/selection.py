@@ -19,37 +19,33 @@ Ties break by lowest catalog index, then by candidate-set position
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import CandidateInstance, DomainError, IntrusionEvent
 from .responses import effective_cost, response_benefit, response_cost
 
 
+#: Scale of the impact-derived SAW preference bound ``RHO * sum(alphas)``.
+RHO = 1.0
+#: Substitute for a zero-valued criterion before SAW normalization, so
+#: every division stays defined.
+EPSILON = 1e-6
+
+
 @dataclass(frozen=True)
 class SawConfig:
-    """Weights and guards for the additive-weighting strategy.
+    """Criterion weights of the additive-weighting strategy: ``w_benefit``
+    in [0, 1], and the cost weight is its complement."""
 
-    ``rho`` scales the impact-derived preference bound; ``epsilon``
-    substitutes zero-valued criteria before normalization so divisions
-    stay defined.
-    """
-
-    rho: float = 1.0
-    epsilon: float = 1e-6
     w_benefit: float = 0.6
-    w_cost: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise DomainError(f"rho must be > 0, got {self.rho!r}")
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon!r}")
-        if self.w_benefit < 0 or self.w_cost < 0:
-            raise DomainError("criterion weights must be non-negative")
-        if abs(self.w_benefit + self.w_cost - 1.0) > 1e-9:
-            raise DomainError(
-                f"criterion weights must sum to 1, got {self.w_benefit + self.w_cost!r}"
-            )
+        if not 0.0 <= self.w_benefit <= 1.0:
+            raise DomainError(f"w_benefit must lie in [0, 1], got {self.w_benefit!r}")
+
+    @property
+    def w_cost(self) -> float:
+        return 1.0 - self.w_benefit
 
 
 @dataclass(frozen=True)
@@ -70,17 +66,18 @@ def saw_preferences(
     """Per-candidate preference values.
 
     Benefit normalizes as v/max(v), cost as min(v)/v; zeros are replaced
-    by ``cfg.epsilon`` before any division (including max/min).  The
-    impact is needed to peg the terminal entry's cost.
+    by ``EPSILON`` before any division (including max/min).  The impact is
+    needed to peg the terminal entry's cost.
     """
     if not candidates:
         raise DomainError("cannot rank an empty candidate set")
-    benefits = [response_benefit(c.response.benefit) or cfg.epsilon for c in candidates]
-    costs = [effective_cost(c, impact) or cfg.epsilon for c in candidates]
+    benefits = [response_benefit(c.response.benefit) or EPSILON for c in candidates]
+    costs = [effective_cost(c, impact) or EPSILON for c in candidates]
     max_b = max(benefits)
     min_c = min(costs)
+    w_benefit, w_cost = cfg.w_benefit, cfg.w_cost
     return [
-        (c, cfg.w_benefit * b / max_b + cfg.w_cost * min_c / cost)
+        (c, w_benefit * b / max_b + w_cost * min_c / cost)
         for c, b, cost in zip(candidates, benefits, costs)
     ]
 
@@ -118,14 +115,14 @@ def saw_select(
     cfg: SawConfig,
     impact: float,
 ) -> SelectionOutcome:
-    """Highest preference below the bound rho * sum(alphas).
+    """Highest preference below the bound ``RHO * sum(alphas)``.
 
     If no candidate's preference is below the bound, the overall maximum
     is returned and flagged as a fallback so traces show the bound was
     ineffective.
     """
     ranked = saw_preferences(candidates, cfg, impact)
-    bound = cfg.rho * sum(event_impact_alphas)
+    bound = RHO * sum(event_impact_alphas)
     eligible = [i for i, (_, p) in enumerate(ranked) if p < bound]
     fallback = not eligible
     if fallback:
@@ -177,23 +174,35 @@ def _feasible(
     ]
 
 
-def lp_select_max_benefit(
-    candidates: Sequence[CandidateInstance], impact: float
+def _lp_select(
+    candidates: Sequence[CandidateInstance],
+    impact: float,
+    key: Callable[[tuple[int, CandidateInstance]], tuple],
+    score: Callable[[CandidateInstance], float],
+    fallback_score: float,
 ) -> SelectionOutcome:
-    """Benefit-maximal candidate with cost < impact; terminal fallback."""
+    """The feasible (position, candidate) pair with the smallest ``key``,
+    scored by ``score``; the terminal entry at ``fallback_score`` when no
+    candidate is feasible."""
     if not candidates:
         raise DomainError("cannot select from an empty candidate set")
     feasible = _feasible(candidates, impact)
     if not feasible:
-        return _terminal_outcome(candidates, score=0.0)
-    best_i, best = min(
-        feasible,
+        return _terminal_outcome(candidates, score=fallback_score)
+    _, best = min(feasible, key=key)
+    return SelectionOutcome(chosen=best, score=score(best), feasible_count=len(feasible))
+
+
+def lp_select_max_benefit(
+    candidates: Sequence[CandidateInstance], impact: float
+) -> SelectionOutcome:
+    """Benefit-maximal candidate with cost < impact; terminal fallback."""
+    return _lp_select(
+        candidates,
+        impact,
         key=lambda ic: (-response_benefit(ic[1].response.benefit), ic[1].response.index, ic[0]),
-    )
-    return SelectionOutcome(
-        chosen=best,
-        score=response_benefit(best.response.benefit),
-        feasible_count=len(feasible),
+        score=lambda c: response_benefit(c.response.benefit),
+        fallback_score=0.0,
     )
 
 
@@ -201,19 +210,12 @@ def lp_select_min_cost(
     candidates: Sequence[CandidateInstance], impact: float
 ) -> SelectionOutcome:
     """Cost-minimal candidate with cost < impact; terminal fallback."""
-    if not candidates:
-        raise DomainError("cannot select from an empty candidate set")
-    feasible = _feasible(candidates, impact)
-    if not feasible:
-        return _terminal_outcome(candidates, score=float(impact))
-    best_i, best = min(
-        feasible,
+    return _lp_select(
+        candidates,
+        impact,
         key=lambda ic: (response_cost(ic[1].response.cost), ic[1].response.index, ic[0]),
-    )
-    return SelectionOutcome(
-        chosen=best,
-        score=response_cost(best.response.cost),
-        feasible_count=len(feasible),
+        score=lambda c: response_cost(c.response.cost),
+        fallback_score=float(impact),
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from react_irs.cli import main
-from react_irs.files import data_dir
+from react_irs.files import SchemaError, data_dir, parse_catalog, parse_scenario
 
 
 @pytest.fixture()
@@ -152,6 +152,55 @@ class TestValidate:
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "none.json")])
         assert result.exit_code == 2
+
+
+class TestBadNumbers:
+    """Bad numbers fail as schema errors, never reaching the engine."""
+
+    @pytest.mark.parametrize(
+        "vector, field, value",
+        [
+            ("benefit", "w_s", float("nan")),
+            ("cost", "w_a", float("inf")),
+            ("cost", "w_perf", float("-inf")),
+            ("benefit", "s", True),
+            ("cost", "a", True),
+            ("benefit", "w_p", True),
+        ],
+    )
+    def test_catalog_rejects(self, runner, tmp_path, vector, field, value):
+        doc = json.loads((data_dir() / "catalog_scenario1.json").read_text())
+        doc["responses"][0][vector][field] = value
+        with pytest.raises(SchemaError):
+            parse_catalog(doc)
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("velocity_kmh", "fast"),
+            ("velocity_kmh", True),
+            ("velocity_kmh", float("nan")),
+            ("velocity_kmh", float("inf")),
+            ("environment_weight", -1),
+            ("environment_weight", float("nan")),
+        ],
+    )
+    def test_scenario_rejects(self, runner, tmp_path, field, value):
+        data = data_dir()
+        doc = json.loads((data / "scenario1.json").read_text())
+        doc[field] = value
+        with pytest.raises(SchemaError):
+            parse_scenario(doc, base_dir=data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "architecture.json").write_text((data / "architecture.json").read_text())
+        for args in (["validate", str(path)], ["run", "--scenario", str(path), "--algo", "saw"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
 
 
 class TestCatalogList:

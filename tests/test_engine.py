@@ -17,7 +17,6 @@ from react_irs.engine import (
     always_success_script,
     estimate_loop_time,
     inner_loop,
-    outer_loop,
     scripted_feedback,
 )
 from react_irs.model import CandidateInstance, DomainError
@@ -206,24 +205,20 @@ class TestEngineRuns:
             make_response(31, terminal=True),
         ]
 
+    def _run(self, event, verdicts, **kwargs):
+        engine = Engine(self._catalog(), make_selector("lp-max"))
+        return engine.run(event, scripted_feedback(verdicts), **kwargs)
+
     def test_success_stops_the_loop(self):
         event = make_event()
-        trace = outer_loop(
-            event, self._catalog(), make_selector("lp-max"), scripted_feedback([Success()])
-        )
+        trace = self._run(event, [Success()])
         assert len(trace.records) == 1
         assert trace.records[0].verdict == "success"
         assert trace.records[0].applied.response_index == 17
 
     def test_failure_decays_until_choice_changes(self):
         event = make_event()
-        trace = outer_loop(
-            event,
-            self._catalog(),
-            make_selector("lp-max"),
-            scripted_feedback(always_failure_script(4)),
-            max_iterations=4,
-        )
+        trace = self._run(event, always_failure_script(4), max_iterations=4)
         picks = [r.applied.response_index for r in trace.records]
         benefits = [r.applied.benefit for r in trace.records]
         # 17 decays 220 -> 22 (ties 30 on index) -> 2, handing the lead to 30
@@ -233,36 +228,19 @@ class TestEngineRuns:
     def test_new_intrusion_continues_with_new_event(self):
         first = make_event(velocity=70)
         second = make_event(velocity=0)
-        trace = outer_loop(
-            first,
-            self._catalog(),
-            make_selector("lp-max"),
-            scripted_feedback([NewIntrusion(second), Success()]),
-            max_iterations=5,
-        )
+        trace = self._run(first, [NewIntrusion(second), Success()], max_iterations=5)
         assert [r.verdict for r in trace.records] == ["new_intrusion", "success"]
         assert trace.records[0].velocity_kmh == 70
         assert trace.records[1].velocity_kmh == 0
 
     def test_iteration_cap_respected(self):
         event = make_event()
-        trace = outer_loop(
-            event,
-            self._catalog(),
-            make_selector("lp-max"),
-            scripted_feedback(always_failure_script(50)),
-            max_iterations=3,
-        )
+        trace = self._run(event, always_failure_script(50), max_iterations=3)
         assert len(trace.records) == 3
 
     def test_default_iteration_cap(self):
         event = make_event()
-        trace = outer_loop(
-            event,
-            self._catalog(),
-            make_selector("lp-max"),
-            scripted_feedback(always_failure_script(50)),
-        )
+        trace = self._run(event, always_failure_script(50))
         assert len(trace.records) == DEFAULT_MAX_ITERATIONS
 
     def test_always_success_script_shape(self):

@@ -2,7 +2,6 @@ import pytest
 
 from react_irs.model import CandidateInstance, CostVector, ImpactVector, Place
 from react_irs.responses import (
-    ASSET_LOCAL_RESPONSES,
     CatalogError,
     effective_cost,
     generate_candidates,
@@ -45,6 +44,18 @@ class TestGeneration:
         assert [(c.response.index, c.target_asset) for c in cands] == [
             (20, "cam"),
             (20, "ecu"),
+            (31, "ecu"),
+        ]
+
+    def test_both_is_honoured_at_any_index(self):
+        catalog = [
+            make_response(12, place=Place.BOTH),
+            make_response(31, terminal=True),
+        ]
+        cands = generate_candidates(make_event(infected="cam", affected="ecu"), catalog)
+        assert [(c.response.index, c.target_asset) for c in cands] == [
+            (12, "cam"),
+            (12, "ecu"),
             (31, "ecu"),
         ]
 
@@ -96,8 +107,15 @@ class TestGeneration:
         with pytest.raises(CatalogError):
             generate_candidates(make_event(), [make_response(5)])
 
-    def test_known_asset_local_indices(self):
-        assert ASSET_LOCAL_RESPONSES == frozenset({4, 7, 19, 20, 26})
+    def test_known_asset_local_indices(self, data):
+        from react_irs.files import load_catalog
+
+        # The asset-local responses (restarts, re-initialization, isolation,
+        # process kill) are the only entries the shipped catalogs place on
+        # both ends of the intrusion path.
+        for path in sorted(data.glob("catalog_*.json")):
+            both = {s.index for s in load_catalog(path).responses if s.place is Place.BOTH}
+            assert both <= {4, 7, 19, 20, 26}, path.name
 
 
 class TestShippedCatalogs:

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from react_irs.model import CandidateInstance, DomainError
 from react_irs.selection import (
+    EPSILON,
+    RHO,
     SawConfig,
     brute_force_oracle,
     compute_impact_alphas,
@@ -22,16 +24,17 @@ def instances(*specs):
 class TestSawConfig:
     def test_defaults(self):
         cfg = SawConfig()
-        assert (cfg.rho, cfg.epsilon) == (1.0, 1e-6)
+        assert (RHO, EPSILON) == (1.0, 1e-6)
         assert (cfg.w_benefit, cfg.w_cost) == (0.6, 0.4)
+        assert SawConfig(w_benefit=0.25).w_cost == 0.75
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"rho": 0.0},
-            {"epsilon": 0.0},
-            {"w_benefit": -0.1, "w_cost": 1.1},
-            {"w_benefit": 0.7, "w_cost": 0.7},
+            {"w_benefit": -0.1},
+            {"w_benefit": 1.1},
+            {"w_benefit": float("nan")},
+            {"w_benefit": float("inf")},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -50,24 +53,22 @@ class TestSawPreferences:
         assert ranked[1][1] == pytest.approx(0.6 * 0.4 + 0.4 * 0.5)
 
     def test_zero_benefit_replaced_by_epsilon(self):
-        cfg = SawConfig()
         cands = instances(
             make_response(1, s=100, a=10),
             make_response(2, a=10),  # zero benefit, same cost
         )
-        ranked = saw_preferences(cands, cfg, impact=200.0)
-        assert ranked[1][1] == pytest.approx(0.6 * cfg.epsilon / 100 + 0.4)
+        ranked = saw_preferences(cands, SawConfig(), impact=200.0)
+        assert ranked[1][1] == pytest.approx(0.6 * EPSILON / 100 + 0.4)
 
     def test_zero_cost_replaced_by_epsilon(self):
-        cfg = SawConfig()
         cands = instances(
             make_response(1, s=100, a=10),
             make_response(2, s=10),  # benefit 10, zero cost
         )
-        ranked = saw_preferences(cands, cfg, impact=200.0)
+        ranked = saw_preferences(cands, SawConfig(), impact=200.0)
         # the zero cost becomes the min, so candidate 2 is cost-perfect
         assert ranked[1][1] == pytest.approx(0.6 * 0.1 + 0.4)
-        assert ranked[0][1] == pytest.approx(0.6 + 0.4 * cfg.epsilon / 10)
+        assert ranked[0][1] == pytest.approx(0.6 + 0.4 * EPSILON / 10)
 
     def test_terminal_cost_uses_impact(self):
         cands = instances(
@@ -75,8 +76,7 @@ class TestSawPreferences:
             make_response(31, terminal=True),
         )
         ranked = saw_preferences(cands, SawConfig(), impact=50.0)
-        cfg = SawConfig()
-        assert ranked[1][1] == pytest.approx(0.6 * cfg.epsilon / 10 + 0.4 * 1 / 50)
+        assert ranked[1][1] == pytest.approx(0.6 * EPSILON / 10 + 0.4 * 1 / 50)
 
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
@@ -141,8 +141,8 @@ class TestSawSelect:
             make_response(1, s=100, a=10),
             make_response(31, terminal=True),
         )
-        # rho scaled so every preference sits above the bound
-        out = saw_select(cands, [1.0, 0.0, 0.0, 0.0, 0.0], SawConfig(rho=1e-9), impact=200.0)
+        # shares so small that every preference sits above the bound
+        out = saw_select(cands, [1e-9, 0.0, 0.0, 0.0, 0.0], SawConfig(), impact=200.0)
         assert out.fallback
         assert out.feasible_count == 0
         assert out.chosen.response.index == 1  # still the global maximum
@@ -151,6 +151,21 @@ class TestSawSelect:
         cands = instances(make_response(31, terminal=True))
         out = saw_select(cands, [1.0] * 5, SawConfig(), impact=100.0)
         assert out.chosen.response.index == 31
+
+    def test_bound_excludes_the_candidate_best_on_both_axes(self):
+        # S=100 alone at 0 km/h: impact 100, one non-zero share, bound 1.
+        # Candidate 2 is best on both axes, so its preference is exactly 1
+        # and the strict bound leaves it out; the optimizers still take it.
+        event = make_event(s=100, f=0, o=0, p=0, velocity=0)
+        cands = instances(
+            make_response(1, s=10, a=10),   # benefit 10, cost 10
+            make_response(2, s=100, a=1),   # benefit 100, cost 1
+            make_response(31, terminal=True),
+        )
+        assert compute_impact_alphas(event) == [1.0, 0.0, 0.0, 0.0, 0.0]
+        picks = {algo: make_selector(algo)(cands, 100.0, event).chosen.response.index
+                 for algo in ("saw", "lp-max", "lp-min")}
+        assert picks == {"saw": 1, "lp-max": 2, "lp-min": 2}
 
 
 class TestOptimizers:
@@ -247,5 +262,5 @@ class TestMakeSelector:
             make_response(31, terminal=True),
         )
         event = make_event()
-        cost_led = make_selector("saw", SawConfig(w_benefit=0.01, w_cost=0.99))
+        cost_led = make_selector("saw", SawConfig(w_benefit=0.01))
         assert cost_led(cands, 210.0, event).chosen.response.index == 2
