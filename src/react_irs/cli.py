@@ -16,7 +16,7 @@ import click
 
 from .files import SchemaError, data_dir, load_catalog, load_scenario, resolve_scenario_ref, validate_file
 from .harness import emit_series, run_dynamic, run_static_quality, run_velocity_sweep
-from .model import DomainError
+from .model import DomainError, check_weight
 from .responses import response_benefit, response_cost
 from .selection import ALGORITHMS, SawConfig
 
@@ -24,6 +24,13 @@ MODES = ("static", "dynamic-success", "dynamic-fail", "velocity-sweep")
 
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+
+def _parse_velocities(ctx, param, text: str) -> list[float]:
+    try:
+        return [check_weight(float(v), "velocity") for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 @click.group()
@@ -44,6 +51,7 @@ def main() -> None:
 @click.option("--seed", type=int, default=7, show_default=True, envvar="REACT_SEED",
               help="Adaptation RNG seed (REACT_SEED overrides).")
 @click.option("--velocities", default="0,50,100", show_default=True,
+              callback=_parse_velocities,
               help="Comma-separated velocities for velocity-sweep mode (km/h).")
 @click.option("--saw-benefit-weight", type=float, default=None,
               help="Override the SAW benefit criterion weight (cost weight "
@@ -63,8 +71,7 @@ def run(scenario_ref, algorithm, mode, iterations, seed, velocities,
         if mode == "static":
             result = run_static_quality(scenario, algorithm, saw_cfg=saw_cfg)
         elif mode == "velocity-sweep":
-            parsed = [float(v) for v in velocities.split(",") if v.strip() != ""]
-            result = run_velocity_sweep(scenario, algorithm, parsed, saw_cfg=saw_cfg)
+            result = run_velocity_sweep(scenario, algorithm, velocities, saw_cfg=saw_cfg)
         else:
             verdict = "success" if mode == "dynamic-success" else "failure"
             result = run_dynamic(scenario, algorithm, verdict, iterations=iterations,

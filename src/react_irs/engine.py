@@ -109,7 +109,6 @@ class IterationRecord:
 
 @dataclass
 class EngineTrace:
-    seed: int
     records: list[IterationRecord] = field(default_factory=list)
 
 
@@ -223,10 +222,6 @@ class Engine:
         self._effects = {int(k): dict(v) for k, v in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], ResponseSpec] = {}
 
-    def adapted_catalog(self) -> dict[tuple[int, str], ResponseSpec]:
-        """Current per-instance adaptation state (index, target) -> spec."""
-        return dict(self._adapted)
-
     def _overlay(self, candidates: Sequence[CandidateInstance]) -> list[CandidateInstance]:
         out = []
         for cand in candidates:
@@ -244,7 +239,7 @@ class Engine:
     ) -> EngineTrace:
         if max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {max_iterations!r}")
-        trace = EngineTrace(seed=self._adaptation.rng_seed)
+        trace = EngineTrace()
         event = initial_event
         for iteration in range(1, max_iterations + 1):
             event = self._refresh_environment(event)

@@ -1,9 +1,9 @@
 """JSON file formats: architecture, response catalog, and scenario.
 
 Every document carries ``schema_version`` and a ``kind`` discriminator.
-Parsing is strict (unknown enum values, bad levels, duplicate indices and
-unresolvable references all raise :class:`SchemaError`), and
-``parse -> dump -> parse`` is an identity on the parsed structures.
+Parsing is strict: unknown enum values, bad levels, non-boolean flags,
+duplicate indices and unresolvable references all raise
+:class:`SchemaError`.  Keys the schema does not name are ignored.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ from .model import (
 from .preconditions import Precondition, PreconditionError
 
 SCHEMA_VERSION = 1
-
-VERDICT_NAMES = ("success", "failure", "new_intrusion")
 
 
 class SchemaError(DomainError):
@@ -70,6 +68,16 @@ def _enum(enum_cls, value: Any, context: str):
         raise SchemaError(f"{context}: {value!r} is not one of: {valid}") from None
 
 
+def _bool(value: Any, context: str) -> bool:
+    if type(value) is not bool:
+        raise SchemaError(f"{context}: expected true or false, got {value!r}")
+    return value
+
+
+def _flags(doc: Mapping[str, Any], context: str) -> dict[str, bool]:
+    return {str(k): _bool(v, f"{context}.{k}") for k, v in doc.items()}
+
+
 # --------------------------------------------------------------------------
 # architecture
 
@@ -89,17 +97,6 @@ def parse_architecture(doc: Mapping[str, Any]) -> dict[str, Asset]:
     return assets
 
 
-def dump_architecture(assets: Mapping[str, Asset]) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "architecture",
-        "assets": [
-            {"id": a.id, "name": a.name, "kind": a.kind.value}
-            for a in assets.values()
-        ],
-    }
-
-
 def load_architecture(path: str | Path) -> dict[str, Asset]:
     return parse_architecture(_read_json(path))
 
@@ -112,7 +109,6 @@ def load_architecture(path: str | Path) -> dict[str, Asset]:
 class Catalog:
     name: str
     responses: tuple[ResponseSpec, ...]
-    notes: str = ""
 
     def by_index(self, index: int) -> ResponseSpec:
         for spec in self.responses:
@@ -159,8 +155,10 @@ def _parse_stop(doc: Mapping[str, Any], context: str) -> StopCondition:
 
 def _parse_response(doc: Mapping[str, Any]) -> ResponseSpec:
     index = _require(doc, "index", "response")
-    context = f"response {index}"
-    is_general = bool(doc.get("general", False))
+    context = f"response {index!r}"
+    if type(index) is not int:
+        raise SchemaError(f"{context}: index must be an integer")
+    is_general = _bool(doc.get("general", False), f"{context}.general")
     applies = frozenset(
         _enum(IntrusionResult, value, f"{context}.applies_to")
         for value in doc.get("applies_to", [])
@@ -183,7 +181,7 @@ def _parse_response(doc: Mapping[str, Any]) -> ResponseSpec:
         cost=_parse_cost_vector(_require(doc, "cost", context), f"{context}.cost"),
         benefit=benefit,
         original_benefit=benefit,
-        terminal=bool(doc.get("terminal", False)),
+        terminal=_bool(doc.get("terminal", False), f"{context}.terminal"),
     )
 
 
@@ -198,60 +196,7 @@ def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
     terminals = [spec for spec in responses if spec.terminal]
     if len(terminals) != 1:
         raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    return Catalog(
-        name=doc.get("name", ""),
-        responses=responses,
-        notes=doc.get("notes", ""),
-    )
-
-
-def _dump_impact_vector(vec: ImpactVector) -> dict[str, Any]:
-    return {
-        "s": vec.s,
-        "f": vec.f,
-        "o": vec.o,
-        "p": vec.p,
-        "w_s": vec.w_s,
-        "w_f": vec.w_f,
-        "w_o": vec.w_o,
-        "w_p": vec.w_p,
-    }
-
-
-def _dump_response(spec: ResponseSpec) -> dict[str, Any]:
-    doc: dict[str, Any] = {"index": spec.index, "action": spec.action}
-    if spec.is_general:
-        doc["general"] = True
-    if spec.applicable_results:
-        doc["applies_to"] = sorted(r.value for r in spec.applicable_results)
-    doc["precondition"] = spec.precondition.source
-    doc["place"] = spec.place.value
-    stop: dict[str, Any] = {"kind": spec.stop.kind.value}
-    if spec.stop.seconds is not None:
-        stop["seconds"] = spec.stop.seconds
-    doc["stop"] = stop
-    doc["cost"] = {
-        "a": spec.cost.a,
-        "perf": spec.cost.perf,
-        "w_a": spec.cost.w_a,
-        "w_perf": spec.cost.w_perf,
-    }
-    doc["benefit"] = _dump_impact_vector(spec.benefit)
-    if spec.terminal:
-        doc["terminal"] = True
-    return doc
-
-
-def dump_catalog(catalog: Catalog) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "catalog",
-        "name": catalog.name,
-    }
-    if catalog.notes:
-        doc["notes"] = catalog.notes
-    doc["responses"] = [_dump_response(spec) for spec in catalog.responses]
-    return doc
+    return Catalog(name=doc.get("name", ""), responses=responses)
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -275,9 +220,7 @@ class Scenario:
     facts: Mapping[str, bool]
     catalog_ref: str
     catalog_overrides: Mapping[str, str]
-    feedback_script: tuple[str, ...]
     effects: Mapping[int, Mapping[str, bool]]
-    notes: str = ""
     base_dir: Path = field(default=Path("."), compare=False)
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
@@ -315,20 +258,13 @@ class Scenario:
 def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenario:
     _check_header(doc, "scenario", "scenario")
     context = f"scenario {doc.get('name', '?')!r}"
-    script = tuple(doc.get("feedback_script", []))
-    for name in script:
-        if name not in VERDICT_NAMES:
-            raise SchemaError(
-                f"{context}: feedback_script entry {name!r} not in {VERDICT_NAMES}"
-            )
-    effects_doc = doc.get("effects", {})
-    try:
-        effects = {
-            int(index): {str(k): bool(v) for k, v in updates.items()}
-            for index, updates in effects_doc.items()
-        }
-    except (TypeError, ValueError):
-        raise SchemaError(f"{context}: effects keys must be response indices") from None
+    effects: dict[int, dict[str, bool]] = {}
+    for index, updates in doc.get("effects", {}).items():
+        try:
+            key = int(index)
+        except ValueError:
+            raise SchemaError(f"{context}: effects keys must be response indices") from None
+        effects[key] = _flags(updates, f"{context}.effects.{index}")
     velocity = _require(doc, "velocity_kmh", context)
     try:
         velocity = check_weight(velocity, "velocity_kmh")
@@ -350,37 +286,12 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
             _require(doc, "impact_params", context), f"{context}.impact_params"
         ),
         environment_weight=environment_weight,
-        facts={str(k): bool(v) for k, v in doc.get("facts", {}).items()},
+        facts=_flags(doc.get("facts", {}), f"{context}.facts"),
         catalog_ref=_require(doc, "catalog_ref", context),
         catalog_overrides=dict(doc.get("catalog_overrides", {})),
-        feedback_script=script,
         effects=effects,
-        notes=doc.get("notes", ""),
         base_dir=Path(base_dir),
     )
-
-
-def dump_scenario(scenario: Scenario) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "scenario",
-        "name": scenario.name,
-        "architecture_ref": scenario.architecture_ref,
-        "infected_asset": scenario.infected_asset,
-        "affected_asset": scenario.affected_asset,
-        "intrusion_result": scenario.intrusion_result.value,
-        "velocity_kmh": scenario.velocity_kmh,
-        "impact_params": _dump_impact_vector(scenario.impact_params),
-        "environment_weight": scenario.environment_weight,
-        "facts": dict(scenario.facts),
-        "catalog_ref": scenario.catalog_ref,
-        "catalog_overrides": dict(scenario.catalog_overrides),
-        "feedback_script": list(scenario.feedback_script),
-        "effects": {str(k): dict(v) for k, v in scenario.effects.items()},
-    }
-    if scenario.notes:
-        doc["notes"] = scenario.notes
-    return doc
 
 
 def load_scenario(path: str | Path) -> Scenario:

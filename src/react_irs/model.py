@@ -126,8 +126,7 @@ class VehicleState:
     facts: Mapping[str, bool] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.velocity_kmh < 0:
-            raise DomainError(f"velocity must be >= 0, got {self.velocity_kmh!r}")
+        check_weight(self.velocity_kmh, "velocity_kmh")
 
 
 @dataclass(frozen=True)

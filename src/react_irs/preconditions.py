@@ -149,21 +149,13 @@ def evaluate(expr: Expr, facts: Mapping[str, bool]) -> bool:
 
 @dataclass(frozen=True)
 class Precondition:
-    """A parsed precondition that remembers its source text.
+    """A parsed precondition, ready to evaluate against a fact map."""
 
-    Keeping the source makes catalog serialization a faithful round-trip;
-    the tree is what actually gets evaluated.
-    """
-
-    source: str
     tree: Expr
 
     @classmethod
-    def parse(cls, source: str) -> "Precondition":
-        return cls(source=source, tree=parse_expr(source))
+    def parse(cls, text: str) -> "Precondition":
+        return cls(tree=parse_expr(text))
 
     def evaluate(self, facts: Mapping[str, bool]) -> bool:
         return evaluate(self.tree, facts)
-
-
-ALWAYS_TRUE = Precondition.parse("true")

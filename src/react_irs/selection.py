@@ -82,31 +82,18 @@ def saw_preferences(
     ]
 
 
-def compute_impact_alphas(
-    event: IntrusionEvent, active_events: Sequence[IntrusionEvent] = ()
-) -> list[float]:
-    """Normalized per-metric impact shares for an event.
-
-    For each metric in (S, F, O, P, E) the weighted value is divided by
-    the sum of weighted values of that metric across all active events
-    (the event itself plus ``active_events``); a zero denominator yields
-    zero.  With a single active event every share is 0 or 1.
-    """
-    pool = [event, *active_events]
-
-    def terms(ev: IntrusionEvent) -> list[float]:
-        params, env = ev.impact_params, ev.env
-        return [
-            params.w_s * params.s,
-            params.w_f * params.f,
-            params.w_o * params.o,
-            params.w_p * params.p,
-            env.w_e * env.e,
-        ]
-
-    own = terms(event)
-    totals = [sum(vals) for vals in zip(*(terms(ev) for ev in pool))]
-    return [v / t if t != 0 else 0.0 for v, t in zip(own, totals)]
+def compute_impact_alphas(event: IntrusionEvent) -> list[float]:
+    """Per-metric impact shares of an event for (S, F, O, P, E): 1.0 where
+    the weighted value is non-zero, else 0.0."""
+    params, env = event.impact_params, event.env
+    terms = (
+        params.w_s * params.s,
+        params.w_f * params.f,
+        params.w_o * params.o,
+        params.w_p * params.p,
+        env.w_e * env.e,
+    )
+    return [1.0 if v else 0.0 for v in terms]
 
 
 def saw_select(

@@ -1,7 +1,12 @@
-"""The benchmark's tracer patches package names from outside; a rename or
-deletion of one of them must fail here, not only in a traced benchmark run."""
+"""The benchmark drives the package from outside: its tracer patches
+package names and its workloads call public functions directly.  A rename
+or deletion of one of them must fail here, not only in a benchmark run."""
+import importlib
+import itertools
 import sys
 from pathlib import Path
+
+import pytest
 
 import react_irs.engine as engine
 import react_irs.files as files
@@ -14,18 +19,17 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 OWNERS = (engine, files, harness, responses, selection, Precondition, engine.Engine)
 
 
-def _load_tracer():
+def _load_bench(module: str):
     sys.path.insert(0, str(BENCH))
     try:
-        from tracing import Tracer
+        return importlib.import_module(module)
     finally:
         sys.path.remove(str(BENCH))
-    return Tracer
 
 
 def test_tracer_installs_and_restores_every_patched_name():
     before = [dict(vars(owner)) for owner in OWNERS]
-    tracer = _load_tracer()()
+    tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
         changed = {
@@ -43,3 +47,33 @@ def test_tracer_installs_and_restores_every_patched_name():
         current = vars(owner)
         assert current.keys() == snapshot.keys(), owner.__name__
         assert all(current[attr] is value for attr, value in snapshot.items()), owner.__name__
+
+
+class _Count:
+    """Stands in for the benchmark's recorder: counts checked ops."""
+
+    def __init__(self):
+        self.passed = 0
+        self.failed = 0
+
+    def __call__(self, algo, seconds, ok):
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+
+
+# drain-1k is left out: one checked batch takes about 4 s.
+@pytest.mark.parametrize(
+    "name, batches, min_ops", [("paper-series", 1, 24), ("event-stream", 30, 30)]
+)
+def test_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops):
+    workload = _load_bench("workloads").WORKLOADS[name](1, tmp_path)
+    workload.setup()
+    workload.prepare()
+    record = _Count()
+    for batch in itertools.islice(workload.batches(), batches):
+        workload.run_batch(batch, record)
+    workload.close()
+    assert record.failed == 0
+    assert record.passed >= min_ops

@@ -102,7 +102,7 @@ class TestRun:
             main,
             [
                 "run", "--scenario", "scenario1", "--algo", "lp-max",
-                "--mode", "velocity-sweep", "--velocities", "0,-5",
+                "--mode", "dynamic-fail", "--iterations", "0",
             ],
         )
         assert result.exit_code == 3
@@ -115,7 +115,19 @@ class TestRun:
                 "--mode", "velocity-sweep", "--velocities", "0,fast",
             ],
         )
-        assert result.exit_code == 3
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("velocities", ["nan", "inf", "0,-5"])
+    def test_bad_velocity_is_usage_error(self, runner, velocities):
+        result = runner.invoke(
+            main,
+            [
+                "run", "--scenario", "scenario1", "--algo", "lp-max",
+                "--mode", "velocity-sweep", "--velocities", velocities,
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "step," not in result.output
 
     def test_saw_weight_override_changes_choice(self, runner):
         base = runner.invoke(
@@ -154,8 +166,18 @@ class TestValidate:
         assert result.exit_code == 2
 
 
+def _assert_catalog_rejected(runner, tmp_path, doc):
+    with pytest.raises(SchemaError):
+        parse_catalog(doc)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2, result.output
+
+
 class TestBadNumbers:
-    """Bad numbers fail as schema errors, never reaching the engine."""
+    """Bad numbers, flags and indices fail as schema errors, never reaching
+    the engine."""
 
     @pytest.mark.parametrize(
         "vector, field, value",
@@ -171,12 +193,23 @@ class TestBadNumbers:
     def test_catalog_rejects(self, runner, tmp_path, vector, field, value):
         doc = json.loads((data_dir() / "catalog_scenario1.json").read_text())
         doc["responses"][0][vector][field] = value
-        with pytest.raises(SchemaError):
-            parse_catalog(doc)
-        path = tmp_path / "catalog.json"
-        path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 2, result.output
+        _assert_catalog_rejected(runner, tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "index, field, value",
+        [
+            (1, "general", "false"),
+            (31, "terminal", 1),
+            (1, "index", "1"),
+            (1, "index", 1.0),
+            (1, "index", True),
+        ],
+    )
+    def test_catalog_entry_rejects(self, runner, tmp_path, index, field, value):
+        doc = json.loads((data_dir() / "catalog_scenario1.json").read_text())
+        entry = next(r for r in doc["responses"] if r["index"] == index)
+        entry[field] = value
+        _assert_catalog_rejected(runner, tmp_path, doc)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -187,6 +220,8 @@ class TestBadNumbers:
             ("velocity_kmh", float("inf")),
             ("environment_weight", -1),
             ("environment_weight", float("nan")),
+            ("facts", {"driving": "no"}),
+            ("effects", {"20": {"attacker_isolated": "yes"}}),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):

@@ -5,11 +5,7 @@ import pytest
 from react_irs.files import (
     SchemaError,
     data_dir,
-    dump_architecture,
-    dump_catalog,
-    dump_scenario,
     load_architecture,
-    load_catalog,
     load_scenario,
     parse_architecture,
     parse_catalog,
@@ -17,6 +13,10 @@ from react_irs.files import (
     resolve_scenario_ref,
     validate_file,
 )
+
+
+def scenario1_doc(data):
+    return json.loads((data / "scenario1.json").read_text())
 
 
 def minimal_catalog_doc(**overrides):
@@ -55,10 +55,6 @@ def minimal_catalog_doc(**overrides):
 
 
 class TestArchitecture:
-    def test_round_trip(self, data):
-        assets = load_architecture(data / "architecture.json")
-        assert parse_architecture(dump_architecture(assets)) == assets
-
     def test_shipped_assets(self, data):
         assets = load_architecture(data / "architecture.json")
         assert assets["front_camera"].kind.value == "sensor"
@@ -88,22 +84,6 @@ class TestArchitecture:
 
 
 class TestCatalog:
-    def test_round_trip_identity(self, data):
-        for name in (
-            "catalog_generic.json",
-            "catalog_scenario1.json",
-            "catalog_scenario2_saw.json",
-        ):
-            catalog = load_catalog(data / name)
-            again = parse_catalog(dump_catalog(catalog))
-            assert again == catalog
-
-    def test_precondition_source_survives_round_trip(self, generic_catalog):
-        dumped = dump_catalog(generic_catalog)
-        by_index = {r["index"]: r for r in dumped["responses"]}
-        assert by_index[17]["precondition"] == "vehicle_stationary || driver_notified"
-        assert by_index[29]["precondition"] == "update_available && !driving"
-
     def test_minimal_doc_parses(self):
         catalog = parse_catalog(minimal_catalog_doc())
         assert catalog.by_index(31).terminal
@@ -153,10 +133,6 @@ class TestCatalog:
 
 
 class TestScenario:
-    def test_round_trip(self, data, scenario1):
-        again = parse_scenario(dump_scenario(scenario1), base_dir=data)
-        assert again == scenario1
-
     def test_event_construction(self, scenario1):
         event = scenario1.event()
         assert event.infected_asset == "front_camera"
@@ -177,8 +153,8 @@ class TestScenario:
             == "catalog_scenario1_dynamic.json"
         )
 
-    def test_wildcard_override(self, data, scenario1):
-        doc = dump_scenario(scenario1)
+    def test_wildcard_override(self, data):
+        doc = scenario1_doc(data)
         doc["catalog_overrides"] = {"static:*": "catalog_scenario1_saw.json"}
         sc = parse_scenario(doc, base_dir=data)
         assert sc.catalog_path("static", "lp-min").name == "catalog_scenario1_saw.json"
@@ -187,7 +163,7 @@ class TestScenario:
         )
 
     def test_unknown_asset_rejected_on_load(self, data, tmp_path):
-        doc = dump_scenario(load_scenario(data / "scenario1.json"))
+        doc = scenario1_doc(data)
         doc["infected_asset"] = "flux_capacitor"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -197,14 +173,8 @@ class TestScenario:
         with pytest.raises(SchemaError, match="flux_capacitor"):
             load_scenario(bad)
 
-    def test_bad_feedback_script_rejected(self, data, scenario1):
-        doc = dump_scenario(scenario1)
-        doc["feedback_script"] = ["success", "maybe"]
-        with pytest.raises(SchemaError):
-            parse_scenario(doc, base_dir=data)
-
-    def test_negative_velocity_rejected(self, data, scenario1):
-        doc = dump_scenario(scenario1)
+    def test_negative_velocity_rejected(self, data):
+        doc = scenario1_doc(data)
         doc["velocity_kmh"] = -3.0
         with pytest.raises(SchemaError):
             parse_scenario(doc, base_dir=data)

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from react_irs.preconditions import (
-    ALWAYS_TRUE,
     And,
     Fact,
     Lit,
@@ -80,13 +79,11 @@ class TestEvaluation:
 
 
 class TestPreconditionWrapper:
-    def test_keeps_source_text(self):
+    def test_parse_then_evaluate(self):
         pc = Precondition.parse("a  &&  !b")
-        assert pc.source == "a  &&  !b"
         assert pc.evaluate({"a": True}) is True
-
-    def test_always_true_constant(self):
-        assert ALWAYS_TRUE.evaluate({}) is True
+        assert pc.evaluate({"a": True, "b": True}) is False
+        assert Precondition.parse("true").evaluate({}) is True
 
 
 names = st.sampled_from(["a", "b", "c", "engine_on", "x1"])

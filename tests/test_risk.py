@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from react_irs.model import DomainError, EnvironmentTerm, ImpactVector
+from react_irs.model import DomainError, EnvironmentTerm, ImpactVector, VehicleState
 from react_irs.risk import (
     environment_from_velocity,
     event_impact,
@@ -33,6 +33,11 @@ class TestVelocityBands:
     def test_negative_velocity_rejected(self):
         with pytest.raises(DomainError):
             environment_from_velocity(-0.1)
+
+    @pytest.mark.parametrize("velocity", [float("nan"), float("inf"), -5.0, True, "fast"])
+    def test_vehicle_state_rejects_bad_velocity(self, velocity):
+        with pytest.raises(DomainError):
+            VehicleState(velocity_kmh=velocity)
 
     @given(st.floats(min_value=0, max_value=400, allow_nan=False))
     def test_level_is_monotone_in_velocity(self, v):

@@ -109,11 +109,9 @@ class TestImpactAlphas:
         alphas = compute_impact_alphas(make_event(s=0, f=10, o=10, p=100, velocity=0))
         assert alphas == [0.0, 1.0, 1.0, 1.0, 0.0]
 
-    def test_two_events_split_shares(self):
-        a = make_event(s=100, f=0, o=0, p=0, velocity=0)
-        b = make_event(s=100, f=0, o=100, p=0, velocity=0)
-        alphas = compute_impact_alphas(a, [b])
-        assert alphas == [0.5, 0.0, 0.0, 0.0, 0.0]
+    def test_weights_do_not_scale_shares(self):
+        assert compute_impact_alphas(make_event(w_e=0.3)) == [1.0, 0.0, 1.0, 0.0, 1.0]
+        assert compute_impact_alphas(make_event(w_e=0.0)) == [1.0, 0.0, 1.0, 0.0, 0.0]
 
 
 class TestSawSelect:
