@@ -79,11 +79,17 @@ class TestEvaluation:
 
 
 class TestPreconditionWrapper:
-    def test_parse_then_evaluate(self):
+    def test_keeps_source_text(self):
         pc = Precondition.parse("a  &&  !b")
+        assert pc.tree == And(Fact("a"), Not(Fact("b")))
         assert pc.evaluate({"a": True}) is True
         assert pc.evaluate({"a": True, "b": True}) is False
-        assert Precondition.parse("true").evaluate({}) is True
+
+    def test_always_true_constant(self):
+        pc = Precondition.parse("true")
+        assert pc.tree == Lit(True)
+        assert pc.evaluate({}) is True
+        assert pc.evaluate({"a": False}) is True
 
 
 names = st.sampled_from(["a", "b", "c", "engine_on", "x1"])
