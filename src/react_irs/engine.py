@@ -197,7 +197,9 @@ def inner_loop(
         )
         if passed:
             return cand, attempts
-        working.remove(cand)
+        # The selector returns an element of ``working``: find it by
+        # identity rather than by the deep dataclass ``==`` of ``remove``.
+        del working[next(i for i, c in enumerate(working) if c is cand)]
     raise DomainError("candidate set exhausted without an applicable response")
 
 

@@ -74,8 +74,14 @@ def _bool(value: Any, context: str) -> bool:
     return value
 
 
-def _flags(doc: Mapping[str, Any], context: str) -> dict[str, bool]:
-    return {str(k): _bool(v, f"{context}.{k}") for k, v in doc.items()}
+def _object(value: Any, context: str) -> Mapping[str, Any]:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{context}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _flags(doc: Any, context: str) -> dict[str, bool]:
+    return {str(k): _bool(v, f"{context}.{k}") for k, v in _object(doc, context).items()}
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +123,8 @@ class Catalog:
         raise KeyError(index)
 
 
-def _parse_impact_vector(doc: Mapping[str, Any], context: str) -> ImpactVector:
+def _parse_impact_vector(doc: Any, context: str) -> ImpactVector:
+    doc = _object(doc, context)
     try:
         return ImpactVector(
             s=_require(doc, "s", context),
@@ -133,7 +140,8 @@ def _parse_impact_vector(doc: Mapping[str, Any], context: str) -> ImpactVector:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _parse_cost_vector(doc: Mapping[str, Any], context: str) -> CostVector:
+def _parse_cost_vector(doc: Any, context: str) -> CostVector:
+    doc = _object(doc, context)
     try:
         return CostVector(
             a=_require(doc, "a", context),
@@ -145,7 +153,8 @@ def _parse_cost_vector(doc: Mapping[str, Any], context: str) -> CostVector:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _parse_stop(doc: Mapping[str, Any], context: str) -> StopCondition:
+def _parse_stop(doc: Any, context: str) -> StopCondition:
+    doc = _object(doc, context)
     kind = _enum(StopKind, _require(doc, "kind", context), f"{context}.kind")
     try:
         return StopCondition(kind=kind, seconds=doc.get("seconds"))
@@ -259,7 +268,7 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     _check_header(doc, "scenario", "scenario")
     context = f"scenario {doc.get('name', '?')!r}"
     effects: dict[int, dict[str, bool]] = {}
-    for index, updates in doc.get("effects", {}).items():
+    for index, updates in _object(doc.get("effects", {}), f"{context}.effects").items():
         try:
             key = int(index)
         except ValueError:
@@ -288,7 +297,9 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
         environment_weight=environment_weight,
         facts=_flags(doc.get("facts", {}), f"{context}.facts"),
         catalog_ref=_require(doc, "catalog_ref", context),
-        catalog_overrides=dict(doc.get("catalog_overrides", {})),
+        catalog_overrides=dict(
+            _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
+        ),
         effects=effects,
         base_dir=Path(base_dir),
     )

@@ -3,13 +3,15 @@ four-level impact bundles, and response catalog entries.
 
 Impact-style values live on the discrete level scale {0, 1, 10, 100};
 weights are non-negative reals.  All types are immutable values, safe to
-share between threads.
+share between threads; a cached ``total`` depends only on its vector's
+fields, so a race at worst computes it twice.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 from .preconditions import Precondition
@@ -84,6 +86,8 @@ class ImpactVector:
     """Safety/financial/operational/privacy levels with their weights.
 
     Used both for intrusion impact parameters and for response benefits.
+    ``total`` is the weighted sum, computed on first read and kept: the
+    vector is immutable, and adaptation builds a new one.
     """
 
     s: int
@@ -106,6 +110,10 @@ class ImpactVector:
 
     def weights(self) -> tuple[float, float, float, float]:
         return (self.w_s, self.w_f, self.w_o, self.w_p)
+
+    @cached_property
+    def total(self) -> float:
+        return sum(w * v for w, v in zip(self.weights(), self.levels()))
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,8 @@ class IntrusionEvent:
 
 @dataclass(frozen=True)
 class CostVector:
-    """Availability / performance cost levels of applying a response."""
+    """Availability / performance cost levels of applying a response;
+    ``total`` is the weighted sum, cached like ``ImpactVector.total``."""
 
     a: int
     perf: int
@@ -155,6 +164,10 @@ class CostVector:
         check_level(self.perf, "Perf")
         check_weight(self.w_a, "w_a")
         check_weight(self.w_perf, "w_perf")
+
+    @cached_property
+    def total(self) -> float:
+        return self.w_a * self.a + self.w_perf * self.perf
 
 
 @dataclass(frozen=True)

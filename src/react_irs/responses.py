@@ -6,6 +6,9 @@ the same shape as the intrusion impact:
     cost    c = w_A*A + w_Perf*Perf
     benefit b = w_S*S + w_F*F + w_O*O + w_P*P
 
+Both sums are the vectors' cached ``total``s, so each is computed once
+per vector however often a selection asks for it.
+
 ``generate_candidates`` turns a catalog plus an intrusion event into the
 ordered list of concrete (response, target asset) instances the decision
 loop selects from.
@@ -29,11 +32,11 @@ class CatalogError(DomainError):
 
 
 def response_cost(cost: CostVector) -> float:
-    return cost.w_a * cost.a + cost.w_perf * cost.perf
+    return cost.total
 
 
 def response_benefit(benefit: ImpactVector) -> float:
-    return sum(w * v for w, v in zip(benefit.weights(), benefit.levels()))
+    return benefit.total
 
 
 def effective_cost(candidate: CandidateInstance, impact: float) -> float:

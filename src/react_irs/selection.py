@@ -153,10 +153,10 @@ def _terminal_outcome(
 
 def _feasible(
     candidates: Sequence[CandidateInstance], impact: float
-) -> list[tuple[int, CandidateInstance]]:
+) -> list[CandidateInstance]:
     return [
-        (i, c)
-        for i, c in enumerate(candidates)
+        c
+        for c in candidates
         if not c.response.terminal and response_cost(c.response.cost) < impact
     ]
 
@@ -164,19 +164,20 @@ def _feasible(
 def _lp_select(
     candidates: Sequence[CandidateInstance],
     impact: float,
-    key: Callable[[tuple[int, CandidateInstance]], tuple],
+    key: Callable[[CandidateInstance], tuple],
     score: Callable[[CandidateInstance], float],
     fallback_score: float,
 ) -> SelectionOutcome:
-    """The feasible (position, candidate) pair with the smallest ``key``,
-    scored by ``score``; the terminal entry at ``fallback_score`` when no
-    candidate is feasible."""
+    """The feasible candidate with the smallest ``key``, scored by
+    ``score``; the terminal entry at ``fallback_score`` when no candidate
+    is feasible."""
     if not candidates:
         raise DomainError("cannot select from an empty candidate set")
     feasible = _feasible(candidates, impact)
     if not feasible:
         return _terminal_outcome(candidates, score=fallback_score)
-    _, best = min(feasible, key=key)
+    # min() keeps the first of equal keys, so position breaks the last tie.
+    best = min(feasible, key=key)
     return SelectionOutcome(chosen=best, score=score(best), feasible_count=len(feasible))
 
 
@@ -187,7 +188,7 @@ def lp_select_max_benefit(
     return _lp_select(
         candidates,
         impact,
-        key=lambda ic: (-response_benefit(ic[1].response.benefit), ic[1].response.index, ic[0]),
+        key=lambda c: (-response_benefit(c.response.benefit), c.response.index),
         score=lambda c: response_benefit(c.response.benefit),
         fallback_score=0.0,
     )
@@ -200,7 +201,7 @@ def lp_select_min_cost(
     return _lp_select(
         candidates,
         impact,
-        key=lambda ic: (response_cost(ic[1].response.cost), ic[1].response.index, ic[0]),
+        key=lambda c: (response_cost(c.response.cost), c.response.index),
         score=lambda c: response_cost(c.response.cost),
         fallback_score=float(impact),
     )

@@ -203,6 +203,9 @@ class TestBadNumbers:
             (1, "index", "1"),
             (1, "index", 1.0),
             (1, "index", True),
+            (1, "benefit", 5),
+            (1, "cost", 5),
+            (1, "stop", 7),
         ],
     )
     def test_catalog_entry_rejects(self, runner, tmp_path, index, field, value):
@@ -222,6 +225,11 @@ class TestBadNumbers:
             ("environment_weight", float("nan")),
             ("facts", {"driving": "no"}),
             ("effects", {"20": {"attacker_isolated": "yes"}}),
+            ("facts", ["driving"]),
+            ("effects", [1]),
+            ("effects", {"5": [1]}),
+            ("catalog_overrides", "x"),
+            ("impact_params", 5),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):

@@ -33,6 +33,51 @@ class TestScoring:
         assert effective_cost(cand, 210.0) == 20.0
 
 
+def _explicit_cost(c: CostVector) -> float:
+    return c.w_a * c.a + c.w_perf * c.perf
+
+
+def _explicit_benefit(b: ImpactVector) -> float:
+    return b.w_s * b.s + b.w_f * b.f + b.w_o * b.o + b.w_p * b.p
+
+
+class TestCachedTotals:
+    """The totals are cached on the immutable vectors; reading one must not
+    change what the vector is, and a new vector must never reuse a stale
+    total."""
+
+    def test_reading_total_keeps_equality_hash_and_repr(self):
+        a = ImpactVector(s=100, f=10, o=1, p=0, w_s=0.5)
+        b = ImpactVector(s=100, f=10, o=1, p=0, w_s=0.5)
+        text = repr(a)
+        assert response_benefit(a) == 61.0
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == text
+
+    def test_shipped_catalogs_match_explicit_sums(self, data):
+        from react_irs.files import load_catalog
+
+        for path in sorted(data.glob("catalog_*.json")):
+            for spec in load_catalog(path).responses:
+                where = (path.name, spec.index)
+                assert response_cost(spec.cost) == _explicit_cost(spec.cost), where
+                assert response_benefit(spec.benefit) == _explicit_benefit(spec.benefit), where
+
+    def test_adapted_benefit_is_not_stale(self):
+        import random
+
+        from react_irs.engine import AdaptationConfig, adapt_on_failure, adapt_on_success
+
+        spec = make_response(17, s=100, f=10, o=10, p=1, weights=(0.5, 1.5, 1.0, 2.0))
+        assert response_benefit(spec.benefit) == _explicit_benefit(spec.benefit)
+        failed = adapt_on_failure(spec)
+        assert response_benefit(failed.benefit) == _explicit_benefit(failed.benefit) == 7.5
+        restored = adapt_on_success(failed, AdaptationConfig(), random.Random(3))
+        assert restored.benefit.levels() == (100, 10, 10, 1)
+        assert response_benefit(restored.benefit) == _explicit_benefit(restored.benefit)
+        assert response_benefit(restored.benefit) != response_benefit(spec.benefit)
+
+
 class TestGeneration:
     def test_asset_local_entries_duplicated(self):
         catalog = [
