@@ -71,7 +71,6 @@ from .responses import (
 from .risk import (
     environment_from_velocity,
     event_impact,
-    intrusion_impact,
     legacy_impact,
 )
 from .selection import (

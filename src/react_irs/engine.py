@@ -7,7 +7,7 @@ because the terminal "No Action" entry is always applicable.
 Outer loop: apply the chosen response, ask the detector for a verdict,
 and adapt the catalog parameters — benefit levels decay one step per
 failure; on success the levels are restored and the benefit weights get
-a random nudge within a configured band.  Adaptation is tracked per
+a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 (response index, target asset) instance for the lifetime of the engine.
 
 Also hosts the analytic estimator comparing the two possible loop
@@ -24,18 +24,20 @@ from typing import Callable, Mapping, Sequence, Union
 from .model import (
     CandidateInstance,
     DomainError,
-    EnvironmentTerm,
     ImpactVector,
     IntrusionEvent,
     ResponseSpec,
     VehicleState,
 )
 from .responses import effective_cost, generate_candidates, response_benefit
-from .risk import environment_from_velocity, event_impact
+from .risk import event_impact
 from .selection import SelectionOutcome
 
 #: Benefit level decay applied on a failure verdict.
 FAILURE_DECAY = {100: 10, 10: 1, 1: 0, 0: 0}
+
+#: Band of the uniform factor that nudges each benefit weight on success.
+R_MIN, R_MAX = 0.8, 1.2
 
 #: Safety bound on outer-loop iterations.
 DEFAULT_MAX_ITERATIONS = 10
@@ -69,15 +71,7 @@ FeedbackSource = Callable[[int, CandidateInstance], FeedbackVerdict]
 
 @dataclass(frozen=True)
 class AdaptationConfig:
-    r_min: float = 0.8
-    r_max: float = 1.2
     rng_seed: int = 7
-
-    def __post_init__(self) -> None:
-        if not (0 < self.r_min <= self.r_max):
-            raise DomainError(
-                f"need 0 < r_min <= r_max, got {self.r_min!r}, {self.r_max!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,17 +126,15 @@ def adapt_on_failure(spec: ResponseSpec) -> ResponseSpec:
     return replace(spec, benefit=decayed)
 
 
-def adapt_on_success(
-    spec: ResponseSpec, cfg: AdaptationConfig, rng: random.Random
-) -> ResponseSpec:
+def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
     """Restore pristine benefit levels, then nudge each current weight by an
-    independent uniform factor in [r_min, r_max].
+    independent uniform factor in [R_MIN, R_MAX].
 
     The factors compound across repeated successes; each single call stays
-    within [r_min * w, r_max * w] of the pre-call weight.
+    within [R_MIN * w, R_MAX * w] of the pre-call weight.
     """
     orig, cur = spec.original_benefit, spec.benefit
-    draws = tuple(rng.uniform(cfg.r_min, cfg.r_max) for _ in range(4))
+    draws = tuple(rng.uniform(R_MIN, R_MAX) for _ in range(4))
     adapted = ImpactVector(
         s=orig.s,
         f=orig.f,
@@ -219,7 +211,6 @@ class Engine:
     ):
         self._catalog = list(catalog)
         self._selector = selector
-        self._adaptation = adaptation
         self._rng = random.Random(adaptation.rng_seed)
         self._effects = {int(k): dict(v) for k, v in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], ResponseSpec] = {}
@@ -244,7 +235,6 @@ class Engine:
         trace = EngineTrace()
         event = initial_event
         for iteration in range(1, max_iterations + 1):
-            event = self._refresh_environment(event)
             impact = event_impact(event)
             candidates = self._overlay(generate_candidates(event, self._catalog))
             t0 = time.perf_counter()
@@ -278,13 +268,6 @@ class Engine:
             event = next_event
         return trace
 
-    def _refresh_environment(self, event: IntrusionEvent) -> IntrusionEvent:
-        env = EnvironmentTerm(
-            e=environment_from_velocity(event.vehicle.velocity_kmh),
-            w_e=event.env.w_e,
-        )
-        return replace(event, env=env)
-
     def _apply_effects(
         self, event: IntrusionEvent, chosen: CandidateInstance
     ) -> IntrusionEvent:
@@ -309,11 +292,11 @@ class Engine:
                 self._adapted[key] = spec
                 return spec, "failure", event, False
             case Success():
-                spec = adapt_on_success(chosen.response, self._adaptation, self._rng)
+                spec = adapt_on_success(chosen.response, self._rng)
                 self._adapted[key] = spec
                 return spec, "success", event, True
             case NewIntrusion(event=next_event):
-                spec = adapt_on_success(chosen.response, self._adaptation, self._rng)
+                spec = adapt_on_success(chosen.response, self._rng)
                 self._adapted[key] = spec
                 return spec, "new_intrusion", next_event, False
         raise DomainError(f"unknown feedback verdict: {verdict!r}")

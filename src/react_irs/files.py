@@ -80,6 +80,18 @@ def _object(value: Any, context: str) -> Mapping[str, Any]:
     return value
 
 
+def _list(value: Any, context: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{context}: expected a JSON array, got {value!r}")
+    return value
+
+
+def _str(value: Any, context: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
 def _flags(doc: Any, context: str) -> dict[str, bool]:
     return {str(k): _bool(v, f"{context}.{k}") for k, v in _object(doc, context).items()}
 
@@ -91,9 +103,10 @@ def _flags(doc: Any, context: str) -> dict[str, bool]:
 def parse_architecture(doc: Mapping[str, Any]) -> dict[str, Asset]:
     _check_header(doc, "architecture", "architecture")
     assets: dict[str, Asset] = {}
-    for entry in _require(doc, "assets", "architecture"):
+    for entry in _list(_require(doc, "assets", "architecture"), "architecture.assets"):
+        entry = _object(entry, "asset")
         asset = Asset(
-            id=_require(entry, "id", "asset"),
+            id=_str(_require(entry, "id", "asset"), "asset.id"),
             name=entry.get("name", entry["id"]),
             kind=_enum(AssetKind, _require(entry, "kind", "asset"), "asset.kind"),
         )
@@ -162,7 +175,8 @@ def _parse_stop(doc: Any, context: str) -> StopCondition:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _parse_response(doc: Mapping[str, Any]) -> ResponseSpec:
+def _parse_response(doc: Any) -> ResponseSpec:
+    doc = _object(doc, "response")
     index = _require(doc, "index", "response")
     context = f"response {index!r}"
     if type(index) is not int:
@@ -170,12 +184,14 @@ def _parse_response(doc: Mapping[str, Any]) -> ResponseSpec:
     is_general = _bool(doc.get("general", False), f"{context}.general")
     applies = frozenset(
         _enum(IntrusionResult, value, f"{context}.applies_to")
-        for value in doc.get("applies_to", [])
+        for value in _list(doc.get("applies_to", []), f"{context}.applies_to")
     )
     if not is_general and not applies:
         raise SchemaError(f"{context}: needs applies_to entries or general=true")
     try:
-        precondition = Precondition.parse(doc.get("precondition", "true"))
+        precondition = Precondition.parse(
+            _str(doc.get("precondition", "true"), f"{context}.precondition")
+        )
     except PreconditionError as exc:
         raise SchemaError(f"{context}: bad precondition: {exc}") from None
     benefit = _parse_impact_vector(_require(doc, "benefit", context), f"{context}.benefit")
@@ -196,7 +212,8 @@ def _parse_response(doc: Mapping[str, Any]) -> ResponseSpec:
 
 def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
     _check_header(doc, "catalog", "catalog")
-    responses = tuple(_parse_response(d) for d in _require(doc, "responses", "catalog"))
+    entries = _list(_require(doc, "responses", "catalog"), "catalog.responses")
+    responses = tuple(_parse_response(d) for d in entries)
     seen: set[int] = set()
     for spec in responses:
         if spec.index in seen:
@@ -274,6 +291,8 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
         except ValueError:
             raise SchemaError(f"{context}: effects keys must be response indices") from None
         effects[key] = _flags(updates, f"{context}.effects.{index}")
+    overrides = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
+    overrides = {k: _str(v, f"{context}.catalog_overrides.{k}") for k, v in overrides.items()}
     velocity = _require(doc, "velocity_kmh", context)
     try:
         velocity = check_weight(velocity, "velocity_kmh")
@@ -282,9 +301,10 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
         raise SchemaError(f"{context}: {exc}") from None
     return Scenario(
         name=_require(doc, "name", context),
-        architecture_ref=doc.get("architecture_ref", "architecture.json"),
-        infected_asset=_require(doc, "infected_asset", context),
-        affected_asset=_require(doc, "affected_asset", context),
+        architecture_ref=_str(doc.get("architecture_ref", "architecture.json"),
+                              f"{context}.architecture_ref"),
+        infected_asset=_str(_require(doc, "infected_asset", context), f"{context}.infected_asset"),
+        affected_asset=_str(_require(doc, "affected_asset", context), f"{context}.affected_asset"),
         intrusion_result=_enum(
             IntrusionResult,
             _require(doc, "intrusion_result", context),
@@ -296,10 +316,8 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
         ),
         environment_weight=environment_weight,
         facts=_flags(doc.get("facts", {}), f"{context}.facts"),
-        catalog_ref=_require(doc, "catalog_ref", context),
-        catalog_overrides=dict(
-            _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
-        ),
+        catalog_ref=_str(_require(doc, "catalog_ref", context), f"{context}.catalog_ref"),
+        catalog_overrides=overrides,
         effects=effects,
         base_dir=Path(base_dir),
     )

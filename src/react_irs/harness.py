@@ -9,9 +9,9 @@ Three experiment shapes:
   always-failure) showing parameter adaptation over iterations.
 * velocity sweep — impact and first selection at several velocities.
 
-Reports emit as CSV (fixed column set) or JSONL (one record per
-selection); with timings suppressed the output is byte-stable for a
-fixed seed.
+Reports emit as JSONL (one record per selection) or as CSV, the fixed
+projection of those records onto ``CSV_COLUMNS``; with timings
+suppressed the output is byte-stable for a fixed seed.
 """
 from __future__ import annotations
 
@@ -221,12 +221,29 @@ def run_velocity_sweep(
     return reports
 
 
-def _rows(reports: Sequence[RunReport], include_timings: bool):
+def _records(reports: Sequence[RunReport], include_timings: bool):
+    """One record per selection, with steps numbered across reports."""
     step = 0
     for report in reports:
         for row in report.selections:
             step += 1
-            yield report, step, row, (row.selection_time_ms if include_timings else 0.0)
+            record = {
+                "mode": report.mode,
+                "algorithm": report.algorithm,
+                "scenario": report.scenario,
+                "step": step,
+                "response_index": row.response_index,
+                "target_asset": row.target_asset,
+                "cost": row.cost,
+                "benefit": row.benefit,
+                "impact": row.impact,
+                "selection_time_ms": row.selection_time_ms if include_timings else 0.0,
+            }
+            if row.velocity_kmh is not None:
+                record["velocity_kmh"] = row.velocity_kmh
+            if report.seed is not None:
+                record["seed"] = report.seed
+            yield record
 
 
 def emit_series(
@@ -251,37 +268,11 @@ def emit_series(
 
 
 def _emit(reports, fmt, fh, include_timings):
+    records = _records(reports, include_timings)
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for _, step, row, t_ms in _rows(reports, include_timings):
-            writer.writerow(
-                [
-                    step,
-                    row.response_index,
-                    row.target_asset,
-                    row.cost,
-                    row.benefit,
-                    row.impact,
-                    t_ms,
-                ]
-            )
+        writer.writerows([record[c] for c in CSV_COLUMNS] for record in records)
         return
-    for report, step, row, t_ms in _rows(reports, include_timings):
-        record = {
-            "mode": report.mode,
-            "algorithm": report.algorithm,
-            "scenario": report.scenario,
-            "step": step,
-            "response_index": row.response_index,
-            "target_asset": row.target_asset,
-            "cost": row.cost,
-            "benefit": row.benefit,
-            "impact": row.impact,
-            "selection_time_ms": t_ms,
-        }
-        if row.velocity_kmh is not None:
-            record["velocity_kmh"] = row.velocity_kmh
-        if report.seed is not None:
-            record["seed"] = report.seed
+    for record in records:
         fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -176,11 +176,10 @@ class StopCondition:
     seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is StopKind.AFTER_DURATION and (
-            self.seconds is None or self.seconds <= 0
-        ):
-            raise DomainError("after_duration stop requires positive seconds")
-        if self.kind is not StopKind.AFTER_DURATION and self.seconds is not None:
+        if self.kind is StopKind.AFTER_DURATION:
+            if self.seconds is None or check_weight(self.seconds, "seconds") <= 0:
+                raise DomainError("after_duration stop requires positive seconds")
+        elif self.seconds is not None:
             raise DomainError(f"{self.kind.value} stop takes no duration")
 
 

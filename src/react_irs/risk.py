@@ -11,7 +11,7 @@ higher stakes.
 """
 from __future__ import annotations
 
-from .model import DomainError, EnvironmentTerm, ImpactVector, IntrusionEvent
+from .model import DomainError, ImpactVector, IntrusionEvent
 
 
 def environment_from_velocity(velocity_kmh: float) -> int:
@@ -36,24 +36,14 @@ def legacy_impact(params: ImpactVector) -> int:
     return params.s + params.f + params.o + params.p
 
 
-def intrusion_impact(params: ImpactVector, env: EnvironmentTerm) -> float:
-    """Weighted impact including the environment term, computed exactly."""
-    return (
-        params.w_s * params.s
-        + params.w_f * params.f
-        + params.w_o * params.o
-        + params.w_p * params.p
-        + env.w_e * env.e
-    )
+def environment_term(event: IntrusionEvent) -> float:
+    """w_E * E, with E re-derived from the current velocity: the stored
+    ``event.env.e`` is only an initial snapshot, and re-deriving it on
+    every evaluation is what makes the score dynamic."""
+    return event.env.w_e * environment_from_velocity(event.vehicle.velocity_kmh)
 
 
 def event_impact(event: IntrusionEvent) -> float:
-    """Impact of an event with E re-derived from the current velocity.
-
-    The stored environment level is an initial snapshot; re-deriving on
-    every evaluation is what makes the score dynamic.
-    """
-    env = EnvironmentTerm(
-        e=environment_from_velocity(event.vehicle.velocity_kmh), w_e=event.env.w_e
-    )
-    return intrusion_impact(event.impact_params, env)
+    """Weighted impact of an event: its static levels plus the
+    environment term."""
+    return event.impact_params.total + environment_term(event)

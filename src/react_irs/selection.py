@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from .model import CandidateInstance, DomainError, IntrusionEvent
 from .responses import effective_cost, response_benefit, response_cost
+from .risk import environment_term
 
 
 #: Scale of the impact-derived SAW preference bound ``RHO * sum(alphas)``.
@@ -84,14 +85,14 @@ def saw_preferences(
 
 def compute_impact_alphas(event: IntrusionEvent) -> list[float]:
     """Per-metric impact shares of an event for (S, F, O, P, E): 1.0 where
-    the weighted value is non-zero, else 0.0."""
-    params, env = event.impact_params, event.env
+    the weighted term of :func:`event_impact` is non-zero, else 0.0."""
+    params = event.impact_params
     terms = (
         params.w_s * params.s,
         params.w_f * params.f,
         params.w_o * params.o,
         params.w_p * params.p,
-        env.w_e * env.e,
+        environment_term(event),
     )
     return [1.0 if v else 0.0 for v in terms]
 

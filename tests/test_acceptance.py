@@ -12,7 +12,6 @@ import pytest
 
 from react_irs.engine import (
     FAILURE_DECAY,
-    AdaptationConfig,
     adapt_on_failure,
     adapt_on_success,
     estimate_loop_time,
@@ -132,10 +131,9 @@ def test_feedback_adaptation_follows_the_decay_and_reward_rules(scenario1):
         )
 
     # success rewards stay inside [0.8w, 1.2w] and are seed-reproducible
-    cfg = AdaptationConfig(r_min=0.8, r_max=1.2, rng_seed=7)
     for seed in (7, 11):
-        first = adapt_on_success(spec, cfg, random.Random(seed))
-        again = adapt_on_success(spec, cfg, random.Random(seed))
+        first = adapt_on_success(spec, random.Random(seed))
+        again = adapt_on_success(spec, random.Random(seed))
         assert first.benefit.weights() == again.benefit.weights()
         for w_old, w_new in zip(spec.benefit.weights(), first.benefit.weights()):
             assert 0.8 * w_old <= w_new <= 1.2 * w_old

@@ -4,7 +4,13 @@ import pytest
 from click.testing import CliRunner
 
 from react_irs.cli import main
-from react_irs.files import SchemaError, data_dir, parse_catalog, parse_scenario
+from react_irs.files import (
+    SchemaError,
+    data_dir,
+    parse_catalog,
+    parse_scenario,
+    validate_file,
+)
 
 
 @pytest.fixture()
@@ -206,6 +212,11 @@ class TestBadNumbers:
             (1, "benefit", 5),
             (1, "cost", 5),
             (1, "stop", 7),
+            (1, "applies_to", 5),
+            (1, "precondition", 5),
+            (1, "stop", {"kind": "after_duration", "seconds": "x"}),
+            (1, "stop", {"kind": "after_duration", "seconds": True}),
+            (1, "stop", {"kind": "after_duration", "seconds": float("nan")}),
         ],
     )
     def test_catalog_entry_rejects(self, runner, tmp_path, index, field, value):
@@ -230,6 +241,11 @@ class TestBadNumbers:
             ("effects", {"5": [1]}),
             ("catalog_overrides", "x"),
             ("impact_params", 5),
+            ("infected_asset", ["x"]),
+            ("affected_asset", ["x"]),
+            ("architecture_ref", 5),
+            ("catalog_ref", 5),
+            ("catalog_overrides", {"static:*": 5}),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):
@@ -244,6 +260,26 @@ class TestBadNumbers:
         for args in (["validate", str(path)], ["run", "--scenario", str(path), "--algo", "saw"]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("architecture.json", "assets", 5),
+            ("architecture.json", "assets", [5]),
+            ("architecture.json", "assets", [{"id": ["cam"], "kind": "sensor"}]),
+            ("catalog_scenario1.json", "responses", 5),
+            ("catalog_scenario1.json", "responses", [5]),
+        ],
+    )
+    def test_document_lists_reject(self, runner, tmp_path, name, field, value):
+        doc = json.loads((data_dir() / name).read_text())
+        doc[field] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            validate_file(path)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
 
 
 class TestCatalogList:

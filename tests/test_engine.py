@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from react_irs.engine import (
     DEFAULT_MAX_ITERATIONS,
     FAILURE_DECAY,
-    AdaptationConfig,
     Engine,
     LoopOrder,
     NewIntrusion,
@@ -66,38 +65,33 @@ class TestFailureAdaptation:
 class TestSuccessAdaptation:
     def test_weights_stay_within_draw_bounds(self):
         spec = make_response(17, s=100, f=100, o=10, p=10)
-        cfg = AdaptationConfig(r_min=0.8, r_max=1.2, rng_seed=7)
-        adapted = adapt_on_success(spec, cfg, random.Random(cfg.rng_seed))
+        adapted = adapt_on_success(spec, random.Random(7))
         for w_old, w_new in zip(spec.benefit.weights(), adapted.benefit.weights()):
             assert 0.8 * w_old <= w_new <= 1.2 * w_old
 
     def test_levels_restored_from_original(self):
         spec = make_response(17, s=100, f=100, o=10, p=10)
         failed = adapt_on_failure(spec)
-        cfg = AdaptationConfig()
-        adapted = adapt_on_success(failed, cfg, random.Random(0))
+        adapted = adapt_on_success(failed, random.Random(0))
         assert adapted.benefit.levels() == (100, 100, 10, 10)
 
     def test_same_seed_reproduces_weights(self):
         spec = make_response(17, s=100, f=100, o=10, p=10)
-        cfg = AdaptationConfig(rng_seed=7)
-        a = adapt_on_success(spec, cfg, random.Random(7))
-        b = adapt_on_success(spec, cfg, random.Random(7))
+        a = adapt_on_success(spec, random.Random(7))
+        b = adapt_on_success(spec, random.Random(7))
         assert a.benefit.weights() == b.benefit.weights()
 
     def test_different_seeds_diverge(self):
         spec = make_response(17, s=100, f=100, o=10, p=10)
-        cfg = AdaptationConfig()
-        a = adapt_on_success(spec, cfg, random.Random(1))
-        b = adapt_on_success(spec, cfg, random.Random(2))
+        a = adapt_on_success(spec, random.Random(1))
+        b = adapt_on_success(spec, random.Random(2))
         assert a.benefit.weights() != b.benefit.weights()
 
     def test_repeated_success_compounds(self):
         spec = make_response(17, s=100)
-        cfg = AdaptationConfig(rng_seed=7)
         rng = random.Random(7)
-        once = adapt_on_success(spec, cfg, rng)
-        twice = adapt_on_success(once, cfg, rng)
+        once = adapt_on_success(spec, rng)
+        twice = adapt_on_success(once, rng)
         # second pass multiplies the already-adapted weights
         expected_rng = random.Random(7)
         d1 = [expected_rng.uniform(0.8, 1.2) for _ in range(4)]
@@ -105,12 +99,6 @@ class TestSuccessAdaptation:
         assert twice.benefit.weights() == tuple(
             1.0 * a * b for a, b in zip(d1, d2)
         )
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(DomainError):
-            AdaptationConfig(r_min=1.2, r_max=0.8)
-        with pytest.raises(DomainError):
-            AdaptationConfig(r_min=-0.1)
 
 
 class TestInnerLoop:

@@ -66,13 +66,13 @@ class TestCachedTotals:
     def test_adapted_benefit_is_not_stale(self):
         import random
 
-        from react_irs.engine import AdaptationConfig, adapt_on_failure, adapt_on_success
+        from react_irs.engine import adapt_on_failure, adapt_on_success
 
         spec = make_response(17, s=100, f=10, o=10, p=1, weights=(0.5, 1.5, 1.0, 2.0))
         assert response_benefit(spec.benefit) == _explicit_benefit(spec.benefit)
         failed = adapt_on_failure(spec)
         assert response_benefit(failed.benefit) == _explicit_benefit(failed.benefit) == 7.5
-        restored = adapt_on_success(failed, AdaptationConfig(), random.Random(3))
+        restored = adapt_on_success(failed, random.Random(3))
         assert restored.benefit.levels() == (100, 10, 10, 1)
         assert response_benefit(restored.benefit) == _explicit_benefit(restored.benefit)
         assert response_benefit(restored.benefit) != response_benefit(spec.benefit)

@@ -1,13 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from react_irs.model import DomainError, EnvironmentTerm, ImpactVector, VehicleState
-from react_irs.risk import (
-    environment_from_velocity,
-    event_impact,
-    intrusion_impact,
-    legacy_impact,
-)
+from react_irs.model import DomainError, ImpactVector, VehicleState
+from react_irs.risk import environment_from_velocity, event_impact, legacy_impact
 from _support import make_event
 
 
@@ -46,18 +43,18 @@ class TestVelocityBands:
 
 class TestImpact:
     def test_unweighted_sum(self):
-        params = ImpactVector(s=100, f=0, o=100, p=0)
-        assert legacy_impact(params) == 200
-        assert intrusion_impact(params, EnvironmentTerm(e=10)) == 210.0
+        event = make_event(s=100, f=0, o=100, p=0, velocity=50)  # E = 10
+        assert legacy_impact(event.impact_params) == 200
+        assert event_impact(event) == 210.0
 
     def test_environment_extends_legacy_score(self):
-        params = ImpactVector(s=0, f=10, o=10, p=100)
-        env = EnvironmentTerm(e=0)
-        assert intrusion_impact(params, env) == legacy_impact(params)
+        event = make_event(s=0, f=10, o=10, p=100, velocity=0)  # E = 0
+        assert event_impact(event) == legacy_impact(event.impact_params)
 
     def test_weights_scale_terms(self):
         params = ImpactVector(s=100, f=10, o=1, p=0, w_s=0.5, w_f=2.0, w_o=1.0, w_p=3.0)
-        assert intrusion_impact(params, EnvironmentTerm(e=100, w_e=0.1)) == pytest.approx(
+        event = replace(make_event(velocity=100, w_e=0.1), impact_params=params)  # E = 100
+        assert event_impact(event) == pytest.approx(
             0.5 * 100 + 2.0 * 10 + 1.0 * 1 + 3.0 * 0 + 0.1 * 100
         )
 

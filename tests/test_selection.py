@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from react_irs.model import CandidateInstance, DomainError
+from react_irs.model import CandidateInstance, DomainError, EnvironmentTerm
+from react_irs.risk import event_impact
 from react_irs.selection import (
     EPSILON,
     RHO,
@@ -112,6 +115,14 @@ class TestImpactAlphas:
     def test_weights_do_not_scale_shares(self):
         assert compute_impact_alphas(make_event(w_e=0.3)) == [1.0, 0.0, 1.0, 0.0, 1.0]
         assert compute_impact_alphas(make_event(w_e=0.0)) == [1.0, 0.0, 1.0, 0.0, 0.0]
+
+    def test_stale_environment_snapshot_is_re_derived(self):
+        # 100 km/h with a stored E of 0: the impact counts E = 100, so the
+        # alphas must count the environment share too.
+        event = make_event(s=100, f=0, o=0, p=0, velocity=100)
+        event = replace(event, env=EnvironmentTerm(e=0, w_e=1.0))
+        assert event_impact(event) == 200.0
+        assert compute_impact_alphas(event) == [1.0, 0.0, 0.0, 0.0, 1.0]
 
 
 class TestSawSelect:
