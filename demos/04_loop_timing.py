@@ -3,13 +3,15 @@
 Checking first costs one precondition evaluation per candidate, every
 time.  Selecting first only pays for re-selections when the chosen
 response turns out to be inapplicable, which depends on the pass
-probability p.  This prints the analytic per-intrusion handling time for
-both orderings across p and candidate-set sizes.
+probability p.  A re-selection is one step of the selector's ranking:
+the selector ranks the set once, and each rejection takes the next
+outcome.  This prints the analytic per-intrusion handling time for both
+orderings across p and candidate-set sizes.
 """
 from react_irs.engine import LoopOrder, estimate_loop_time
 
 T_CHECK = 1e-6    # seconds per precondition evaluation
-T_SELECT = 1e-6   # seconds per selection pass
+T_SELECT = 1e-6   # seconds per ranking step
 T_EXECUTE = 5e-3  # seconds to apply a response
 
 print(f"unit costs: check {T_CHECK*1e6:.0f}us, select {T_SELECT*1e6:.0f}us, "
@@ -27,6 +29,6 @@ for n in (10, 1_000, 1_000_000):
 
 print()
 print("With equal unit costs the orderings meet at p = 0.5: checking every")
-print("candidate up front costs the same as re-selecting for the expected")
-print("half that fail.  Reliable preconditions (high p) favour select-first;")
-print("flaky ones favour paying the full check bill upfront.")
+print("candidate up front costs the same as taking the next ranking step for")
+print("the expected half that fail.  Reliable preconditions (high p) favour")
+print("select-first; flaky ones favour paying the full check bill upfront.")

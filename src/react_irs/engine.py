@@ -1,8 +1,8 @@
 """The decision loops.
 
 Inner loop: select the optimal candidate, check its precondition, and on
-rejection remove the instance and reselect — guaranteed to terminate
-because the terminal "No Action" entry is always applicable.
+rejection take the next candidate of the selector's ranking — guaranteed
+to terminate because the terminal "No Action" entry is always applicable.
 
 Outer loop: apply the chosen response, ask the detector for a verdict,
 and adapt the catalog parameters — benefit levels decay one step per
@@ -19,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
 from .model import (
@@ -42,7 +43,8 @@ R_MIN, R_MAX = 0.8, 1.2
 #: Safety bound on outer-loop iterations.
 DEFAULT_MAX_ITERATIONS = 10
 
-# A selector takes (candidates, impact, event) and returns a SelectionOutcome.
+# A selector takes (candidates, impact, event) and returns the head
+# SelectionOutcome of its ranking; ``rest`` carries the later outcomes.
 Selector = Callable[[Sequence[CandidateInstance], float, IntrusionEvent], SelectionOutcome]
 
 
@@ -157,17 +159,18 @@ def inner_loop(
 ) -> tuple[CandidateInstance, list[Attempt]]:
     """Select-then-check until a candidate's precondition holds.
 
-    Returns the applicable instance and the full attempt record
-    (rejections included).  ``precondition_policy`` overrides normal
-    evaluation — the harness uses it to force rejections; the terminal
-    entry is exempt and always passes.
+    The selector runs once; each rejection moves on to the next outcome
+    of its ranking (``SelectionOutcome.rest``).  Returns the applicable
+    instance and the full attempt record (rejections included).
+    ``precondition_policy`` overrides normal evaluation — the harness uses
+    it to force rejections; the terminal entry is exempt and always
+    passes.
     """
-    working = list(candidates)
     impact = event_impact(event)
     attempts: list[Attempt] = []
-    while working:
-        t0 = time.perf_counter()
-        outcome = selector(working, impact, event)
+    t0 = time.perf_counter()
+    head = selector(candidates, impact, event)
+    for outcome in chain((head,), head.rest):
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         cand = outcome.chosen
         if cand.response.terminal:
@@ -189,9 +192,7 @@ def inner_loop(
         )
         if passed:
             return cand, attempts
-        # The selector returns an element of ``working``: find it by
-        # identity rather than by the deep dataclass ``==`` of ``remove``.
-        del working[next(i for i, c in enumerate(working) if c is cand)]
+        t0 = time.perf_counter()
     raise DomainError("candidate set exhausted without an applicable response")
 
 
@@ -343,6 +344,8 @@ def estimate_loop_time(
     ``p`` is the probability that a selected response's precondition
     holds; ``n`` the candidate count.  Check-first always evaluates every
     precondition; select-first pays for expected reselections instead.
+    ``t_select`` is the cost of one ranking step: the selector ranks once,
+    and each reselection takes the next outcome of that ranking.
     """
     if not 0 <= p <= 1:
         raise DomainError(f"p must be in [0, 1], got {p!r}")

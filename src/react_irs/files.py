@@ -107,7 +107,7 @@ def parse_architecture(doc: Mapping[str, Any]) -> dict[str, Asset]:
         entry = _object(entry, "asset")
         asset = Asset(
             id=_str(_require(entry, "id", "asset"), "asset.id"),
-            name=entry.get("name", entry["id"]),
+            name=_str(entry.get("name", entry["id"]), "asset.name"),
             kind=_enum(AssetKind, _require(entry, "kind", "asset"), "asset.kind"),
         )
         if asset.id in assets:
@@ -197,7 +197,7 @@ def _parse_response(doc: Any) -> ResponseSpec:
     benefit = _parse_impact_vector(_require(doc, "benefit", context), f"{context}.benefit")
     return ResponseSpec(
         index=index,
-        action=_require(doc, "action", context),
+        action=_str(_require(doc, "action", context), f"{context}.action"),
         applicable_results=applies,
         is_general=is_general,
         precondition=precondition,
@@ -222,7 +222,7 @@ def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
     terminals = [spec for spec in responses if spec.terminal]
     if len(terminals) != 1:
         raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    return Catalog(name=doc.get("name", ""), responses=responses)
+    return Catalog(name=_str(doc.get("name", ""), "catalog.name"), responses=responses)
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -300,7 +300,7 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     except DomainError as exc:
         raise SchemaError(f"{context}: {exc}") from None
     return Scenario(
-        name=_require(doc, "name", context),
+        name=_str(_require(doc, "name", context), f"{context}.name"),
         architecture_ref=_str(doc.get("architecture_ref", "architecture.json"),
                               f"{context}.architecture_ref"),
         infected_asset=_str(_require(doc, "infected_asset", context), f"{context}.infected_asset"),

@@ -13,13 +13,18 @@ Three strategies plus a test oracle:
 * ``brute_force_oracle`` — a deliberately naive scan used to cross-check
   the optimizers.
 
+Each strategy ranks a set once: it returns the first outcome, and that
+outcome's ``rest`` yields the later ones, each equal to selecting again
+without the earlier choices.
+
 Ties break by lowest catalog index, then by candidate-set position
 (which places the infected-asset instance before the affected-asset one).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 from .model import CandidateInstance, DomainError, IntrusionEvent
 from .responses import effective_cost, response_benefit, response_cost
@@ -53,12 +58,41 @@ class SawConfig:
 class SelectionOutcome:
     """Result of one selection: the chosen instance, its score (preference
     for SAW, objective value for the optimizers), how many candidates were
-    feasible/eligible, and whether the fallback path produced the choice."""
+    feasible/eligible, and whether the fallback path produced the choice.
+
+    ``rest`` iterates over the later outcomes of the same ranking: each is
+    the choice the selector would make with every earlier choice removed.
+    Every outcome of one ranking shares that iterator."""
 
     chosen: CandidateInstance
     score: float
     feasible_count: int
     fallback: bool = False
+    rest: Iterator[SelectionOutcome] = field(
+        default_factory=lambda: iter(()), compare=False, repr=False
+    )
+
+
+class _Ranking:
+    """Iterator of ``SelectionOutcome``s over (chosen, score,
+    feasible_count, fallback) steps; each outcome's ``rest`` is the
+    ranking itself."""
+
+    __slots__ = ("_steps",)
+
+    def __init__(self, steps: Iterator[tuple[CandidateInstance, float, int, bool]]):
+        self._steps = steps
+
+    def __iter__(self) -> _Ranking:
+        return self
+
+    def __next__(self) -> SelectionOutcome:
+        chosen, score, feasible_count, fallback = next(self._steps)
+        return SelectionOutcome(chosen, score, feasible_count, fallback, self)
+
+
+def _head(steps: Iterator[tuple[CandidateInstance, float, int, bool]]) -> SelectionOutcome:
+    return next(_Ranking(steps))
 
 
 def saw_preferences(
@@ -107,21 +141,73 @@ def saw_select(
 
     If no candidate's preference is below the bound, the overall maximum
     is returned and flagged as a fallback so traces show the bound was
-    ineffective.
+    ineffective.  ``rest`` re-ranks the candidates left after each choice,
+    with the normalizers of that remaining set.
     """
-    ranked = saw_preferences(candidates, cfg, impact)
-    bound = RHO * sum(event_impact_alphas)
-    eligible = [i for i, (_, p) in enumerate(ranked) if p < bound]
-    fallback = not eligible
-    if fallback:
-        eligible = list(range(len(ranked)))
-    best = min(eligible, key=lambda i: (-ranked[i][1], ranked[i][0].response.index, i))
-    return SelectionOutcome(
-        chosen=ranked[best][0],
-        score=ranked[best][1],
-        feasible_count=0 if fallback else len(eligible),
-        fallback=fallback,
-    )
+    if not candidates:
+        raise DomainError("cannot rank an empty candidate set")
+    return _head(_saw_steps(candidates, RHO * sum(event_impact_alphas), cfg, impact))
+
+
+def _saw_steps(
+    candidates: Sequence[CandidateInstance],
+    bound: float,
+    cfg: SawConfig,
+    impact: float,
+) -> Iterator[tuple[CandidateInstance, float, int, bool]]:
+    """The SAW choice among the candidates not yet chosen, step by step.
+
+    Each step is the Threshold Algorithm (Fagin, Lotem & Naor, PODS 2001)
+    over two presorted lists: benefit descending and cost ascending.  The
+    walk reads both lists in lockstep and scores each candidate it meets.
+    A candidate not met yet lies deeper in both lists, so its preference
+    is at most the preference of the current benefit paired with the
+    current cost: the expression is monotone in each operand, rounding
+    included.  The walk stops once that threshold is strictly below the
+    best eligible preference, so ties and every ineligible candidate are
+    always met; with nothing eligible it runs to the end (the fallback).
+    """
+    benefits = [response_benefit(c.response.benefit) or EPSILON for c in candidates]
+    costs = [effective_cost(c, impact) or EPSILON for c in candidates]
+    w_benefit, w_cost = cfg.w_benefit, cfg.w_cost
+    positions = list(range(len(candidates)))
+    by_benefit = sorted(positions, key=benefits.__getitem__, reverse=True)
+    by_cost = sorted(positions, key=costs.__getitem__)
+    seen = [-1] * len(candidates)
+    for step in range(len(candidates)):
+        max_b, min_c = benefits[by_benefit[0]], costs[by_cost[0]]
+        best = fallback = -1
+        best_p = fallback_p = -math.inf
+        ineligible = 0
+        for i, j in zip(by_benefit, by_cost):
+            for k in (i, j):
+                if seen[k] == step:
+                    continue
+                seen[k] = step
+                p = w_benefit * benefits[k] / max_b + w_cost * min_c / costs[k]
+                if p < bound:
+                    if p > best_p or (p == best_p and _precedes(k, best, candidates)):
+                        best, best_p = k, p
+                else:
+                    ineligible += 1
+                    if p > fallback_p or (p == fallback_p and _precedes(k, fallback, candidates)):
+                        fallback, fallback_p = k, p
+            if best >= 0 and w_benefit * benefits[i] / max_b + w_cost * min_c / costs[j] < best_p:
+                break
+        if best >= 0:
+            yield candidates[best], best_p, len(by_benefit) - ineligible, False
+        else:
+            best = fallback
+            yield candidates[best], fallback_p, 0, True
+        del by_benefit[by_benefit.index(best)]
+        del by_cost[by_cost.index(best)]
+
+
+def _precedes(k: int, other: int, candidates: Sequence[CandidateInstance]) -> bool:
+    """Tie-break between equal scores: lower catalog index, then earlier
+    position."""
+    index, other_index = candidates[k].response.index, candidates[other].response.index
+    return index < other_index or (index == other_index and k < other)
 
 
 #: Names accepted by :func:`make_selector` (and the CLI).
@@ -143,13 +229,11 @@ def make_selector(algorithm: str, saw_cfg: SawConfig | None = None):
     raise DomainError(f"unknown algorithm {algorithm!r} (expected one of {ALGORITHMS})")
 
 
-def _terminal_outcome(
-    candidates: Sequence[CandidateInstance], score: float
-) -> SelectionOutcome:
+def _terminal(candidates: Sequence[CandidateInstance]) -> CandidateInstance:
     terminal = next((c for c in candidates if c.response.terminal), None)
     if terminal is None:
         raise DomainError("no feasible candidate and no terminal entry to fall back to")
-    return SelectionOutcome(chosen=terminal, score=score, feasible_count=0, fallback=True)
+    return terminal
 
 
 def _feasible(
@@ -165,21 +249,38 @@ def _feasible(
 def _lp_select(
     candidates: Sequence[CandidateInstance],
     impact: float,
-    key: Callable[[CandidateInstance], tuple],
     score: Callable[[CandidateInstance], float],
+    descending: bool,
     fallback_score: float,
 ) -> SelectionOutcome:
-    """The feasible candidate with the smallest ``key``, scored by
-    ``score``; the terminal entry at ``fallback_score`` when no candidate
-    is feasible."""
+    """The feasible candidate with the best ``score`` (highest if
+    ``descending``, else lowest); the terminal entry at ``fallback_score``
+    when no candidate is feasible.  ``rest`` runs through the other
+    feasible candidates in rank order, then the terminal entry."""
     if not candidates:
         raise DomainError("cannot select from an empty candidate set")
-    feasible = _feasible(candidates, impact)
-    if not feasible:
-        return _terminal_outcome(candidates, score=fallback_score)
-    # min() keeps the first of equal keys, so position breaks the last tie.
-    best = min(feasible, key=key)
-    return SelectionOutcome(chosen=best, score=score(best), feasible_count=len(feasible))
+    ranked = _feasible(candidates, impact)
+    # Both sorts are stable (reverse=True too): equal scores stay in index
+    # order, and position breaks the last tie.  Sorting twice on keys the
+    # candidates already hold allocates no key tuples.
+    ranked.sort(key=_catalog_index)
+    ranked.sort(key=score, reverse=descending)
+    return _head(_lp_steps(candidates, ranked, score, fallback_score))
+
+
+def _catalog_index(candidate: CandidateInstance) -> int:
+    return candidate.response.index
+
+
+def _lp_steps(
+    candidates: Sequence[CandidateInstance],
+    ranked: list[CandidateInstance],
+    score: Callable[[CandidateInstance], float],
+    fallback_score: float,
+) -> Iterator[tuple[CandidateInstance, float, int, bool]]:
+    for step, chosen in enumerate(ranked):
+        yield chosen, score(chosen), len(ranked) - step, False
+    yield _terminal(candidates), fallback_score, 0, True
 
 
 def lp_select_max_benefit(
@@ -189,8 +290,8 @@ def lp_select_max_benefit(
     return _lp_select(
         candidates,
         impact,
-        key=lambda c: (-response_benefit(c.response.benefit), c.response.index),
         score=lambda c: response_benefit(c.response.benefit),
+        descending=True,
         fallback_score=0.0,
     )
 
@@ -202,8 +303,8 @@ def lp_select_min_cost(
     return _lp_select(
         candidates,
         impact,
-        key=lambda c: (response_cost(c.response.cost), c.response.index),
         score=lambda c: response_cost(c.response.cost),
+        descending=False,
         fallback_score=float(impact),
     )
 
@@ -247,5 +348,7 @@ def brute_force_oracle(
 
     if best is None:
         fallback_score = 0.0 if objective == "max-benefit" else float(impact)
-        return _terminal_outcome(candidates, score=fallback_score)
+        return SelectionOutcome(
+            chosen=_terminal(candidates), score=fallback_score, feasible_count=0, fallback=True
+        )
     return SelectionOutcome(chosen=best, score=best_score, feasible_count=count)

@@ -15,6 +15,7 @@ from react_irs.engine import (
     adapt_on_failure,
     adapt_on_success,
     estimate_loop_time,
+    inner_loop,
     LoopOrder,
 )
 from react_irs.harness import (
@@ -23,7 +24,8 @@ from react_irs.harness import (
     run_static_quality,
     run_velocity_sweep,
 )
-from react_irs.responses import response_benefit
+from react_irs.model import CandidateInstance
+from react_irs.responses import response_benefit, response_cost
 from react_irs.selection import make_selector
 from _support import (
     assert_selectors_match_oracle,
@@ -180,8 +182,6 @@ def test_selection_latency_and_run_budgets(scenario1, tmp_path):
         if i != 31
     ]
     candidates.append(make_response(31, terminal=True))
-    from react_irs.model import CandidateInstance
-
     candidates = [CandidateInstance(spec, "ecu") for spec in candidates]
     assert len(candidates) == 64  # 63 regular entries + the terminal
     event = make_event()
@@ -201,3 +201,40 @@ def test_selection_latency_and_run_budgets(scenario1, tmp_path):
     emit_series(report, "csv", a, include_timings=False)
     emit_series(run_static_quality(scenario1, "lp-max"), "csv", b, include_timings=False)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_4096_candidate_drains_stay_under_the_drain_budget(scenario1):
+    """Draining 4,096 candidates with every precondition rejected takes
+    under 2 s per strategy and ends at the terminal entry."""
+    rng = random.Random(4096)
+
+    def weight():
+        return round(rng.uniform(0.5, 1.5), 2)
+
+    def level():
+        return rng.choice((0, 1, 10, 100))
+
+    specs = [
+        make_response(
+            i, a=level(), perf=level(), s=level(), f=level(), o=level(), p=level(),
+            w_a=weight(), w_perf=weight(), weights=(weight(), weight(), weight(), weight()),
+        )
+        for i in range(1, 4097)
+        if i != 31
+    ]
+    specs.append(make_response(31, terminal=True))
+    candidates = [CandidateInstance(spec, "ecu") for spec in specs]
+    event = scenario1.event()
+    feasible = sum(
+        not spec.terminal and response_cost(spec.cost) < 210.0 for spec in specs
+    )
+    for algo in ALGOS:
+        t0 = time.perf_counter()
+        chosen, attempts = inner_loop(
+            event, candidates, make_selector(algo), {}, precondition_policy=lambda c: False
+        )
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2.0, f"{algo} 4,096-candidate drain took {elapsed:.2f}s (budget 2s)"
+        assert chosen.response.terminal
+        if algo != "saw":
+            assert len(attempts) == feasible + 1

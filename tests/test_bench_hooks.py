@@ -77,18 +77,46 @@ class _Count:
             self.failed += 1
 
 
-# One drain-1k batch drains 1,026 candidates once per strategy, in about 1.5 s.
-@pytest.mark.parametrize(
-    "name, batches, min_ops",
-    [("paper-series", 1, 24), ("event-stream", 30, 30), ("drain-1k", 1, 3)],
-)
-def test_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops):
+WORKLOAD_BATCHES = [("paper-series", 1, 24), ("event-stream", 30, 30), ("drain-1k", 1, 3)]
+
+
+def _run_checked(tmp_path, name, batches, tracer=None) -> _Count:
     workload = _load_bench("workloads").WORKLOADS[name](1, tmp_path)
-    workload.setup()
-    workload.prepare()
-    record = _Count()
-    for batch in itertools.islice(workload.batches(), batches):
-        workload.run_batch(batch, record)
-    workload.close()
+    try:
+        workload.setup()
+        workload.prepare()
+        record = _Count()
+        for batch in itertools.islice(workload.batches(), batches):
+            workload.run_batch(batch, record, tracer=tracer)
+    finally:
+        workload.close()
+    return record
+
+
+# One drain-1k batch drains 1,026 candidates once per strategy; with the
+# reference rankings it is checked against, it takes about 0.5 s.
+@pytest.mark.parametrize("name, batches, min_ops", WORKLOAD_BATCHES)
+def test_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops):
+    record = _run_checked(tmp_path, name, batches)
     assert record.failed == 0
     assert record.passed >= min_ops
+
+
+@pytest.mark.parametrize("name, batches, min_ops", WORKLOAD_BATCHES)
+def test_traced_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops):
+    """The traced run wraps every selector and reads the head outcome's
+    ``feasible_count`` and ``fallback``; its ops must pass the same checks."""
+    tracer = _load_bench("tracing").Tracer()
+    tracer.install()
+    try:
+        record = _run_checked(tmp_path, name, batches, tracer=tracer)
+    finally:
+        tracer.uninstall()
+    assert record.failed == 0
+    assert record.passed >= min_ops
+    selections = [span for span in tracer.spans if span[1].startswith("selection.")]
+    assert selections and all({"n", "feasible", "fallback"} <= span[7].keys() for span in selections)
+    metrics = tracer.layer_metrics()
+    assert metrics["engine.inner_loop.calls"][0] == sum(
+        metrics[f"selection.{algo}.calls"][0] for algo in ("lp-max", "lp-min", "saw")
+    )

@@ -246,6 +246,7 @@ class TestBadNumbers:
             ("architecture_ref", 5),
             ("catalog_ref", 5),
             ("catalog_overrides", {"static:*": 5}),
+            ("name", [1]),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):
@@ -267,6 +268,7 @@ class TestBadNumbers:
             ("architecture.json", "assets", 5),
             ("architecture.json", "assets", [5]),
             ("architecture.json", "assets", [{"id": ["cam"], "kind": "sensor"}]),
+            ("architecture.json", "assets", [{"id": "cam", "name": [1], "kind": "sensor"}]),
             ("catalog_scenario1.json", "responses", 5),
             ("catalog_scenario1.json", "responses", [5]),
         ],
@@ -279,6 +281,26 @@ class TestBadNumbers:
         with pytest.raises(SchemaError):
             validate_file(path)
         result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+
+
+    @pytest.mark.parametrize(
+        "index, field, value",
+        [(None, "name", [1]), (1, "action", 5), (31, "action", None)],
+    )
+    def test_catalog_names_reject(self, runner, tmp_path, index, field, value):
+        data = data_dir()
+        doc = json.loads((data / "catalog_scenario1.json").read_text())
+        target = doc if index is None else next(r for r in doc["responses"] if r["index"] == index)
+        target[field] = value
+        _assert_catalog_rejected(runner, tmp_path, doc)
+        scenario = json.loads((data / "scenario1.json").read_text())
+        scenario["catalog_ref"] = "catalog.json"
+        scenario["catalog_overrides"] = {}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        (tmp_path / "architecture.json").write_text((data / "architecture.json").read_text())
+        result = runner.invoke(main, ["run", "--scenario", str(path), "--algo", "saw"])
         assert result.exit_code == 2, result.output
 
 
