@@ -268,9 +268,9 @@ class TestBadNumbers:
             ("architecture.json", "assets", 5),
             ("architecture.json", "assets", [5]),
             ("architecture.json", "assets", [{"id": ["cam"], "kind": "sensor"}]),
-            ("architecture.json", "assets", [{"id": "cam", "name": [1], "kind": "sensor"}]),
             ("catalog_scenario1.json", "responses", 5),
             ("catalog_scenario1.json", "responses", [5]),
+            ("architecture.json", "assets", [{"id": "cam", "name": [1], "kind": "sensor"}]),
         ],
     )
     def test_document_lists_reject(self, runner, tmp_path, name, field, value):
