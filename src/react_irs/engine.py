@@ -10,6 +10,10 @@ failure; on success the levels are restored and the benefit weights get
 a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 (response index, target asset) instance for the lifetime of the engine.
 
+An engine generates each candidate set once per (intrusion result,
+infected asset, affected asset) and keeps it; an adaptation replaces the
+one adapted instance in every kept set when it is written.
+
 Also hosts the analytic estimator comparing the two possible loop
 orderings (check-all-preconditions-first vs select-first-then-check).
 """
@@ -27,6 +31,7 @@ from .model import (
     DomainError,
     ImpactVector,
     IntrusionEvent,
+    IntrusionResult,
     ResponseSpec,
     VehicleState,
 )
@@ -200,7 +205,10 @@ class Engine:
     """One engine instance handles one intrusion sequence.
 
     Keeps the per-instance adaptation state and the seeded RNG; not meant
-    to be shared between threads.
+    to be shared between threads.  Candidates are generated once per
+    (intrusion result, infected asset, affected asset) the sequence meets,
+    with the adaptations recorded so far; each later adaptation replaces
+    its (index, target) instance in every kept set when it is written.
     """
 
     def __init__(
@@ -215,15 +223,40 @@ class Engine:
         self._rng = random.Random(adaptation.rng_seed)
         self._effects = {int(k): dict(v) for k, v in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], ResponseSpec] = {}
+        self._candidates: dict[tuple[IntrusionResult, str, str], list[CandidateInstance]] = {}
 
-    def _overlay(self, candidates: Sequence[CandidateInstance]) -> list[CandidateInstance]:
-        out = []
-        for cand in candidates:
-            adapted = self._adapted.get((cand.response.index, cand.target_asset))
-            out.append(
-                CandidateInstance(adapted, cand.target_asset) if adapted else cand
-            )
-        return out
+    def _candidates_for(self, event: IntrusionEvent) -> list[CandidateInstance]:
+        """The event's candidate set; ``generate_candidates`` reads only the
+        key fields, and the catalog is this engine's own copy."""
+        key = (event.result, event.infected_asset, event.affected_asset)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            candidates = generate_candidates(event, self._catalog)
+            if self._adapted:
+                for pos, cand in enumerate(candidates):
+                    adapted = self._adapted.get((cand.response.index, cand.target_asset))
+                    if adapted is not None:
+                        candidates[pos] = CandidateInstance(adapted, cand.target_asset)
+            self._candidates[key] = candidates
+        return candidates
+
+    def _record(self, key: tuple[int, str], spec: ResponseSpec) -> None:
+        """Record an adapted instance and swap it into every kept set.  A
+        changed set is a new list, so a list already handed to a selector
+        never changes under it."""
+        self._adapted[key] = spec
+        index, target = key
+        for set_key, candidates in self._candidates.items():
+            positions = [
+                pos
+                for pos, cand in enumerate(candidates)
+                if cand.response.index == index and cand.target_asset == target
+            ]
+            if positions:
+                candidates = list(candidates)
+                for pos in positions:
+                    candidates[pos] = CandidateInstance(spec, target)
+                self._candidates[set_key] = candidates
 
     def run(
         self,
@@ -237,7 +270,7 @@ class Engine:
         event = initial_event
         for iteration in range(1, max_iterations + 1):
             impact = event_impact(event)
-            candidates = self._overlay(generate_candidates(event, self._catalog))
+            candidates = self._candidates_for(event)
             t0 = time.perf_counter()
             chosen, attempts = inner_loop(
                 event, candidates, self._selector, event.vehicle.facts
@@ -286,21 +319,20 @@ class Engine:
         verdict: FeedbackVerdict,
         event: IntrusionEvent,
     ) -> tuple[ResponseSpec, str, IntrusionEvent, bool]:
-        key = (chosen.response.index, chosen.target_asset)
         match verdict:
             case Failure():
                 spec = adapt_on_failure(chosen.response)
-                self._adapted[key] = spec
-                return spec, "failure", event, False
+                outcome = "failure", event, False
             case Success():
                 spec = adapt_on_success(chosen.response, self._rng)
-                self._adapted[key] = spec
-                return spec, "success", event, True
+                outcome = "success", event, True
             case NewIntrusion(event=next_event):
                 spec = adapt_on_success(chosen.response, self._rng)
-                self._adapted[key] = spec
-                return spec, "new_intrusion", next_event, False
-        raise DomainError(f"unknown feedback verdict: {verdict!r}")
+                outcome = "new_intrusion", next_event, False
+            case _:
+                raise DomainError(f"unknown feedback verdict: {verdict!r}")
+        self._record((chosen.response.index, chosen.target_asset), spec)
+        return (spec, *outcome)
 
 
 def scripted_feedback(verdicts: Sequence[FeedbackVerdict]) -> FeedbackSource:

@@ -166,7 +166,15 @@ def _saw_steps(
     included.  The walk stops once that threshold is strictly below the
     best eligible preference, so ties and every ineligible candidate are
     always met; with nothing eligible it runs to the end (the fallback).
+
+    Every preference is positive, so a bound of at most 0 leaves nothing
+    eligible at any step.  Such a walk ranks every candidate as eligible
+    under an infinite bound, which stops it the same way, and reports
+    each step as the fallback.
     """
+    unbounded = bound <= 0
+    if unbounded:
+        bound = math.inf
     benefits = [response_benefit(c.response.benefit) or EPSILON for c in candidates]
     costs = [effective_cost(c, impact) or EPSILON for c in candidates]
     w_benefit, w_cost = cfg.w_benefit, cfg.w_cost
@@ -194,7 +202,9 @@ def _saw_steps(
                         fallback, fallback_p = k, p
             if best >= 0 and w_benefit * benefits[i] / max_b + w_cost * min_c / costs[j] < best_p:
                 break
-        if best >= 0:
+        if unbounded:
+            yield candidates[best], best_p, 0, True
+        elif best >= 0:
             yield candidates[best], best_p, len(by_benefit) - ineligible, False
         else:
             best = fallback

@@ -26,7 +26,7 @@ from react_irs.harness import (
 )
 from react_irs.model import CandidateInstance
 from react_irs.responses import response_benefit, response_cost
-from react_irs.selection import make_selector
+from react_irs.selection import SawConfig, make_selector, saw_select
 from _support import (
     assert_selectors_match_oracle,
     fixture_rows,
@@ -205,7 +205,9 @@ def test_selection_latency_and_run_budgets(scenario1, tmp_path):
 
 def test_4096_candidate_drains_stay_under_the_drain_budget(scenario1):
     """Draining 4,096 candidates with every precondition rejected takes
-    under 2 s per strategy and ends at the terminal entry."""
+    under 2 s per strategy, and for ``saw`` also at a preference bound of
+    0 (all-zero impact alphas, so every step is a fallback), and ends at
+    the terminal entry."""
     rng = random.Random(4096)
 
     def weight():
@@ -228,13 +230,17 @@ def test_4096_candidate_drains_stay_under_the_drain_budget(scenario1):
     feasible = sum(
         not spec.terminal and response_cost(spec.cost) < 210.0 for spec in specs
     )
-    for algo in ALGOS:
+    selectors = {algo: make_selector(algo) for algo in ALGOS}
+    selectors["saw at bound 0"] = lambda cands, impact, event: saw_select(
+        cands, [0.0] * 5, SawConfig(), impact
+    )
+    for algo, selector in selectors.items():
         t0 = time.perf_counter()
         chosen, attempts = inner_loop(
-            event, candidates, make_selector(algo), {}, precondition_policy=lambda c: False
+            event, candidates, selector, {}, precondition_policy=lambda c: False
         )
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0, f"{algo} 4,096-candidate drain took {elapsed:.2f}s (budget 2s)"
         assert chosen.response.terminal
-        if algo != "saw":
+        if algo.startswith("lp-"):
             assert len(attempts) == feasible + 1

@@ -105,7 +105,9 @@ def test_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops):
 @pytest.mark.parametrize("name, batches, min_ops", WORKLOAD_BATCHES)
 def test_traced_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops):
     """The traced run wraps every selector and reads the head outcome's
-    ``feasible_count`` and ``fallback``; its ops must pass the same checks."""
+    ``feasible_count`` and ``fallback``; its ops must pass the same checks.
+    An ``event-stream`` sequence keeps one (result, infected, affected)
+    key, so its engine generates candidates once per run."""
     tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
@@ -120,3 +122,8 @@ def test_traced_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops)
     assert metrics["engine.inner_loop.calls"][0] == sum(
         metrics[f"selection.{algo}.calls"][0] for algo in ("lp-max", "lp-min", "saw")
     )
+    if name == "event-stream":
+        runs = sum(span[1] == "engine.run" for span in tracer.spans)
+        assert runs == batches
+        assert metrics["responses.generate_candidates.calls"][0] == runs
+        assert metrics["engine.inner_loop.calls"][0] == record.passed

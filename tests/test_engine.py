@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from react_irs.engine import (
     DEFAULT_MAX_ITERATIONS,
+    AdaptationConfig,
     FAILURE_DECAY,
     Engine,
+    Failure,
     LoopOrder,
     NewIntrusion,
     Success,
@@ -18,8 +21,8 @@ from react_irs.engine import (
     inner_loop,
     scripted_feedback,
 )
-from react_irs.model import CandidateInstance, DomainError
-from react_irs.responses import response_benefit
+from react_irs.model import CandidateInstance, DomainError, IntrusionResult
+from react_irs.responses import generate_candidates, response_benefit
 from react_irs.selection import make_selector
 from _support import make_event, make_response
 
@@ -276,6 +279,110 @@ class TestEngineRuns:
         engine = Engine(self._catalog(), make_selector("lp-max"))
         with pytest.raises(DomainError):
             engine.run(event, scripted_feedback([Success()]), 0)
+
+
+GENERIC_FACTS = (
+    "backup_storage_ready", "driver_notified", "driving", "honeypot_ready",
+    "redundant_source_available", "update_available", "vehicle_stationary",
+)
+KEY_RESULTS = (
+    IntrusionResult.FALSIFY_ALTER_BEHAVIOR,
+    IntrusionResult.INFORMATION_DISCLOSURE,
+    IntrusionResult.SYSTEM_UNAVAILABILITY,
+)
+KEY_ASSETS = ("cam", "ecu", "gw")
+
+
+def _random_event(rng: random.Random):
+    return make_event(
+        s=rng.choice((0, 1, 10, 100)),
+        f=rng.choice((0, 1, 10, 100)),
+        o=rng.choice((0, 1, 10, 100)),
+        p=rng.choice((0, 1, 10, 100)),
+        velocity=rng.choice((0.0, 30.0, 70.0, 120.0)),
+        infected=rng.choice(KEY_ASSETS),
+        affected=rng.choice(KEY_ASSETS),
+        result=rng.choice(KEY_RESULTS),
+        facts={name: rng.random() < 0.5 for name in GENERIC_FACTS},
+    )
+
+
+def _key(event):
+    return event.result, event.infected_asset, event.affected_asset
+
+
+def _from_scratch(catalog, selector, rng_seed, event, verdicts, stats):
+    """The outer loop with nothing kept between iterations: regenerate the
+    set and overlay every adapted spec.  Returns the attempts per
+    iteration, without timings."""
+    rng = random.Random(rng_seed)
+    adapted, adapted_under, seen_keys = {}, {}, set()
+    iterations, previous = [], None
+    for verdict in verdicts:
+        key = _key(event)
+        stats["revisits"] += key in seen_keys and key != previous
+        seen_keys.add(key)
+        previous = key
+        candidates = [
+            CandidateInstance(adapted.get((c.response.index, c.target_asset), c.response), c.target_asset)
+            for c in generate_candidates(event, catalog)
+        ]
+        stats["cross_key"] += any(
+            adapted_under.get((c.response.index, c.target_asset), key) != key for c in candidates
+        )
+        chosen, attempts = inner_loop(event, candidates, selector, event.vehicle.facts)
+        instance = (chosen.response.index, chosen.target_asset)
+        if isinstance(verdict, Failure):
+            adapted[instance] = adapt_on_failure(chosen.response)
+        else:
+            adapted[instance] = adapt_on_success(chosen.response, rng)
+        adapted_under[instance] = key
+        iterations.append([replace(a, selection_time_ms=0.0) for a in attempts])
+        if isinstance(verdict, Success):
+            break
+        if isinstance(verdict, NewIntrusion):
+            event = verdict.event
+    return iterations
+
+
+class TestCandidateMemo:
+    @pytest.mark.parametrize("algo", ["lp-max", "lp-min", "saw"])
+    def test_kept_sets_equal_regenerating_with_every_adaptation(self, generic_catalog, algo):
+        """Verdicts move between (result, infected, affected) keys and come
+        back; an adaptation written under one key must show in every other
+        set that holds the same instance."""
+        catalog = generic_catalog.responses
+        selector = make_selector(algo)
+        rng = random.Random(f"memo:{algo}")
+        stats = {"revisits": 0, "cross_key": 0}
+        for _ in range(60):
+            first = _random_event(rng)
+            verdicts = [
+                Failure() if rng.random() < 0.4 else NewIntrusion(_random_event(rng))
+                for _ in range(rng.randint(1, 11))
+            ] + [Success()]
+            seed = rng.randrange(2**31)
+            engine = Engine(catalog, selector, adaptation=AdaptationConfig(rng_seed=seed))
+            trace = engine.run(first, scripted_feedback(verdicts), len(verdicts))
+            got = [[replace(a, selection_time_ms=0.0) for a in r.attempts] for r in trace.records]
+            assert got == _from_scratch(catalog, selector, seed, first, verdicts, stats)
+        assert stats["revisits"] > 0 and stats["cross_key"] > 0
+
+    def test_a_set_handed_to_the_selector_never_changes(self, generic_catalog):
+        handed = []
+
+        def selector(candidates, impact, event):
+            handed.append((candidates, list(candidates)))
+            return make_selector("lp-max")(candidates, impact, event)
+
+        event = make_event(infected="cam", affected="ecu")
+        engine = Engine(generic_catalog.responses, selector)
+        engine.run(event, scripted_feedback(always_failure_script(4)), 4)
+        assert len(handed) == 4
+        assert all(
+            len(kept) == len(snapshot) and all(a is b for a, b in zip(kept, snapshot))
+            for kept, snapshot in handed
+        )
 
 
 class TestLoopTiming:
