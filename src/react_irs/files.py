@@ -3,7 +3,14 @@
 Every document carries ``schema_version`` and a ``kind`` discriminator.
 Parsing is strict: unknown enum values, bad levels, non-boolean flags,
 duplicate indices and unresolvable references all raise
-:class:`SchemaError`.  Keys the schema does not name are ignored.
+:class:`SchemaError`, and so do a file that cannot be read or is not
+UTF-8 and a top level that is not a JSON object: a loader lets no other
+error escape.  Keys the schema does not name are ignored.
+
+A catalog is parsed once per path and file content: ``load_catalog``
+reads the file's bytes on every call and returns the catalog it kept for
+that path while they are unchanged.  A returned catalog is therefore
+shared between callers; it is immutable, like everything it holds.
 """
 from __future__ import annotations
 
@@ -49,7 +56,8 @@ def _require(doc: Mapping[str, Any], key: str, context: str) -> Any:
     return doc[key]
 
 
-def _check_header(doc: Mapping[str, Any], kind: str, context: str) -> None:
+def _check_header(doc: Any, kind: str, context: str) -> None:
+    doc = _object(doc, context)
     version = _require(doc, "schema_version", context)
     if version != SCHEMA_VERSION:
         raise SchemaError(
@@ -225,8 +233,27 @@ def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
     return Catalog(name=_str(doc.get("name", ""), "catalog.name"), responses=responses)
 
 
+#: Path as given -> (the file's bytes, the catalog parsed from them).
+_catalogs: dict[str, tuple[bytes, Catalog]] = {}
+
+
 def load_catalog(path: str | Path) -> Catalog:
-    return parse_catalog(_read_json(path))
+    """Load a catalog file, parsing it only when its bytes have changed.
+
+    Every call reads the file.  When its bytes equal the ones kept for this
+    path, the kept catalog is returned: the same shared, immutable object.
+    Content is compared, not mtime or size, so a same-size rewrite within
+    one mtime tick is still seen.  A load that fails stores nothing.  Two
+    threads loading the same changed file at once at worst both parse it.
+    """
+    data = _read_bytes(path)
+    key = str(path)
+    kept = _catalogs.get(key)
+    if kept is not None and kept[0] == data:
+        return kept[1]
+    catalog = parse_catalog(_decode_json(data, path))
+    _catalogs[key] = (data, catalog)
+    return catalog
 
 
 # --------------------------------------------------------------------------
@@ -342,22 +369,31 @@ def load_scenario(path: str | Path) -> Scenario:
 # generic entry points
 
 
-def _read_json(path: str | Path) -> Any:
-    path = Path(path)
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
+def _decode_json(data: bytes, path: str | Path) -> Any:
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _read_json(path: str | Path) -> Any:
+    return _decode_json(_read_bytes(path), path)
+
+
 def validate_file(path: str | Path) -> str:
     """Validate any known document kind; returns the kind on success."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be a JSON object")
+    doc = _object(_read_json(path), str(path))
     kind = doc.get("kind")
     if kind == "architecture":
         parse_architecture(doc)

@@ -171,3 +171,23 @@ def assert_selectors_match_oracle(n_sets: int, seed: int = 20240) -> None:
                 f"oracle chose {slow.chosen.response.index}/{slow.chosen.target_asset}"
             )
             assert fast.score == slow.score
+
+
+# A directory, bytes that are not UTF-8, and top levels that are not objects.
+BAD_FILES = {
+    "directory": None,
+    "non-utf8": b'{"schema_version": 1, "name": "\xff"}',
+    "number": b"5",
+    "null": b"null",
+    "array": b"[]",
+    "string": b'"x"',
+}
+
+
+def write_bad_file(tmp_path, case):
+    path = tmp_path / "doc.json"
+    if BAD_FILES[case] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(BAD_FILES[case])
+    return path

@@ -107,7 +107,9 @@ def test_traced_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops)
     """The traced run wraps every selector and reads the head outcome's
     ``feasible_count`` and ``fallback``; its ops must pass the same checks.
     An ``event-stream`` sequence keeps one (result, infected, affected)
-    key, so its engine generates candidates once per run."""
+    key, so its engine generates candidates once per run.  A
+    ``paper-series`` run loads its catalog once, through the traced name,
+    and parses no precondition: the catalog was parsed in set-up."""
     tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
@@ -127,3 +129,12 @@ def test_traced_workload_ops_pass_their_checks(tmp_path, name, batches, min_ops)
         assert runs == batches
         assert metrics["responses.generate_candidates.calls"][0] == runs
         assert metrics["engine.inner_loop.calls"][0] == record.passed
+    if name == "paper-series":
+        parses = [span[5] for span in tracer.spans if span[1] == "preconditions.parse"]
+        assert set(parses) <= {"setup"}
+        loads = [span[5] for span in tracer.spans if span[1] == "files.load_catalog"]
+        run_loads = [op for op in loads if op != "setup"]
+        runs = sum(span[1].startswith("harness.run.") for span in tracer.spans)
+        assert runs == record.passed
+        assert len(run_loads) == len(set(run_loads)) == runs
+        assert metrics["files.load_catalog.calls"][0] == len(loads)

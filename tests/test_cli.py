@@ -11,6 +11,7 @@ from react_irs.files import (
     parse_scenario,
     validate_file,
 )
+from _support import BAD_FILES, write_bad_file
 
 
 @pytest.fixture()
@@ -170,6 +171,20 @@ class TestValidate:
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "none.json")])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["run", "--algo", "saw", "--scenario"], ["catalog", "list", "--catalog"]],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_unreadable_or_non_object_file_is_validation_error(runner, tmp_path, command, case):
+    path = write_bad_file(tmp_path, case)
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 def _assert_catalog_rejected(runner, tmp_path, doc):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,6 +7,7 @@ from react_irs.files import (
     SchemaError,
     data_dir,
     load_architecture,
+    load_catalog,
     load_scenario,
     parse_architecture,
     parse_catalog,
@@ -13,6 +15,8 @@ from react_irs.files import (
     resolve_scenario_ref,
     validate_file,
 )
+from react_irs.preconditions import Precondition
+from _support import BAD_FILES, write_bad_file
 
 
 def scenario1_doc(data):
@@ -221,3 +225,77 @@ class TestValidateAndResolve:
     def test_all_shipped_files_validate(self, data):
         for path in sorted(data.glob("*.json")):
             assert validate_file(path) in ("architecture", "catalog", "scenario")
+
+
+@pytest.mark.parametrize(
+    "loader", [load_architecture, load_catalog, load_scenario, validate_file],
+    ids=lambda loader: loader.__name__,
+)
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_loaders_raise_only_schema_errors(tmp_path, loader, case):
+    path = write_bad_file(tmp_path, case)
+    with pytest.raises(SchemaError) as info:
+        loader(path)
+    if case in ("directory", "non-utf8"):
+        assert str(path) in str(info.value)
+
+
+class TestCatalogCache:
+    """``load_catalog`` parses a file once per content and re-parses when
+    its bytes change."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        calls = []
+        parse = Precondition.__dict__["parse"].__func__
+
+        def counting(cls, text):
+            calls.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(Precondition, "parse", classmethod(counting))
+        return calls
+
+    def test_unchanged_file_is_parsed_once(self, tmp_path, parses):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(minimal_catalog_doc()))
+        first = load_catalog(path)
+        assert len(parses) == 2
+        assert load_catalog(path) is first
+        assert load_catalog(str(path)) is first
+        assert len(parses) == 2
+
+    def test_same_size_rewrite_is_reparsed(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        doc = minimal_catalog_doc()
+        path.write_text(json.dumps(doc))
+        assert load_catalog(path).by_index(5).cost.w_a == 1.0
+        before = path.stat()
+        doc["responses"][0]["cost"]["w_a"] = 1.5
+        path.write_text(json.dumps(doc))
+        # Same size, and the same mtime as a rewrite within one tick.
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        assert load_catalog(path).by_index(5).cost.w_a == 1.5
+
+    def test_malformed_rewrite_fails_and_restoring_loads_again(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        good = json.dumps(minimal_catalog_doc())
+        path.write_text(good)
+        first = load_catalog(path)
+        path.write_text(good[:-1])
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_catalog(path)
+        path.write_text(json.dumps(minimal_catalog_doc(responses=[])))
+        with pytest.raises(SchemaError, match="terminal"):
+            load_catalog(path)
+        path.write_text(good)
+        assert load_catalog(path) == first
+
+    def test_deleted_file_fails(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(minimal_catalog_doc()))
+        load_catalog(path)
+        path.unlink()
+        with pytest.raises(SchemaError, match="no such file"):
+            load_catalog(path)

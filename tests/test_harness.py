@@ -1,12 +1,13 @@
 import io
 import json
 import math
+import shutil
 import statistics
 import time
 
 import pytest
 
-from react_irs.files import load_catalog
+from react_irs.files import data_dir, load_catalog, load_scenario
 from react_irs.harness import (
     CSV_COLUMNS,
     emit_series,
@@ -36,6 +37,22 @@ class TestStaticQuality:
         expected = load_expected(f"static_scenario2_{algo}.json")
         assert report.impact == expected["impact"]
         assert report_rows(report) == fixture_rows(expected)
+
+    def test_follows_an_in_place_edit_of_its_catalog(self, tmp_path):
+        for name in ("scenario1.json", "architecture.json", "catalog_scenario1.json"):
+            shutil.copy(data_dir() / name, tmp_path / name)
+        scenario = load_scenario(tmp_path / "scenario1.json")
+        first = run_static_quality(scenario, "lp-max").selections[0]
+        assert first.benefit > 0
+        path = scenario.catalog_path("static", "lp-max")
+        doc = json.loads(path.read_text())
+        entry = next(r for r in doc["responses"] if r["index"] == first.response_index)
+        entry["benefit"].update(s=0, f=0, o=0, p=0)
+        path.write_text(json.dumps(doc))
+        rows = run_static_quality(scenario, "lp-max").selections
+        assert rows[0].response_index != first.response_index
+        edited = [row for row in rows if row.response_index == first.response_index]
+        assert edited and all(row.benefit == 0 for row in edited)
 
     @pytest.mark.parametrize(
         "fixture,algo",
