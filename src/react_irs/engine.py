@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .model import (
     CandidateInstance,
@@ -81,8 +81,7 @@ class AdaptationConfig:
     rng_seed: int = 7
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(NamedTuple):
     """One selection inside the inner loop and its precondition outcome."""
 
     response_index: int
@@ -94,8 +93,7 @@ class Attempt:
     selection_time_ms: float = 0.0
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     velocity_kmh: float
     impact: float
@@ -222,7 +220,7 @@ class Engine:
         self._selector = selector
         self._rng = random.Random(adaptation.rng_seed)
         self._effects = {int(k): dict(v) for k, v in (effects or {}).items()}
-        self._adapted: dict[tuple[int, str], ResponseSpec] = {}
+        self._adapted: dict[tuple[int, str], CandidateInstance] = {}
         self._candidates: dict[tuple[IntrusionResult, str, str], list[CandidateInstance]] = {}
 
     def _candidates_for(self, event: IntrusionEvent) -> list[CandidateInstance]:
@@ -236,16 +234,18 @@ class Engine:
                 for pos, cand in enumerate(candidates):
                     adapted = self._adapted.get((cand.response.index, cand.target_asset))
                     if adapted is not None:
-                        candidates[pos] = CandidateInstance(adapted, cand.target_asset)
+                        candidates[pos] = adapted
             self._candidates[key] = candidates
         return candidates
 
-    def _record(self, key: tuple[int, str], spec: ResponseSpec) -> None:
-        """Record an adapted instance and swap it into every kept set.  A
-        changed set is a new list, so a list already handed to a selector
-        never changes under it."""
-        self._adapted[key] = spec
-        index, target = key
+    def _record(self, spec: ResponseSpec, target: str) -> None:
+        """Record an adapted instance and swap that one object into every
+        position of every kept set that holds it.  A changed set is a new
+        list, so a list already handed to a selector never changes under
+        it."""
+        instance = CandidateInstance(spec, target)
+        index = spec.index
+        self._adapted[index, target] = instance
         for set_key, candidates in self._candidates.items():
             positions = [
                 pos
@@ -255,7 +255,7 @@ class Engine:
             if positions:
                 candidates = list(candidates)
                 for pos in positions:
-                    candidates[pos] = CandidateInstance(spec, target)
+                    candidates[pos] = instance
                 self._candidates[set_key] = candidates
 
     def run(
@@ -331,7 +331,7 @@ class Engine:
                 outcome = "new_intrusion", next_event, False
             case _:
                 raise DomainError(f"unknown feedback verdict: {verdict!r}")
-        self._record((chosen.response.index, chosen.target_asset), spec)
+        self._record(spec, chosen.target_asset)
         return (spec, *outcome)
 
 

@@ -20,7 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .engine import (
     AdaptationConfig,
@@ -48,8 +48,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SelectionRow:
+class SelectionRow(NamedTuple):
     step: int
     response_index: int
     target_asset: str

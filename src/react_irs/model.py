@@ -5,6 +5,17 @@ Impact-style values live on the discrete level scale {0, 1, 10, 100};
 weights are non-negative reals.  All types are immutable values, safe to
 share between threads; a cached ``total`` depends only on its vector's
 fields, so a race at worst computes it twice.
+
+The records the decision loop builds per candidate, ranking step,
+attempt, iteration and emitted row (``CandidateInstance`` here,
+``selection.SelectionOutcome``, ``engine.Attempt``,
+``engine.IterationRecord``, ``harness.SelectionRow``) are
+``typing.NamedTuple``s: cheaper to build than frozen dataclasses, whose
+``__init__`` calls ``object.__setattr__`` per field.  They are immutable
+and hashable, and also equal to a plain tuple of their fields.  The input
+types stay frozen dataclasses: a cached ``total`` needs an instance
+``__dict__``, and adaptation rebuilds a ``ResponseSpec`` with
+``dataclasses.replace``.
 """
 from __future__ import annotations
 
@@ -12,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .preconditions import Precondition
 
@@ -209,8 +220,7 @@ class ResponseSpec:
         return self.is_general or result in self.applicable_results
 
 
-@dataclass(frozen=True)
-class CandidateInstance:
+class CandidateInstance(NamedTuple):
     """A response bound to a concrete target asset.
 
     The same catalog entry can appear twice in a candidate set — once per

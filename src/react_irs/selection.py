@@ -23,8 +23,8 @@ Ties break by lowest catalog index, then by candidate-set position
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .model import CandidateInstance, DomainError, IntrusionEvent
 from .responses import effective_cost, response_benefit, response_cost
@@ -54,23 +54,25 @@ class SawConfig:
         return 1.0 - self.w_benefit
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
+class SelectionOutcome(NamedTuple):
     """Result of one selection: the chosen instance, its score (preference
     for SAW, objective value for the optimizers), how many candidates were
     feasible/eligible, and whether the fallback path produced the choice.
 
     ``rest`` iterates over the later outcomes of the same ranking: each is
     the choice the selector would make with every earlier choice removed.
-    Every outcome of one ranking shares that iterator."""
+    Every outcome of one ranking shares that iterator; by default it is
+    one shared, empty iterator.
+
+    ``rest`` is a compared field, like every field of a tuple: outcomes of
+    different rankings differ even when they make the same choice.  To
+    compare choices, compare ``outcome[:4]``."""
 
     chosen: CandidateInstance
     score: float
     feasible_count: int
     fallback: bool = False
-    rest: Iterator[SelectionOutcome] = field(
-        default_factory=lambda: iter(()), compare=False, repr=False
-    )
+    rest: Iterator[SelectionOutcome] = iter(())
 
 
 class _Ranking:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -337,7 +336,7 @@ def _from_scratch(catalog, selector, rng_seed, event, verdicts, stats):
         else:
             adapted[instance] = adapt_on_success(chosen.response, rng)
         adapted_under[instance] = key
-        iterations.append([replace(a, selection_time_ms=0.0) for a in attempts])
+        iterations.append([a._replace(selection_time_ms=0.0) for a in attempts])
         if isinstance(verdict, Success):
             break
         if isinstance(verdict, NewIntrusion):
@@ -364,7 +363,7 @@ class TestCandidateMemo:
             seed = rng.randrange(2**31)
             engine = Engine(catalog, selector, adaptation=AdaptationConfig(rng_seed=seed))
             trace = engine.run(first, scripted_feedback(verdicts), len(verdicts))
-            got = [[replace(a, selection_time_ms=0.0) for a in r.attempts] for r in trace.records]
+            got = [[a._replace(selection_time_ms=0.0) for a in r.attempts] for r in trace.records]
             assert got == _from_scratch(catalog, selector, seed, first, verdicts, stats)
         assert stats["revisits"] > 0 and stats["cross_key"] > 0
 
@@ -383,6 +382,23 @@ class TestCandidateMemo:
             len(kept) == len(snapshot) and all(a is b for a, b in zip(kept, snapshot))
             for kept, snapshot in handed
         )
+
+    def test_an_adaptation_is_one_instance_shared_by_every_kept_set(self, generic_catalog):
+        """One adapted instance per write, in every position of every kept
+        set that holds it, including sets generated after the write."""
+        events = [make_event(infected="cam", affected="ecu", result=result) for result in KEY_RESULTS]
+        verdicts = [NewIntrusion(events[1]), Failure(), NewIntrusion(events[2]),
+                    NewIntrusion(events[0]), Failure(), Success()]
+        engine = Engine(generic_catalog.responses, make_selector("lp-max"))
+        engine.run(events[0], scripted_feedback(verdicts), len(verdicts))
+        holders = {}
+        for candidates in engine._candidates.values():
+            for cand in candidates:
+                adapted = engine._adapted.get((cand.response.index, cand.target_asset))
+                if adapted is not None:
+                    assert cand is adapted
+                    holders[id(adapted)] = holders.get(id(adapted), 0) + 1
+        assert len(engine._candidates) == 3 and max(holders.values()) > 1
 
 
 class TestLoopTiming:
