@@ -35,7 +35,9 @@ from .model import (
     ResponseSpec,
     VehicleState,
 )
-from .responses import effective_cost, generate_candidates, response_benefit
+from .responses import generate_candidates
+# Read by bench/tracing.py, which patches these names; the hot path reads .total.
+from .responses import effective_cost, response_benefit
 from .risk import event_impact
 from .selection import SelectionOutcome
 
@@ -119,16 +121,10 @@ def adapt_on_failure(spec: ResponseSpec) -> ResponseSpec:
     """
     b = spec.benefit
     decayed = ImpactVector(
-        s=FAILURE_DECAY[b.s],
-        f=FAILURE_DECAY[b.f],
-        o=FAILURE_DECAY[b.o],
-        p=FAILURE_DECAY[b.p],
-        w_s=b.w_s,
-        w_f=b.w_f,
-        w_o=b.w_o,
-        w_p=b.w_p,
+        FAILURE_DECAY[b.s], FAILURE_DECAY[b.f], FAILURE_DECAY[b.o], FAILURE_DECAY[b.p],
+        b.w_s, b.w_f, b.w_o, b.w_p,
     )
-    return replace(spec, benefit=decayed)
+    return spec.with_benefit(decayed)
 
 
 def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
@@ -141,16 +137,10 @@ def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
     orig, cur = spec.original_benefit, spec.benefit
     draws = tuple(rng.uniform(R_MIN, R_MAX) for _ in range(4))
     adapted = ImpactVector(
-        s=orig.s,
-        f=orig.f,
-        o=orig.o,
-        p=orig.p,
-        w_s=cur.w_s * draws[0],
-        w_f=cur.w_f * draws[1],
-        w_o=cur.w_o * draws[2],
-        w_p=cur.w_p * draws[3],
+        orig.s, orig.f, orig.o, orig.p,
+        cur.w_s * draws[0], cur.w_f * draws[1], cur.w_o * draws[2], cur.w_p * draws[3],
     )
-    return replace(spec, benefit=adapted)
+    return spec.with_benefit(adapted)
 
 
 def inner_loop(
@@ -170,29 +160,29 @@ def inner_loop(
     passes.
     """
     impact = event_impact(event)
+    # The terminal entry's cost is pegged to the impact (``effective_cost``).
+    pegged = float(impact)
     attempts: list[Attempt] = []
     t0 = time.perf_counter()
     head = selector(candidates, impact, event)
     for outcome in chain((head,), head.rest):
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         cand = outcome.chosen
-        if cand.response.terminal:
+        spec = cand.response
+        if spec.terminal:
             passed = True
-        elif precondition_policy is not None:
-            passed = precondition_policy(cand)
+            cost = pegged
         else:
-            passed = cand.response.precondition.evaluate(facts)
-        attempts.append(
-            Attempt(
-                response_index=cand.response.index,
-                target_asset=cand.target_asset,
-                score=outcome.score,
-                cost=effective_cost(cand, impact),
-                benefit=response_benefit(cand.response.benefit),
-                precondition_passed=passed,
-                selection_time_ms=elapsed_ms,
-            )
-        )
+            if precondition_policy is not None:
+                passed = precondition_policy(cand)
+            else:
+                passed = spec.precondition.evaluate(facts)
+            cost = spec.cost.total
+        # Positional: a NamedTuple builds faster from positions than keywords.
+        attempts.append(Attempt(
+            spec.index, cand.target_asset, outcome.score, cost, spec.benefit.total,
+            passed, elapsed_ms,
+        ))
         if passed:
             return cand, attempts
         t0 = time.perf_counter()
@@ -283,20 +273,12 @@ class Engine:
                 chosen, verdict, event
             )
 
-            trace.records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    velocity_kmh=event.vehicle.velocity_kmh,
-                    impact=impact,
-                    candidate_count=len(candidates),
-                    attempts=tuple(attempts),
-                    applied=attempts[-1],
-                    verdict=verdict_name,
-                    adapted_weights=adapted_spec.benefit.weights(),
-                    adapted_levels=adapted_spec.benefit.levels(),
-                    selection_time_ms=selection_ms,
-                )
-            )
+            trace.records.append(IterationRecord(
+                iteration, event.vehicle.velocity_kmh, impact, len(candidates),
+                tuple(attempts), attempts[-1], verdict_name,
+                adapted_spec.benefit.weights(), adapted_spec.benefit.levels(),
+                selection_ms,
+            ))
             if stop:
                 break
             event = next_event

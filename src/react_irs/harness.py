@@ -74,14 +74,8 @@ class RunReport:
 def _row(step: int, attempt: Attempt, impact: float, selection_time_ms: float,
          velocity_kmh: float | None = None) -> SelectionRow:
     return SelectionRow(
-        step=step,
-        response_index=attempt.response_index,
-        target_asset=attempt.target_asset,
-        cost=attempt.cost,
-        benefit=attempt.benefit,
-        impact=impact,
-        selection_time_ms=selection_time_ms,
-        velocity_kmh=velocity_kmh,
+        step, attempt.response_index, attempt.target_asset, attempt.cost,
+        attempt.benefit, impact, selection_time_ms, velocity_kmh,
     )
 
 

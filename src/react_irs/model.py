@@ -14,8 +14,9 @@ attempt, iteration and emitted row (``CandidateInstance`` here,
 ``__init__`` calls ``object.__setattr__`` per field.  They are immutable
 and hashable, and also equal to a plain tuple of their fields.  The input
 types stay frozen dataclasses: a cached ``total`` needs an instance
-``__dict__``, and adaptation rebuilds a ``ResponseSpec`` with
-``dataclasses.replace``.
+``__dict__``.  Adaptation swaps the benefit of a ``ResponseSpec`` with
+``ResponseSpec.with_benefit``, which copies that ``__dict__`` instead of
+re-running the constructor as ``dataclasses.replace`` would.
 """
 from __future__ import annotations
 
@@ -218,6 +219,17 @@ class ResponseSpec:
 
     def applies_to(self, result: IntrusionResult) -> bool:
         return self.is_general or result in self.applicable_results
+
+    def with_benefit(self, benefit: ImpactVector) -> ResponseSpec:
+        """A new spec equal to ``dataclasses.replace(self, benefit=benefit)``.
+
+        It copies the instance ``__dict__`` and swaps ``benefit``, skipping
+        the constructor: a ``ResponseSpec`` has no ``__post_init__``, and the
+        new ``ImpactVector`` validated itself when it was built.
+        """
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, benefit=benefit)
+        return new
 
 
 class CandidateInstance(NamedTuple):

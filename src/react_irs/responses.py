@@ -7,7 +7,10 @@ the same shape as the intrusion impact:
     benefit b = w_S*S + w_F*F + w_O*O + w_P*P
 
 Both sums are the vectors' cached ``total``s, so each is computed once
-per vector however often a selection asks for it.
+per vector however often a selection asks for it.  ``response_cost``,
+``response_benefit`` and ``effective_cost`` remain the public scoring
+API; the selectors and the inner loop read ``.total`` directly instead,
+one attribute read per score rather than a call.
 
 ``generate_candidates`` turns a catalog plus an intrusion event into the
 ordered list of concrete (response, target asset) instances the decision
@@ -15,6 +18,8 @@ loop selects from.
 """
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 from .model import (
@@ -27,8 +32,12 @@ from .model import (
     ResponseSpec,
 )
 
+
 class CatalogError(DomainError):
     """The catalog violates a structural requirement (e.g. no terminal entry)."""
+
+
+_INDEX = attrgetter("index")
 
 
 def response_cost(cost: CostVector) -> float:
@@ -51,19 +60,6 @@ def effective_cost(candidate: CandidateInstance, impact: float) -> float:
     return response_cost(candidate.response.cost)
 
 
-def _instantiate(spec: ResponseSpec, event: IntrusionEvent) -> list[CandidateInstance]:
-    """One instance at the entry's place; a ``both`` entry gets one per
-    involved asset, infected first, when the two assets differ."""
-    infected, affected = event.infected_asset, event.affected_asset
-    # Destination first: most entries take this branch with a single enum
-    # member lookup, which is slow on Python 3.11.
-    if spec.place is Place.DESTINATION or infected == affected:
-        return [CandidateInstance(spec, affected)]
-    if spec.place is Place.SOURCE:
-        return [CandidateInstance(spec, infected)]
-    return [CandidateInstance(spec, infected), CandidateInstance(spec, affected)]
-
-
 def generate_candidates(
     event: IntrusionEvent, catalog: Sequence[ResponseSpec]
 ) -> list[CandidateInstance]:
@@ -72,22 +68,43 @@ def generate_candidates(
     Output order is fixed so traces are reproducible: result-specific
     entries first, then general ones, each group by ascending index; for
     duplicated entries the infected-asset instance precedes the
-    affected-asset one.
+    affected-asset one.  An entry lies at its place; a ``both`` entry gets
+    one instance per involved asset when the two assets differ.  When no
+    applicable entry is terminal, the catalog's first terminal entry is
+    appended.
     """
-    if not any(spec.terminal for spec in catalog):
+    result = event.result
+    specific: list[ResponseSpec] = []
+    general: list[ResponseSpec] = []
+    terminal: ResponseSpec | None = None
+    for spec in catalog:
+        if spec.is_general:
+            general.append(spec)
+        elif result in spec.applicable_results:
+            specific.append(spec)
+        if terminal is None and spec.terminal:
+            terminal = spec
+    if terminal is None:
         raise CatalogError("catalog is missing the terminal 'No Action' entry")
+    specific.sort(key=_INDEX)
+    general.sort(key=_INDEX)
+    if not terminal.applies_to(result) and not any(
+        spec.terminal for spec in chain(specific, general)
+    ):
+        general.append(terminal)
 
-    specific = sorted(
-        (s for s in catalog if not s.is_general and event.result in s.applicable_results),
-        key=lambda s: s.index,
-    )
-    general = sorted((s for s in catalog if s.is_general), key=lambda s: s.index)
-
+    infected, affected = event.infected_asset, event.affected_asset
+    same = infected == affected
     candidates: list[CandidateInstance] = []
-    for spec in (*specific, *general):
-        candidates.extend(_instantiate(spec, event))
-
-    if not any(c.response.terminal for c in candidates):
-        terminal = next(s for s in catalog if s.terminal)
-        candidates.extend(_instantiate(terminal, event))
+    append = candidates.append
+    for spec in chain(specific, general):
+        # Destination first: most entries take this branch with a single
+        # enum member lookup, which is slow on Python 3.11.
+        if spec.place is Place.DESTINATION or same:
+            append(CandidateInstance(spec, affected))
+        elif spec.place is Place.SOURCE:
+            append(CandidateInstance(spec, infected))
+        else:
+            append(CandidateInstance(spec, infected))
+            append(CandidateInstance(spec, affected))
     return candidates

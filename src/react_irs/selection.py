@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .model import CandidateInstance, DomainError, IntrusionEvent
-from .responses import effective_cost, response_benefit, response_cost
+# Read by bench/tracing.py, which patches these names; the hot path reads .total.
+from .responses import effective_cost, response_benefit
 from .risk import environment_term
 
 
@@ -177,15 +179,22 @@ def _saw_steps(
     unbounded = bound <= 0
     if unbounded:
         bound = math.inf
-    benefits = [response_benefit(c.response.benefit) or EPSILON for c in candidates]
-    costs = [effective_cost(c, impact) or EPSILON for c in candidates]
+    pegged = float(impact)
+    benefits = [c.response.benefit.total or EPSILON for c in candidates]
+    costs = [
+        (pegged if c.response.terminal else c.response.cost.total) or EPSILON
+        for c in candidates
+    ]
     w_benefit, w_cost = cfg.w_benefit, cfg.w_cost
     positions = list(range(len(candidates)))
     by_benefit = sorted(positions, key=benefits.__getitem__, reverse=True)
     by_cost = sorted(positions, key=costs.__getitem__)
     seen = [-1] * len(candidates)
     for step in range(len(candidates)):
-        max_b, min_c = benefits[by_benefit[0]], costs[by_cost[0]]
+        max_b = benefits[by_benefit[0]]
+        # ``w_cost * min_c / cost`` evaluates left to right, so the product
+        # can be taken once per step without changing a bit of the result.
+        cost_num = w_cost * costs[by_cost[0]]
         best = fallback = -1
         best_p = fallback_p = -math.inf
         ineligible = 0
@@ -194,7 +203,7 @@ def _saw_steps(
                 if seen[k] == step:
                     continue
                 seen[k] = step
-                p = w_benefit * benefits[k] / max_b + w_cost * min_c / costs[k]
+                p = w_benefit * benefits[k] / max_b + cost_num / costs[k]
                 if p < bound:
                     if p > best_p or (p == best_p and _precedes(k, best, candidates)):
                         best, best_p = k, p
@@ -202,7 +211,7 @@ def _saw_steps(
                     ineligible += 1
                     if p > fallback_p or (p == fallback_p and _precedes(k, fallback, candidates)):
                         fallback, fallback_p = k, p
-            if best >= 0 and w_benefit * benefits[i] / max_b + w_cost * min_c / costs[j] < best_p:
+            if best >= 0 and w_benefit * benefits[i] / max_b + cost_num / costs[j] < best_p:
                 break
         if unbounded:
             yield candidates[best], best_p, 0, True
@@ -254,8 +263,14 @@ def _feasible(
     return [
         c
         for c in candidates
-        if not c.response.terminal and response_cost(c.response.cost) < impact
+        if not c.response.terminal and c.response.cost.total < impact
     ]
+
+
+# C-level sort keys over the candidates' catalog index and cached totals.
+_INDEX = attrgetter("response.index")
+_BENEFIT = attrgetter("response.benefit.total")
+_COST = attrgetter("response.cost.total")
 
 
 def _lp_select(
@@ -275,13 +290,9 @@ def _lp_select(
     # Both sorts are stable (reverse=True too): equal scores stay in index
     # order, and position breaks the last tie.  Sorting twice on keys the
     # candidates already hold allocates no key tuples.
-    ranked.sort(key=_catalog_index)
+    ranked.sort(key=_INDEX)
     ranked.sort(key=score, reverse=descending)
     return _head(_lp_steps(candidates, ranked, score, fallback_score))
-
-
-def _catalog_index(candidate: CandidateInstance) -> int:
-    return candidate.response.index
 
 
 def _lp_steps(
@@ -302,7 +313,7 @@ def lp_select_max_benefit(
     return _lp_select(
         candidates,
         impact,
-        score=lambda c: response_benefit(c.response.benefit),
+        score=_BENEFIT,
         descending=True,
         fallback_score=0.0,
     )
@@ -315,7 +326,7 @@ def lp_select_min_cost(
     return _lp_select(
         candidates,
         impact,
-        score=lambda c: response_cost(c.response.cost),
+        score=_COST,
         descending=False,
         fallback_score=float(impact),
     )

@@ -20,7 +20,7 @@ from react_irs.engine import (
     inner_loop,
     scripted_feedback,
 )
-from react_irs.model import CandidateInstance, DomainError, IntrusionResult
+from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult
 from react_irs.responses import generate_candidates, response_benefit
 from react_irs.selection import make_selector
 from _support import make_event, make_response
@@ -101,6 +101,28 @@ class TestSuccessAdaptation:
         assert twice.benefit.weights() == tuple(
             1.0 * a * b for a, b in zip(d1, d2)
         )
+
+
+class TestWithBenefit:
+    def test_equals_dataclasses_replace_as_a_new_object(self):
+        import dataclasses
+
+        spec = make_response(17, s=100, f=10, o=1, p=0, a=10, weights=(0.5, 1.5, 1.0, 2.0))
+        before, benefit_before = dataclasses.replace(spec), spec.benefit
+        benefit = ImpactVector(10, 1, 0, 0, 0.5, 1.5, 1.0, 2.0)
+        swapped = spec.with_benefit(benefit)
+        replaced = dataclasses.replace(spec, benefit=benefit)
+        assert swapped == replaced and hash(swapped) == hash(replaced)
+        assert swapped is not spec and swapped is not replaced
+        assert swapped.benefit is benefit
+        assert spec == before and spec.benefit is benefit_before
+
+    def test_adaptation_keeps_the_weight_validation(self):
+        # The w_o draw of random.Random(7) is 1.06, so that weight overflows
+        # to inf, which the new ImpactVector rejects.
+        spec = make_response(17, s=100, weights=(1.7e308,) * 4)
+        with pytest.raises(DomainError, match="w_o"):
+            adapt_on_success(spec, random.Random(7))
 
 
 class TestInnerLoop:

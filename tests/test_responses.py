@@ -1,6 +1,14 @@
+import json
+
 import pytest
 
-from react_irs.model import CandidateInstance, CostVector, ImpactVector, Place
+from react_irs.model import (
+    CandidateInstance,
+    CostVector,
+    ImpactVector,
+    IntrusionResult,
+    Place,
+)
 from react_irs.responses import (
     CatalogError,
     effective_cost,
@@ -202,3 +210,72 @@ class TestShippedCatalogs:
         for idx in (21, 27):
             (inst,) = [c for c in cands if c.response.index == idx]
             assert inst.target_asset == "telematics_unit"
+
+
+def _reference_candidates(event, catalog):
+    """Candidate generation written out in full: filter, sort by index,
+    instantiate."""
+    if not any(spec.terminal for spec in catalog):
+        raise CatalogError("catalog is missing the terminal 'No Action' entry")
+    specific = [s for s in catalog if not s.is_general and event.result in s.applicable_results]
+    general = [s for s in catalog if s.is_general]
+    ordered = sorted(specific, key=lambda s: s.index) + sorted(general, key=lambda s: s.index)
+    if not any(spec.terminal for spec in ordered):
+        ordered.append(next(spec for spec in catalog if spec.terminal))
+    candidates = []
+    for spec in ordered:
+        if event.infected_asset == event.affected_asset or spec.place is Place.DESTINATION:
+            targets = [event.affected_asset]
+        elif spec.place is Place.SOURCE:
+            targets = [event.infected_asset]
+        else:
+            targets = [event.infected_asset, event.affected_asset]
+        candidates.extend(CandidateInstance(spec, target) for target in targets)
+    return candidates
+
+
+class TestGenerationMatchesReference:
+    """Every shipped catalog, in file order and reversed, against every
+    intrusion result and every (infected, affected) pair of the shipped
+    architecture's assets, equal pairs included."""
+
+    @pytest.fixture(scope="class")
+    def assets(self, data):
+        doc = json.loads((data / "architecture.json").read_text(encoding="utf-8"))
+        return [asset["id"] for asset in doc["assets"]]
+
+    def _check(self, catalog, assets, where):
+        for result in IntrusionResult:
+            for infected in assets:
+                for affected in assets:
+                    event = make_event(infected=infected, affected=affected, result=result)
+                    got = generate_candidates(event, catalog)
+                    want = _reference_candidates(event, catalog)
+                    case = (*where, result.value, infected, affected)
+                    assert got == want, case
+                    assert all(g.response is w.response for g, w in zip(got, want)), case
+
+    def test_shipped_catalogs(self, data, assets):
+        from react_irs.files import load_catalog
+
+        for path in sorted(data.glob("catalog_*.json")):
+            responses = list(load_catalog(path).responses)
+            self._check(responses, assets, (path.name, "file order"))
+            self._check(responses[::-1], assets, (path.name, "reversed"))
+
+    def test_result_specific_terminal_is_appended_where_it_does_not_apply(self, assets):
+        import dataclasses
+
+        timing = frozenset({IntrusionResult.FALSIFY_ALTER_TIMING})
+        catalog = [
+            make_response(31, terminal=True, is_general=False, applicable=timing),
+            make_response(4, place=Place.BOTH, is_general=False, applicable=timing),
+            make_response(27, place=Place.SOURCE),
+            make_response(2),
+        ]
+        self._check(catalog, assets, ("specific terminal", "file order"))
+        self._check(catalog[::-1], assets, ("specific terminal", "reversed"))
+        unavailability = frozenset({IntrusionResult.SYSTEM_UNAVAILABILITY})
+        second = dataclasses.replace(catalog[0], index=33, applicable_results=unavailability)
+        self._check([*catalog, second], assets, ("two terminals", "file order"))
+        self._check([second, *catalog], assets, ("two terminals", "second first"))
