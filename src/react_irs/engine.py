@@ -19,11 +19,13 @@ orderings (check-all-preconditions-first vs select-first-then-check).
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .model import (
@@ -34,6 +36,7 @@ from .model import (
     IntrusionResult,
     ResponseSpec,
     VehicleState,
+    check_weight,
 )
 from .responses import generate_candidates
 # Read by bench/tracing.py, which patches these names; the hot path reads .total.
@@ -49,6 +52,8 @@ R_MIN, R_MAX = 0.8, 1.2
 
 #: Safety bound on outer-loop iterations.
 DEFAULT_MAX_ITERATIONS = 10
+
+_INDEX = attrgetter("response.index")
 
 # A selector takes (candidates, impact, event) and returns the head
 # SelectionOutcome of its ranking; ``rest`` carries the later outcomes.
@@ -117,10 +122,12 @@ def adapt_on_failure(spec: ResponseSpec) -> ResponseSpec:
     """Decay each benefit level one step (100->10->1->0); weights unchanged.
 
     Level order is preserved: the mapping is monotone, so a metric that
-    dominated before the decay still dominates after it.
+    dominated before the decay still dominates after it.  The decayed
+    levels come from ``FAILURE_DECAY`` and the weights are copied, so the
+    new vector needs no check.
     """
     b = spec.benefit
-    decayed = ImpactVector(
+    decayed = ImpactVector._unchecked(
         FAILURE_DECAY[b.s], FAILURE_DECAY[b.f], FAILURE_DECAY[b.o], FAILURE_DECAY[b.p],
         b.w_s, b.w_f, b.w_o, b.w_p,
     )
@@ -132,14 +139,23 @@ def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
     independent uniform factor in [R_MIN, R_MAX].
 
     The factors compound across repeated successes; each single call stays
-    within [R_MIN * w, R_MAX * w] of the pre-call weight.
+    within [R_MIN * w, R_MAX * w] of the pre-call weight.  The restored
+    levels are valid, and a product of a valid weight and a positive
+    factor is finite unless it overflows, which raises the ``DomainError``
+    naming that weight.
     """
     orig, cur = spec.original_benefit, spec.benefit
-    draws = tuple(rng.uniform(R_MIN, R_MAX) for _ in range(4))
-    adapted = ImpactVector(
-        orig.s, orig.f, orig.o, orig.p,
-        cur.w_s * draws[0], cur.w_f * draws[1], cur.w_o * draws[2], cur.w_p * draws[3],
+    uniform = rng.uniform
+    weights = (
+        cur.w_s * uniform(R_MIN, R_MAX),
+        cur.w_f * uniform(R_MIN, R_MAX),
+        cur.w_o * uniform(R_MIN, R_MAX),
+        cur.w_p * uniform(R_MIN, R_MAX),
     )
+    if math.inf in weights:
+        for name, weight in zip(("w_s", "w_f", "w_o", "w_p"), weights):
+            check_weight(weight, name)
+    adapted = ImpactVector._unchecked(orig.s, orig.f, orig.o, orig.p, *weights)
     return spec.with_benefit(adapted)
 
 
@@ -212,6 +228,9 @@ class Engine:
         self._effects = {int(k): dict(v) for k, v in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], CandidateInstance] = {}
         self._candidates: dict[tuple[IntrusionResult, str, str], list[CandidateInstance]] = {}
+        # The catalog index at each position of each kept set, which
+        # ``_record`` searches with ``list.count`` and ``list.index``.
+        self._indices: dict[tuple[IntrusionResult, str, str], list[int]] = {}
 
     def _candidates_for(self, event: IntrusionEvent) -> list[CandidateInstance]:
         """The event's candidate set; ``generate_candidates`` reads only the
@@ -226,6 +245,7 @@ class Engine:
                     if adapted is not None:
                         candidates[pos] = adapted
             self._candidates[key] = candidates
+            self._indices[key] = list(map(_INDEX, candidates))
         return candidates
 
     def _record(self, spec: ResponseSpec, target: str) -> None:
@@ -236,17 +256,20 @@ class Engine:
         instance = CandidateInstance(spec, target)
         index = spec.index
         self._adapted[index, target] = instance
-        for set_key, candidates in self._candidates.items():
-            positions = [
-                pos
-                for pos, cand in enumerate(candidates)
-                if cand.response.index == index and cand.target_asset == target
-            ]
-            if positions:
-                candidates = list(candidates)
-                for pos in positions:
+        for set_key, indices in self._indices.items():
+            # An index can sit at more than one position: a ``both`` entry
+            # has one per target, and entries that share an index one each.
+            count = indices.count(index)
+            if not count:
+                continue
+            kept = candidates = self._candidates[set_key]
+            pos = -1
+            for _ in range(count):
+                pos = indices.index(index, pos + 1)
+                if kept[pos].target_asset == target:
+                    if candidates is kept:
+                        candidates = self._candidates[set_key] = list(kept)
                     candidates[pos] = instance
-                self._candidates[set_key] = candidates
 
     def run(
         self,

@@ -3,8 +3,7 @@ four-level impact bundles, and response catalog entries.
 
 Impact-style values live on the discrete level scale {0, 1, 10, 100};
 weights are non-negative reals.  All types are immutable values, safe to
-share between threads; a cached ``total`` depends only on its vector's
-fields, so a race at worst computes it twice.
+share between threads.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -13,17 +12,20 @@ attempt, iteration and emitted row (``CandidateInstance`` here,
 ``typing.NamedTuple``s: cheaper to build than frozen dataclasses, whose
 ``__init__`` calls ``object.__setattr__`` per field.  They are immutable
 and hashable, and also equal to a plain tuple of their fields.  The input
-types stay frozen dataclasses: a cached ``total`` needs an instance
-``__dict__``.  Adaptation swaps the benefit of a ``ResponseSpec`` with
-``ResponseSpec.with_benefit``, which copies that ``__dict__`` instead of
-re-running the constructor as ``dataclasses.replace`` would.
+types stay frozen dataclasses.  ``ImpactVector`` and ``CostVector`` are
+slotted, with no instance ``__dict__``, and compute their ``total`` once,
+when they are built; it is left out of ``==``, ``hash`` and ``repr``.
+Adaptation builds its benefit vectors with ``ImpactVector._unchecked``,
+which skips the checks its derived values cannot fail, and swaps the
+benefit of a ``ResponseSpec`` with ``ResponseSpec.with_benefit``, which
+copies the spec's ``__dict__`` instead of re-running the constructor as
+``dataclasses.replace`` would.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .preconditions import Precondition
@@ -45,12 +47,12 @@ def check_level(value: int, what: str = "level") -> int:
 
 def check_weight(value: float, what: str = "weight") -> float:
     """Accept a finite non-negative number.  Rejects bool, non-numbers,
-    infinities and NaN, which fails the range test because every
-    comparison with it is false."""
+    infinities, NaN, which fails the range test because every comparison
+    with it is false, and ints too large to convert to a float."""
     try:
         if 0 <= value < math.inf and type(value) is not bool:
             return float(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     raise DomainError(f"{what} must be a finite non-negative number, got {value!r}")
 
@@ -93,13 +95,16 @@ class Asset:
     kind: AssetKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImpactVector:
     """Safety/financial/operational/privacy levels with their weights.
 
     Used both for intrusion impact parameters and for response benefits.
-    ``total`` is the weighted sum, computed on first read and kept: the
-    vector is immutable, and adaptation builds a new one.
+    ``total`` is the weighted sum, computed once when the vector is built
+    and left out of ``==``, ``hash`` and ``repr``: the vector is immutable,
+    and adaptation builds a new one.  The sum starts at int 0, as
+    ``sum()`` did on Python 3.10 and 3.11, so its type and bits match:
+    int weights give an int total, and four ``-0.0`` products give 0.0.
     """
 
     s: int
@@ -110,22 +115,45 @@ class ImpactVector:
     w_f: float = 1.0
     w_o: float = 1.0
     w_p: float = 1.0
+    total: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("s", "f", "o", "p"):
             check_level(getattr(self, name), name.upper())
         for name in ("w_s", "w_f", "w_o", "w_p"):
             check_weight(getattr(self, name), name)
+        object.__setattr__(
+            self, "total",
+            0 + self.w_s * self.s + self.w_f * self.f + self.w_o * self.o + self.w_p * self.p,
+        )
+
+    @classmethod
+    def _unchecked(
+        cls, s: int, f: int, o: int, p: int, w_s: float, w_f: float, w_o: float, w_p: float
+    ) -> ImpactVector:
+        """A vector built without validation, equal to ``cls(...)`` with the
+        same ``total``.  Only adaptation (``engine.adapt_on_failure`` and
+        ``engine.adapt_on_success``) calls it, with levels and weights that
+        it derived from a valid vector and checked where they could fail.
+        """
+        new = object.__new__(cls)
+        put = object.__setattr__
+        put(new, "s", s)
+        put(new, "f", f)
+        put(new, "o", o)
+        put(new, "p", p)
+        put(new, "w_s", w_s)
+        put(new, "w_f", w_f)
+        put(new, "w_o", w_o)
+        put(new, "w_p", w_p)
+        put(new, "total", 0 + w_s * s + w_f * f + w_o * o + w_p * p)
+        return new
 
     def levels(self) -> tuple[int, int, int, int]:
         return (self.s, self.f, self.o, self.p)
 
     def weights(self) -> tuple[float, float, float, float]:
         return (self.w_s, self.w_f, self.w_o, self.w_p)
-
-    @cached_property
-    def total(self) -> float:
-        return sum(w * v for w, v in zip(self.weights(), self.levels()))
 
 
 @dataclass(frozen=True)
@@ -161,25 +189,25 @@ class IntrusionEvent:
     vehicle: VehicleState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostVector:
     """Availability / performance cost levels of applying a response;
-    ``total`` is the weighted sum, cached like ``ImpactVector.total``."""
+    ``total`` is the weighted sum, computed once when the vector is built
+    and left out of ``==``, ``hash`` and ``repr``, like
+    ``ImpactVector.total``."""
 
     a: int
     perf: int
     w_a: float = 1.0
     w_perf: float = 1.0
+    total: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_level(self.a, "A")
         check_level(self.perf, "Perf")
         check_weight(self.w_a, "w_a")
         check_weight(self.w_perf, "w_perf")
-
-    @cached_property
-    def total(self) -> float:
-        return self.w_a * self.a + self.w_perf * self.perf
+        object.__setattr__(self, "total", self.w_a * self.a + self.w_perf * self.perf)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ the same shape as the intrusion impact:
     cost    c = w_A*A + w_Perf*Perf
     benefit b = w_S*S + w_F*F + w_O*O + w_P*P
 
-Both sums are the vectors' cached ``total``s, so each is computed once
-per vector however often a selection asks for it.  ``response_cost``,
+Both sums are the vectors' ``total``s, computed once when each vector is
+built, however often a selection asks for them.  ``response_cost``,
 ``response_benefit`` and ``effective_cost`` remain the public scoring
 API; the selectors and the inner loop read ``.total`` directly instead,
 one attribute read per score rather than a call.

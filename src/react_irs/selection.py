@@ -267,7 +267,7 @@ def _feasible(
     ]
 
 
-# C-level sort keys over the candidates' catalog index and cached totals.
+# C-level sort keys over the candidates' catalog index and precomputed totals.
 _INDEX = attrgetter("response.index")
 _BENEFIT = attrgetter("response.benefit.total")
 _COST = attrgetter("response.cost.total")

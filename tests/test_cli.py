@@ -187,6 +187,11 @@ def test_unreadable_or_non_object_file_is_validation_error(runner, tmp_path, com
     assert "Traceback" not in result.output
 
 
+# A JSON integer too large for a float: it passes a weight's range test,
+# since an int is below ``math.inf``, and then overflows when converted.
+HUGE = 10**400
+
+
 def _assert_catalog_rejected(runner, tmp_path, doc):
     with pytest.raises(SchemaError):
         parse_catalog(doc)
@@ -209,6 +214,7 @@ class TestBadNumbers:
             ("benefit", "s", True),
             ("cost", "a", True),
             ("benefit", "w_p", True),
+            pytest.param("cost", "w_a", HUGE, id="cost-w_a-huge"),
         ],
     )
     def test_catalog_rejects(self, runner, tmp_path, vector, field, value):
@@ -232,6 +238,7 @@ class TestBadNumbers:
             (1, "stop", {"kind": "after_duration", "seconds": "x"}),
             (1, "stop", {"kind": "after_duration", "seconds": True}),
             (1, "stop", {"kind": "after_duration", "seconds": float("nan")}),
+            pytest.param(1, "stop", {"kind": "after_duration", "seconds": HUGE}, id="1-stop-huge"),
         ],
     )
     def test_catalog_entry_rejects(self, runner, tmp_path, index, field, value):
@@ -262,6 +269,8 @@ class TestBadNumbers:
             ("catalog_ref", 5),
             ("catalog_overrides", {"static:*": 5}),
             ("name", [1]),
+            pytest.param("velocity_kmh", HUGE, id="velocity_kmh-huge"),
+            pytest.param("environment_weight", HUGE, id="environment_weight-huge"),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):

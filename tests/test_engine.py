@@ -20,7 +20,7 @@ from react_irs.engine import (
     inner_loop,
     scripted_feedback,
 )
-from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult
+from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult, Place
 from react_irs.responses import generate_candidates, response_benefit
 from react_irs.selection import make_selector
 from _support import make_event, make_response
@@ -421,6 +421,97 @@ class TestCandidateMemo:
                     assert cand is adapted
                     holders[id(adapted)] = holders.get(id(adapted), 0) + 1
         assert len(engine._candidates) == 3 and max(holders.values()) > 1
+
+
+def _scan_swap(candidates, instance):
+    """A plain scan of the set: every position that holds the instance's
+    (index, target) gets the instance."""
+    key = instance.response.index, instance.target_asset
+    return [instance if (c.response.index, c.target_asset) == key else c for c in candidates]
+
+
+def _same_objects(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class TestRecord:
+    """``Engine._record`` finds positions through each kept set's index
+    list; the result must be what a scan of the set would give."""
+
+    def _write(self, engine, events, position, event=0):
+        """Adapt the instance at ``position`` of ``events[event]``'s set.
+        Returns every kept set before and after the write, and the written
+        instance."""
+        before = [list(engine._candidates_for(e)) for e in events]
+        chosen = before[event][position]
+        engine._record(adapt_on_failure(chosen.response), chosen.target_asset)
+        after = [engine._candidates_for(e) for e in events]
+        return before, after, engine._adapted[chosen.response.index, chosen.target_asset]
+
+    def test_entries_that_share_an_index(self):
+        # The loader rejects a repeated index; the Python API does not.
+        catalog = [
+            make_response(20, s=100),
+            make_response(20, s=10, action="twin"),
+            make_response(31, terminal=True),
+        ]
+        event = make_event(infected="cam", affected="ecu")
+        engine = Engine(catalog, make_selector("lp-max"))
+        (before,), (after,), instance = self._write(engine, [event], 1)
+        assert [(c.response.index, c.target_asset) for c in before] == [
+            (20, "ecu"), (20, "ecu"), (31, "ecu"),
+        ]
+        assert after[0] is instance and after[1] is instance
+        assert _same_objects(after, _scan_swap(before, instance))
+
+    def test_both_entry_swaps_only_the_matching_target(self):
+        catalog = [make_response(20, place=Place.BOTH), make_response(31, terminal=True)]
+        event = make_event(infected="cam", affected="ecu")
+        engine = Engine(catalog, make_selector("lp-max"))
+        (before,), (after,), to_ecu = self._write(engine, [event], 1)
+        assert [(c.response.index, c.target_asset) for c in before] == [
+            (20, "cam"), (20, "ecu"), (31, "ecu"),
+        ]
+        assert after[0] is before[0] and after[1] is to_ecu and after[2] is before[2]
+        (before,), (after,), to_cam = self._write(engine, [event], 0)
+        assert after[0] is to_cam and after[1] is to_ecu and to_cam is not to_ecu
+        assert _same_objects(after, _scan_swap(before, to_cam))
+
+    def test_three_kept_sets(self):
+        catalog = [
+            make_response(20, place=Place.SOURCE),
+            make_response(21, place=Place.BOTH),
+            make_response(31, terminal=True),
+        ]
+        events = [
+            make_event(infected="cam", affected="ecu"),
+            make_event(infected="gw", affected="ecu"),
+            make_event(infected="cam", affected="gw"),
+        ]
+        engine = Engine(catalog, make_selector("lp-max"))
+        kept = [engine._candidates_for(e) for e in events]
+        before, after, instance = self._write(engine, events, 0)  # (20, "cam")
+        assert len(engine._candidates) == 3
+        for old, new in zip(before, after):
+            assert _same_objects(new, _scan_swap(old, instance))
+        # The two sets that hold (20, "cam") are new lists; the one that
+        # holds only (20, "gw") is the same list as before.
+        assert after[0] is not kept[0] and after[2] is not kept[2]
+        assert after[1] is kept[1]
+        before, after, instance = self._write(engine, events, 2, event=2)  # (21, "gw")
+        for old, new in zip(before, after):
+            assert _same_objects(new, _scan_swap(old, instance))
+        assert sum(c is instance for new in after for c in new) == 2
+
+    def test_a_list_handed_to_a_selector_stays_unchanged(self):
+        catalog = [make_response(20, place=Place.BOTH), make_response(31, terminal=True)]
+        event = make_event(infected="cam", affected="ecu")
+        engine = Engine(catalog, make_selector("lp-max"))
+        handed = engine._candidates_for(event)
+        snapshot = list(handed)
+        engine._record(adapt_on_failure(handed[1].response), "ecu")
+        assert _same_objects(handed, snapshot)
+        assert engine._candidates_for(event) is not handed
 
 
 class TestLoopTiming:

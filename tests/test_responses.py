@@ -50,9 +50,9 @@ def _explicit_benefit(b: ImpactVector) -> float:
 
 
 class TestCachedTotals:
-    """The totals are cached on the immutable vectors; reading one must not
-    change what the vector is, and a new vector must never reuse a stale
-    total."""
+    """The totals are computed once, when each immutable vector is built;
+    reading one must not change what the vector is, and a new vector must
+    never reuse a stale total."""
 
     def test_reading_total_keeps_equality_hash_and_repr(self):
         a = ImpactVector(s=100, f=10, o=1, p=0, w_s=0.5)
