@@ -10,6 +10,8 @@ failure; on success the levels are restored and the benefit weights get
 a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 (response index, target asset) instance for the lifetime of the engine.
 
+``Engine.decide`` is the one decision step (impact, candidate set, inner
+loop), and ``Engine.run`` adds the effects, the verdict and adaptation.
 An engine generates each candidate set once per (intrusion result,
 infected asset, affected asset) and keeps it; an adaptation replaces the
 one adapted instance in every kept set when it is written.
@@ -58,6 +60,7 @@ _INDEX = attrgetter("response.index")
 # A selector takes (candidates, impact, event) and returns the head
 # SelectionOutcome of its ranking; ``rest`` carries the later outcomes.
 Selector = Callable[[Sequence[CandidateInstance], float, IntrusionEvent], SelectionOutcome]
+PreconditionPolicy = Callable[[CandidateInstance], bool]
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,17 @@ class Attempt(NamedTuple):
     benefit: float
     precondition_passed: bool
     selection_time_ms: float = 0.0
+
+
+class Decision(NamedTuple):
+    """One ``Engine.decide``; the applied attempt is the last one."""
+
+    chosen: CandidateInstance
+    impact: float
+    candidate_count: int
+    attempts: tuple[Attempt, ...]
+    generation_s: float
+    selection_ms: float
 
 
 class IterationRecord(NamedTuple):
@@ -164,16 +178,16 @@ def inner_loop(
     candidates: Sequence[CandidateInstance],
     selector: Selector,
     facts: Mapping[str, bool],
-    precondition_policy: Callable[[CandidateInstance], bool] | None = None,
+    precondition_policy: PreconditionPolicy | None = None,
 ) -> tuple[CandidateInstance, list[Attempt]]:
     """Select-then-check until a candidate's precondition holds.
 
     The selector runs once; each rejection moves on to the next outcome
     of its ranking (``SelectionOutcome.rest``).  Returns the applicable
     instance and the full attempt record (rejections included).
-    ``precondition_policy`` overrides normal evaluation — the harness uses
-    it to force rejections; the terminal entry is exempt and always
-    passes.
+    ``precondition_policy`` overrides normal evaluation — static mode
+    passes one through ``Engine.decide`` to force rejections; the terminal
+    entry is exempt and always passes.
     """
     impact = event_impact(event)
     # The terminal entry's cost is pegged to the impact (``effective_cost``).
@@ -206,7 +220,7 @@ def inner_loop(
 
 
 class Engine:
-    """One engine instance handles one intrusion sequence.
+    """One engine instance handles one intrusion sequence or harness run.
 
     Keeps the per-instance adaptation state and the seeded RNG; not meant
     to be shared between threads.  Candidates are generated once per
@@ -271,6 +285,20 @@ class Engine:
                         candidates = self._candidates[set_key] = list(kept)
                     candidates[pos] = instance
 
+    def decide(self, event: IntrusionEvent,
+               precondition_policy: PreconditionPolicy | None = None) -> Decision:
+        """``inner_loop`` on the event's kept set, timing the set's lookup or
+        generation and the loop; nothing is applied or adapted."""
+        impact = event_impact(event)
+        t0 = time.perf_counter()
+        candidates = self._candidates_for(event)
+        t1 = time.perf_counter()
+        chosen, attempts = inner_loop(
+            event, candidates, self._selector, event.vehicle.facts, precondition_policy
+        )
+        selection_ms = (time.perf_counter() - t1) * 1000.0
+        return Decision(chosen, impact, len(candidates), tuple(attempts), t1 - t0, selection_ms)
+
     def run(
         self,
         initial_event: IntrusionEvent,
@@ -282,13 +310,7 @@ class Engine:
         trace = EngineTrace()
         event = initial_event
         for iteration in range(1, max_iterations + 1):
-            impact = event_impact(event)
-            candidates = self._candidates_for(event)
-            t0 = time.perf_counter()
-            chosen, attempts = inner_loop(
-                event, candidates, self._selector, event.vehicle.facts
-            )
-            selection_ms = (time.perf_counter() - t0) * 1000.0
+            chosen, impact, count, attempts, _, selection_ms = self.decide(event)
 
             event = self._apply_effects(event, chosen)
             verdict = feedback(iteration, chosen)
@@ -297,8 +319,8 @@ class Engine:
             )
 
             trace.records.append(IterationRecord(
-                iteration, event.vehicle.velocity_kmh, impact, len(candidates),
-                tuple(attempts), attempts[-1], verdict_name,
+                iteration, event.vehicle.velocity_kmh, impact, count,
+                attempts, attempts[-1], verdict_name,
                 adapted_spec.benefit.weights(), adapted_spec.benefit.levels(),
                 selection_ms,
             ))

@@ -111,15 +111,17 @@ def _flags(doc: Any, context: str) -> dict[str, bool]:
 def parse_architecture(doc: Mapping[str, Any]) -> dict[str, Asset]:
     _check_header(doc, "architecture", "architecture")
     assets: dict[str, Asset] = {}
-    for entry in _list(_require(doc, "assets", "architecture"), "architecture.assets"):
-        entry = _object(entry, "asset")
+    entries = _list(_require(doc, "assets", "architecture"), "architecture.assets")
+    for i, entry in enumerate(entries):
+        context = f"architecture.assets[{i}]"
+        entry = _object(entry, context)
         asset = Asset(
-            id=_str(_require(entry, "id", "asset"), "asset.id"),
-            name=_str(entry.get("name", entry["id"]), "asset.name"),
-            kind=_enum(AssetKind, _require(entry, "kind", "asset"), "asset.kind"),
+            id=_str(_require(entry, "id", context), f"{context}.id"),
+            name=_str(entry.get("name", entry["id"]), f"{context}.name"),
+            kind=_enum(AssetKind, _require(entry, "kind", context), f"{context}.kind"),
         )
         if asset.id in assets:
-            raise SchemaError(f"duplicate asset id {asset.id!r}")
+            raise SchemaError(f"{context}.id: duplicate asset id {asset.id!r}")
         assets[asset.id] = asset
     return assets
 

@@ -1,13 +1,13 @@
 """Scenario runner: the evaluation modes behind the CLI.
 
-Three experiment shapes:
+Three experiment shapes, each deciding through one ``Engine``:
 
-* static quality — every precondition is forced to "rejected" so the
-  selection strategy drains the whole candidate set; the resulting
+* static quality — ``Engine.decide`` with every precondition forced to
+  "rejected", so the strategy drains the whole candidate set; the
   sequence ranks the catalog from the strategy's point of view.
-* dynamic — the feedback loop with a scripted verdict (always-success or
-  always-failure) showing parameter adaptation over iterations.
-* velocity sweep — impact and first selection at several velocities.
+* dynamic — ``Engine.run``, the feedback loop with a scripted verdict
+  (always-success or always-failure) adapting over iterations.
+* velocity sweep — ``Engine.decide`` at several velocities.
 
 Reports emit as JSONL (one record per selection) or as CSV, the fixed
 projection of those records onto ``CSV_COLUMNS``; with timings
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
@@ -28,14 +27,15 @@ from .engine import (
     Engine,
     always_failure_script,
     always_success_script,
-    inner_loop,
     scripted_feedback,
 )
 from .files import Scenario, load_catalog
 from .model import DomainError
+from .selection import SawConfig, make_selector
+# Read by bench/tracing.py, which patches these names; decisions go through Engine.
+from .engine import inner_loop
 from .responses import generate_candidates
 from .risk import event_impact
-from .selection import SawConfig, make_selector
 
 CSV_COLUMNS = (
     "step",
@@ -89,6 +89,14 @@ def _peak_memory_bytes() -> int | None:
         return None
 
 
+def _engine(scenario: Scenario, mode: str, algorithm: str, saw_cfg: SawConfig | None,
+            seed: int = 7) -> Engine:
+    """The one engine a harness run decides through."""
+    catalog = load_catalog(scenario.catalog_path(mode, algorithm))
+    return Engine(catalog.responses, make_selector(algorithm, saw_cfg),
+                  AdaptationConfig(rng_seed=seed), scenario.effects)
+
+
 def run_static_quality(
     scenario: Scenario, algorithm: str, saw_cfg: SawConfig | None = None
 ) -> RunReport:
@@ -98,32 +106,16 @@ def run_static_quality(
     is the strategy's complete ranking of the catalog, ending at the
     terminal.
     """
-    event = scenario.event()
-    catalog = load_catalog(scenario.catalog_path("static", algorithm))
-    selector = make_selector(algorithm, saw_cfg)
-
-    t0 = time.perf_counter()
-    candidates = generate_candidates(event, catalog.responses)
-    generation_s = time.perf_counter() - t0
-
-    _, attempts = inner_loop(
-        event,
-        candidates,
-        selector,
-        facts=event.vehicle.facts,
-        precondition_policy=lambda candidate: False,
-    )
-    impact = event_impact(event)
+    engine = _engine(scenario, "static", algorithm, saw_cfg)
+    decision = engine.decide(scenario.event(), precondition_policy=lambda candidate: False)
+    impact = decision.impact
     return RunReport(
-        mode="static",
-        algorithm=algorithm,
-        scenario=scenario.name,
-        impact=impact,
+        mode="static", algorithm=algorithm, scenario=scenario.name, impact=impact,
         selections=[
             _row(step, attempt, impact, attempt.selection_time_ms)
-            for step, attempt in enumerate(attempts, start=1)
+            for step, attempt in enumerate(decision.attempts, start=1)
         ],
-        list_generation_time_s=generation_s,
+        list_generation_time_s=decision.generation_s,
         peak_memory_bytes=_peak_memory_bytes(),
     )
 
@@ -146,8 +138,7 @@ def run_dynamic(
         raise DomainError(f"iterations must be >= 1, got {iterations!r}")
     mode = f"dynamic-{'fail' if verdict == 'failure' else verdict}"
     event = scenario.event()
-    catalog = load_catalog(scenario.catalog_path(mode, algorithm))
-    selector = make_selector(algorithm, saw_cfg)
+    engine = _engine(scenario, mode, algorithm, saw_cfg, seed)
 
     if verdict == "success":
         script = always_success_script(event, iterations)
@@ -156,19 +147,10 @@ def run_dynamic(
     else:
         raise DomainError(f"unknown verdict {verdict!r} (expected success or failure)")
 
-    engine = Engine(
-        catalog.responses,
-        selector,
-        adaptation=AdaptationConfig(rng_seed=seed),
-        effects=scenario.effects,
-    )
     trace = engine.run(event, scripted_feedback(script), max_iterations=iterations)
 
     return RunReport(
-        mode=mode,
-        algorithm=algorithm,
-        scenario=scenario.name,
-        impact=trace.records[0].impact if trace.records else 0.0,
+        mode=mode, algorithm=algorithm, scenario=scenario.name, impact=trace.records[0].impact,
         selections=[
             _row(r.iteration, r.applied, r.impact, r.selection_time_ms)
             for r in trace.records
@@ -184,33 +166,22 @@ def run_velocity_sweep(
     velocities: Sequence[float] = (0.0, 50.0, 100.0),
     saw_cfg: SawConfig | None = None,
 ) -> list[RunReport]:
-    """Impact and first applicable selection at each velocity."""
+    """Impact and first applicable selection at each velocity.  The set does
+    not depend on the velocity, so only the first decision generates it and
+    only the first report carries ``list_generation_time_s``."""
     if not velocities:
         raise DomainError("velocities must be non-empty")
-    catalog = load_catalog(scenario.catalog_path("velocity-sweep", algorithm))
-    selector = make_selector(algorithm, saw_cfg)
+    engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)
     reports = []
     for velocity in velocities:
-        event = scenario.event(velocity_kmh=velocity)
-        t0 = time.perf_counter()
-        candidates = generate_candidates(event, catalog.responses)
-        generation_s = time.perf_counter() - t0
-        _, attempts = inner_loop(event, candidates, selector, event.vehicle.facts)
-        applied = attempts[-1]
-        impact = event_impact(event)
-        reports.append(
-            RunReport(
-                mode="velocity-sweep",
-                algorithm=algorithm,
-                scenario=scenario.name,
-                impact=impact,
-                selections=[
-                    _row(1, applied, impact, applied.selection_time_ms, float(velocity))
-                ],
-                list_generation_time_s=generation_s,
-                peak_memory_bytes=_peak_memory_bytes(),
-            )
-        )
+        decision = engine.decide(scenario.event(velocity_kmh=velocity))
+        applied, impact = decision.attempts[-1], decision.impact
+        reports.append(RunReport(
+            mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name, impact=impact,
+            selections=[_row(1, applied, impact, applied.selection_time_ms, float(velocity))],
+            list_generation_time_s=None if reports else decision.generation_s,
+            peak_memory_bytes=_peak_memory_bytes(),
+        ))
     return reports
 
 

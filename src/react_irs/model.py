@@ -48,9 +48,10 @@ def check_level(value: int, what: str = "level") -> int:
 def check_weight(value: float, what: str = "weight") -> float:
     """Accept a finite non-negative number.  Rejects bool, non-numbers,
     infinities, NaN, which fails the range test because every comparison
-    with it is false, and ints too large to convert to a float."""
+    with it is false, ``-0.0``, which passes it, and ints too large to
+    convert to a float."""
     try:
-        if 0 <= value < math.inf and type(value) is not bool:
+        if 0 <= value < math.inf and type(value) is not bool and math.copysign(1, value) > 0:
             return float(value)
     except (TypeError, OverflowError):
         pass
@@ -104,7 +105,7 @@ class ImpactVector:
     and left out of ``==``, ``hash`` and ``repr``: the vector is immutable,
     and adaptation builds a new one.  The sum starts at int 0, as
     ``sum()`` did on Python 3.10 and 3.11, so its type and bits match:
-    int weights give an int total, and four ``-0.0`` products give 0.0.
+    int weights give an int total.
     """
 
     s: int

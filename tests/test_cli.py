@@ -124,7 +124,7 @@ class TestRun:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("velocities", ["nan", "inf", "0,-5"])
+    @pytest.mark.parametrize("velocities", ["nan", "inf", "0,-5", "0,-0"])
     def test_bad_velocity_is_usage_error(self, runner, velocities):
         result = runner.invoke(
             main,
@@ -197,8 +197,9 @@ def _assert_catalog_rejected(runner, tmp_path, doc):
         parse_catalog(doc)
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["validate", str(path)])
-    assert result.exit_code == 2, result.output
+    for args in (["validate", str(path)], ["catalog", "list", "--catalog", str(path)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
 
 
 class TestBadNumbers:
@@ -215,6 +216,8 @@ class TestBadNumbers:
             ("cost", "a", True),
             ("benefit", "w_p", True),
             pytest.param("cost", "w_a", HUGE, id="cost-w_a-huge"),
+            pytest.param("cost", "w_a", -0.0, id="cost-w_a-negative-zero"),
+            pytest.param("benefit", "w_s", -0.0, id="benefit-w_s-negative-zero"),
         ],
     )
     def test_catalog_rejects(self, runner, tmp_path, vector, field, value):
@@ -271,6 +274,8 @@ class TestBadNumbers:
             ("name", [1]),
             pytest.param("velocity_kmh", HUGE, id="velocity_kmh-huge"),
             pytest.param("environment_weight", HUGE, id="environment_weight-huge"),
+            pytest.param("velocity_kmh", -0.0, id="velocity_kmh-negative-zero"),
+            pytest.param("environment_weight", -0.0, id="environment_weight-negative-zero"),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):

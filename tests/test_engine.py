@@ -22,8 +22,21 @@ from react_irs.engine import (
 )
 from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult, Place
 from react_irs.responses import generate_candidates, response_benefit
+from react_irs.risk import event_impact
 from react_irs.selection import make_selector
 from _support import make_event, make_response
+
+
+def _untimed(attempts):
+    return [a._replace(selection_time_ms=0.0) for a in attempts]
+
+
+def _untimed_record(record):
+    return record._replace(
+        attempts=tuple(_untimed(record.attempts)),
+        applied=record.applied._replace(selection_time_ms=0.0),
+        selection_time_ms=0.0,
+    )
 
 
 class TestFailureAdaptation:
@@ -176,6 +189,14 @@ class TestInnerLoop:
         )
         assert chosen.response.terminal
         assert [a.response_index for a in attempts] == [17, 30, 31]
+        # ``Engine.decide`` passes the policy through to the same drain.
+        engine = Engine(self._catalog(), make_selector("lp-max"))
+        decision = engine.decide(event, precondition_policy=lambda cand: False)
+        assert decision.chosen == chosen
+        assert decision.impact == event_impact(event)
+        assert decision.candidate_count == 3
+        assert _untimed(decision.attempts) == _untimed(attempts)
+        assert decision.generation_s >= 0.0 and decision.selection_ms >= 0.0
 
     def test_terminal_is_exempt_from_policy(self):
         event = make_event()
@@ -385,8 +406,16 @@ class TestCandidateMemo:
             seed = rng.randrange(2**31)
             engine = Engine(catalog, selector, adaptation=AdaptationConfig(rng_seed=seed))
             trace = engine.run(first, scripted_feedback(verdicts), len(verdicts))
-            got = [[a._replace(selection_time_ms=0.0) for a in r.attempts] for r in trace.records]
+            got = [_untimed(r.attempts) for r in trace.records]
             assert got == _from_scratch(catalog, selector, seed, first, verdicts, stats)
+            # Deciding first, on the run's own key and on another, adapts
+            # nothing, so the run that follows records the same trace.
+            decided = Engine(catalog, selector, adaptation=AdaptationConfig(rng_seed=seed))
+            decided.decide(first)
+            decided.decide(_random_event(random.Random(seed)), precondition_policy=lambda cand: False)
+            assert not decided._adapted
+            again = decided.run(first, scripted_feedback(verdicts), len(verdicts))
+            assert list(map(_untimed_record, again.records)) == list(map(_untimed_record, trace.records))
         assert stats["revisits"] > 0 and stats["cross_key"] > 0
 
     def test_a_set_handed_to_the_selector_never_changes(self, generic_catalog):

@@ -86,6 +86,31 @@ class TestArchitecture:
         with pytest.raises(SchemaError):
             parse_architecture(doc)
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"id": "y", "kind": "toaster"},
+             "architecture.assets[1].kind: 'toaster' is not one of: sensor, ecu, gateway, bus"),
+            ({"kind": "ecu"}, "architecture.assets[1]: missing required field 'id'"),
+            ({"id": 5, "kind": "ecu"}, "architecture.assets[1].id: expected a string, got 5"),
+            ({"id": "y", "name": [1], "kind": "ecu"},
+             "architecture.assets[1].name: expected a string, got [1]"),
+            ({"id": "y"}, "architecture.assets[1]: missing required field 'kind'"),
+            ("y", "architecture.assets[1]: expected a JSON object, got 'y'"),
+            ({"id": "x", "kind": "bus"}, "architecture.assets[1].id: duplicate asset id 'x'"),
+        ],
+        ids=["kind", "no-id", "id-type", "name-type", "no-kind", "not-object", "duplicate-id"],
+    )
+    def test_errors_name_the_asset_position(self, second, message):
+        doc = {
+            "schema_version": 1,
+            "kind": "architecture",
+            "assets": [{"id": "x", "kind": "ecu"}, second, {"id": "z", "kind": "bus"}],
+        }
+        with pytest.raises(SchemaError) as info:
+            parse_architecture(doc)
+        assert str(info.value) == message
+
 
 class TestCatalog:
     def test_minimal_doc_parses(self):
@@ -188,10 +213,16 @@ class TestScenario:
 
 
 class TestValidateAndResolve:
-    def test_validate_reports_kind(self, data):
-        assert validate_file(data / "architecture.json") == "architecture"
-        assert validate_file(data / "catalog_generic.json") == "catalog"
-        assert validate_file(data / "scenario1.json") == "scenario"
+    @pytest.mark.parametrize(
+        "path", sorted(data_dir().glob("*.json")), ids=lambda path: path.name
+    )
+    def test_validate_reports_kind(self, path):
+        """Every shipped document validates, as the kind its name says."""
+        if path.name == "architecture.json":
+            kind = "architecture"
+        else:
+            kind = "catalog" if path.name.startswith("catalog") else "scenario"
+        assert validate_file(path) == kind
 
     def test_validate_rejects_non_json(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -221,10 +252,6 @@ class TestValidateAndResolve:
     def test_resolve_unknown_name(self):
         with pytest.raises(SchemaError):
             resolve_scenario_ref("no_such_scenario")
-
-    def test_all_shipped_files_validate(self, data):
-        for path in sorted(data.glob("*.json")):
-            assert validate_file(path) in ("architecture", "catalog", "scenario")
 
 
 @pytest.mark.parametrize(

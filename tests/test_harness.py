@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+import react_irs.engine as engine
 from react_irs.files import data_dir, load_catalog, load_scenario
 from react_irs.harness import (
     CSV_COLUMNS,
@@ -21,6 +23,13 @@ from _reference import static_series
 from _support import fixture_rows, load_expected, make_event, make_response, report_rows
 
 ALGOS = ("lp-max", "lp-min", "saw")
+
+
+def _untimed(report):
+    rows = [row._replace(selection_time_ms=0.0) for row in report.selections]
+    return dataclasses.replace(
+        report, selections=rows, list_generation_time_s=None, peak_memory_bytes=None
+    )
 
 
 class TestStaticQuality:
@@ -146,6 +155,27 @@ class TestVelocitySweep:
         reports = run_velocity_sweep(scenario1, "lp-max", velocities=(0, 30, 75, 120))
         assert len(reports) == 4
         assert [r.impact for r in reports] == [200.0, 201.0, 300.0, 300.0]
+
+    @pytest.mark.parametrize("fixture", ["scenario1", "scenario2"])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_one_generation_per_sweep(self, request, monkeypatch, fixture, algo):
+        """The sweep's one engine generates its set once; each report equals
+        the one a fresh engine gives at that velocity alone."""
+        scenario = request.getfixturevalue(fixture)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return generate_candidates(*args)
+
+        monkeypatch.setattr(engine, "generate_candidates", counted)
+        velocities = (0.0, 30.0, 75.0, 120.0)
+        reports = run_velocity_sweep(scenario, algo, velocities)
+        assert len(calls) == 1
+        assert [r.list_generation_time_s is None for r in reports] == [False, True, True, True]
+        fresh = [run_velocity_sweep(scenario, algo, (v,))[0] for v in velocities]
+        assert len(calls) == 1 + len(velocities)
+        assert list(map(_untimed, reports)) == list(map(_untimed, fresh))
 
     def test_empty_velocities_rejected(self, scenario1):
         with pytest.raises(DomainError):

@@ -31,7 +31,7 @@ class TestVelocityBands:
         with pytest.raises(DomainError):
             environment_from_velocity(-0.1)
 
-    @pytest.mark.parametrize("velocity", [float("nan"), float("inf"), -5.0, True, "fast"])
+    @pytest.mark.parametrize("velocity", [float("nan"), float("inf"), -5.0, -0.0, True, "fast"])
     def test_vehicle_state_rejects_bad_velocity(self, velocity):
         with pytest.raises(DomainError):
             VehicleState(velocity_kmh=velocity)
