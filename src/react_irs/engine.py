@@ -11,7 +11,8 @@ a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 (response index, target asset) instance for the lifetime of the engine.
 
 ``Engine.decide`` is the one decision step (impact, candidate set, inner
-loop), and ``Engine.run`` adds the effects, the verdict and adaptation.
+loop) and returns a plain tuple, which ``Engine.run`` unpacks and extends
+with the effects, the verdict and adaptation.
 An engine generates each candidate set once per (intrusion result,
 infected asset, affected asset) and keeps it; an adaptation replaces the
 one adapted instance in every kept set when it is written.
@@ -103,17 +104,6 @@ class Attempt(NamedTuple):
     selection_time_ms: float = 0.0
 
 
-class Decision(NamedTuple):
-    """One ``Engine.decide``; the applied attempt is the last one."""
-
-    chosen: CandidateInstance
-    impact: float
-    candidate_count: int
-    attempts: tuple[Attempt, ...]
-    generation_s: float
-    selection_ms: float
-
-
 class IterationRecord(NamedTuple):
     iteration: int
     velocity_kmh: float
@@ -183,8 +173,8 @@ def inner_loop(
     """Select-then-check until a candidate's precondition holds.
 
     The selector runs once; each rejection moves on to the next outcome
-    of its ranking (``SelectionOutcome.rest``).  Returns the applicable
-    instance and the full attempt record (rejections included).
+    of its ranking, which the head outcome's ``rest`` yields.  Returns the
+    applicable instance and the full attempt record (rejections included).
     ``precondition_policy`` overrides normal evaluation — static mode
     passes one through ``Engine.decide`` to force rejections; the terminal
     entry is exempt and always passes.
@@ -285,10 +275,17 @@ class Engine:
                         candidates = self._candidates[set_key] = list(kept)
                     candidates[pos] = instance
 
-    def decide(self, event: IntrusionEvent,
-               precondition_policy: PreconditionPolicy | None = None) -> Decision:
+    def decide(
+        self, event: IntrusionEvent, precondition_policy: PreconditionPolicy | None = None
+    ) -> tuple[CandidateInstance, float, int, tuple[Attempt, ...], float, float]:
         """``inner_loop`` on the event's kept set, timing the set's lookup or
-        generation and the loop; nothing is applied or adapted."""
+        generation and the loop; nothing is applied or adapted.
+
+        Returns ``(chosen, impact, candidate_count, attempts, generation_s,
+        selection_ms)``: the applied instance, the event's impact, the set's
+        size, every attempt (the applied one last), and the seconds the
+        set's lookup or generation took and the milliseconds of the loop.
+        """
         impact = event_impact(event)
         t0 = time.perf_counter()
         candidates = self._candidates_for(event)
@@ -297,7 +294,7 @@ class Engine:
             event, candidates, self._selector, event.vehicle.facts, precondition_policy
         )
         selection_ms = (time.perf_counter() - t1) * 1000.0
-        return Decision(chosen, impact, len(candidates), tuple(attempts), t1 - t0, selection_ms)
+        return chosen, impact, len(candidates), tuple(attempts), t1 - t0, selection_ms
 
     def run(
         self,

@@ -107,15 +107,16 @@ def run_static_quality(
     terminal.
     """
     engine = _engine(scenario, "static", algorithm, saw_cfg)
-    decision = engine.decide(scenario.event(), precondition_policy=lambda candidate: False)
-    impact = decision.impact
+    _, impact, _, attempts, generation_s, _ = engine.decide(
+        scenario.event(), precondition_policy=lambda candidate: False
+    )
     return RunReport(
         mode="static", algorithm=algorithm, scenario=scenario.name, impact=impact,
         selections=[
             _row(step, attempt, impact, attempt.selection_time_ms)
-            for step, attempt in enumerate(decision.attempts, start=1)
+            for step, attempt in enumerate(attempts, start=1)
         ],
-        list_generation_time_s=decision.generation_s,
+        list_generation_time_s=generation_s,
         peak_memory_bytes=_peak_memory_bytes(),
     )
 
@@ -174,12 +175,14 @@ def run_velocity_sweep(
     engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)
     reports = []
     for velocity in velocities:
-        decision = engine.decide(scenario.event(velocity_kmh=velocity))
-        applied, impact = decision.attempts[-1], decision.impact
+        _, impact, _, attempts, generation_s, _ = engine.decide(
+            scenario.event(velocity_kmh=velocity)
+        )
+        applied = attempts[-1]
         reports.append(RunReport(
             mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name, impact=impact,
             selections=[_row(1, applied, impact, applied.selection_time_ms, float(velocity))],
-            list_generation_time_s=None if reports else decision.generation_s,
+            list_generation_time_s=None if reports else generation_s,
             peak_memory_bytes=_peak_memory_bytes(),
         ))
     return reports

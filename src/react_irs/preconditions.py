@@ -9,9 +9,11 @@ Grammar (precedence NOT > AND > OR)::
     atom  := "true" | "false" | IDENT | "(" expr ")"
     IDENT := [a-z_][a-z0-9_]*
 
-Fact names that are missing from the fact map evaluate to ``false``
-(fail-closed): a response whose prerequisites cannot be verified must not
-be applied.
+A precondition holds at most ``MAX_TOKENS`` tokens, which bounds both the
+parser's recursion and the height of the tree.  Each node of the tree
+evaluates itself against a fact map.  Fact names that are missing from
+the fact map evaluate to ``false`` (fail-closed): a response whose
+prerequisites cannot be verified must not be applied.
 """
 from __future__ import annotations
 
@@ -20,35 +22,56 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 
+#: Most tokens one precondition may hold; the longest shipped or benchmark
+#: precondition has 8.
+MAX_TOKENS = 128
+
+
 class PreconditionError(ValueError):
-    """Raised for expressions that do not match the grammar."""
+    """Raised for expressions that do not match the grammar or exceed
+    ``MAX_TOKENS``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: bool
 
+    def evaluate(self, facts: Mapping[str, bool]) -> bool:
+        return self.value
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Fact:
     name: str
 
+    def evaluate(self, facts: Mapping[str, bool]) -> bool:
+        return bool(facts.get(self.name, False))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: "Expr"
 
+    def evaluate(self, facts: Mapping[str, bool]) -> bool:
+        return not self.operand.evaluate(facts)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Expr"
     right: "Expr"
 
+    def evaluate(self, facts: Mapping[str, bool]) -> bool:
+        return self.left.evaluate(facts) and self.right.evaluate(facts)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Expr"
     right: "Expr"
+
+    def evaluate(self, facts: Mapping[str, bool]) -> bool:
+        return self.left.evaluate(facts) or self.right.evaluate(facts)
 
 
 Expr = Union[Lit, Fact, Not, And, Or]
@@ -62,10 +85,11 @@ def tokenize(text: str) -> list[str]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
             raise PreconditionError(
-                f"unexpected character {text[pos:].lstrip()[0]!r} at offset {pos}"
+                f"unexpected character {rest[0]!r} at offset {len(text) - len(rest)}"
             )
         tokens.append(m.group(1) or m.group(2))
         pos = m.end()
@@ -124,27 +148,14 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
-    parser = _Parser(tokenize(text))
+    tokens = tokenize(text)
+    if len(tokens) > MAX_TOKENS:
+        raise PreconditionError(f"{len(tokens)} tokens, more than the {MAX_TOKENS} allowed")
+    parser = _Parser(tokens)
     node = parser.parse_or()
     if parser.peek() is not None:
         raise PreconditionError(f"trailing input starting at {parser.peek()!r}")
     return node
-
-
-def evaluate(expr: Expr, facts: Mapping[str, bool]) -> bool:
-    """Evaluate an expression tree against a fact map (missing facts are false)."""
-    match expr:
-        case Lit(value):
-            return value
-        case Fact(name):
-            return bool(facts.get(name, False))
-        case Not(operand):
-            return not evaluate(operand, facts)
-        case And(left, right):
-            return evaluate(left, facts) and evaluate(right, facts)
-        case Or(left, right):
-            return evaluate(left, facts) or evaluate(right, facts)
-    raise PreconditionError(f"malformed expression node: {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -158,4 +169,4 @@ class Precondition:
         return cls(tree=parse_expr(text))
 
     def evaluate(self, facts: Mapping[str, bool]) -> bool:
-        return evaluate(self.tree, facts)
+        return self.tree.evaluate(facts)

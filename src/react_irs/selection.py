@@ -15,7 +15,8 @@ Three strategies plus a test oracle:
 
 Each strategy ranks a set once: it returns the first outcome, and that
 outcome's ``rest`` yields the later ones, each equal to selecting again
-without the earlier choices.
+without the earlier choices.  Only the first outcome carries the rest of
+the ranking; the later ones have an empty ``rest``.
 
 Ties break by lowest catalog index, then by candidate-set position
 (which places the infected-asset instance before the affected-asset one).
@@ -61,14 +62,15 @@ class SelectionOutcome(NamedTuple):
     for SAW, objective value for the optimizers), how many candidates were
     feasible/eligible, and whether the fallback path produced the choice.
 
-    ``rest`` iterates over the later outcomes of the same ranking: each is
-    the choice the selector would make with every earlier choice removed.
-    Every outcome of one ranking shares that iterator; by default it is
-    one shared, empty iterator.
+    On the first outcome a selector returns, ``rest`` iterates over the
+    later outcomes of the same ranking: each is the choice the selector
+    would make with every earlier choice removed.  Those later outcomes
+    keep the default ``rest``, one shared, empty iterator: only the first
+    outcome continues the ranking.
 
-    ``rest`` is a compared field, like every field of a tuple: outcomes of
-    different rankings differ even when they make the same choice.  To
-    compare choices, compare ``outcome[:4]``."""
+    ``rest`` is a compared field, like every field of a tuple: first
+    outcomes of different rankings differ even when they make the same
+    choice.  To compare choices, compare ``outcome[:4]``."""
 
     chosen: CandidateInstance
     score: float
@@ -77,26 +79,11 @@ class SelectionOutcome(NamedTuple):
     rest: Iterator[SelectionOutcome] = iter(())
 
 
-class _Ranking:
-    """Iterator of ``SelectionOutcome``s over (chosen, score,
-    feasible_count, fallback) steps; each outcome's ``rest`` is the
-    ranking itself."""
-
-    __slots__ = ("_steps",)
-
-    def __init__(self, steps: Iterator[tuple[CandidateInstance, float, int, bool]]):
-        self._steps = steps
-
-    def __iter__(self) -> _Ranking:
-        return self
-
-    def __next__(self) -> SelectionOutcome:
-        chosen, score, feasible_count, fallback = next(self._steps)
-        return SelectionOutcome(chosen, score, feasible_count, fallback, self)
-
-
-def _head(steps: Iterator[tuple[CandidateInstance, float, int, bool]]) -> SelectionOutcome:
-    return next(_Ranking(steps))
+def _head(steps: Iterator[SelectionOutcome]) -> SelectionOutcome:
+    """The first outcome of a ranking, with the rest of ``steps`` as its
+    ``rest``."""
+    chosen, score, feasible_count, fallback, _ = next(steps)
+    return SelectionOutcome(chosen, score, feasible_count, fallback, steps)
 
 
 def saw_preferences(
@@ -158,7 +145,7 @@ def _saw_steps(
     bound: float,
     cfg: SawConfig,
     impact: float,
-) -> Iterator[tuple[CandidateInstance, float, int, bool]]:
+) -> Iterator[SelectionOutcome]:
     """The SAW choice among the candidates not yet chosen, step by step.
 
     Each step is the Threshold Algorithm (Fagin, Lotem & Naor, PODS 2001)
@@ -214,12 +201,12 @@ def _saw_steps(
             if best >= 0 and w_benefit * benefits[i] / max_b + cost_num / costs[j] < best_p:
                 break
         if unbounded:
-            yield candidates[best], best_p, 0, True
+            yield SelectionOutcome(candidates[best], best_p, 0, True)
         elif best >= 0:
-            yield candidates[best], best_p, len(by_benefit) - ineligible, False
+            yield SelectionOutcome(candidates[best], best_p, len(by_benefit) - ineligible, False)
         else:
             best = fallback
-            yield candidates[best], fallback_p, 0, True
+            yield SelectionOutcome(candidates[best], fallback_p, 0, True)
         del by_benefit[by_benefit.index(best)]
         del by_cost[by_cost.index(best)]
 
@@ -300,10 +287,10 @@ def _lp_steps(
     ranked: list[CandidateInstance],
     score: Callable[[CandidateInstance], float],
     fallback_score: float,
-) -> Iterator[tuple[CandidateInstance, float, int, bool]]:
+) -> Iterator[SelectionOutcome]:
     for step, chosen in enumerate(ranked):
-        yield chosen, score(chosen), len(ranked) - step, False
-    yield _terminal(candidates), fallback_score, 0, True
+        yield SelectionOutcome(chosen, score(chosen), len(ranked) - step, False)
+    yield SelectionOutcome(_terminal(candidates), fallback_score, 0, True)
 
 
 def lp_select_max_benefit(

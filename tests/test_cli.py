@@ -242,6 +242,10 @@ class TestBadNumbers:
             (1, "stop", {"kind": "after_duration", "seconds": True}),
             (1, "stop", {"kind": "after_duration", "seconds": float("nan")}),
             pytest.param(1, "stop", {"kind": "after_duration", "seconds": HUGE}, id="1-stop-huge"),
+            pytest.param(1, "precondition", "!" * 5000 + "a", id="1-precondition-deep-not"),
+            pytest.param(1, "precondition", "(" * 5000 + "a" + ")" * 5000,
+                         id="1-precondition-deep-parens"),
+            pytest.param(1, "precondition", " && ".join(["a"] * 3000), id="1-precondition-long-and"),
         ],
     )
     def test_catalog_entry_rejects(self, runner, tmp_path, index, field, value):

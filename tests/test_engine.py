@@ -192,11 +192,13 @@ class TestInnerLoop:
         # ``Engine.decide`` passes the policy through to the same drain.
         engine = Engine(self._catalog(), make_selector("lp-max"))
         decision = engine.decide(event, precondition_policy=lambda cand: False)
-        assert decision.chosen == chosen
-        assert decision.impact == event_impact(event)
-        assert decision.candidate_count == 3
-        assert _untimed(decision.attempts) == _untimed(attempts)
-        assert decision.generation_s >= 0.0 and decision.selection_ms >= 0.0
+        assert type(decision) is tuple and len(decision) == 6
+        decided, impact, count, decided_attempts, generation_s, selection_ms = decision
+        assert decided == chosen
+        assert impact == event_impact(event)
+        assert count == 3
+        assert _untimed(decided_attempts) == _untimed(attempts)
+        assert generation_s >= 0.0 and selection_ms >= 0.0
 
     def test_terminal_is_exempt_from_policy(self):
         event = make_event()

@@ -1,6 +1,7 @@
 """The slotted value types: ``ImpactVector`` and ``CostVector`` compute
 their ``total`` once, when they are built, and adaptation builds its
-vectors without re-validating them."""
+vectors without re-validating them.  The precondition nodes are slotted
+too."""
 import dataclasses
 import random
 import struct
@@ -13,6 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from react_irs.engine import R_MAX, R_MIN, adapt_on_failure, adapt_on_success
 from react_irs.model import LEVELS, CostVector, DomainError, ImpactVector
+from react_irs.preconditions import And, Fact, Lit, Not, Or
 from _support import make_response
 
 levels = st.sampled_from(LEVELS)
@@ -35,13 +37,19 @@ def _same(a, b) -> bool:
 
 class TestSlots:
     @pytest.mark.parametrize(
-        "vector", [ImpactVector(100, 10, 1, 0, 0.5), CostVector(10, 1, 2.0)],
-        ids=["impact", "cost"],
+        "vector",
+        [
+            ImpactVector(100, 10, 1, 0, 0.5), CostVector(10, 1, 2.0),
+            Lit(True), Fact("a"), Not(Fact("a")), And(Fact("a"), Lit(False)),
+            Or(Fact("a"), Lit(False)),
+        ],
+        ids=["impact", "cost", "lit", "fact", "not", "and", "or"],
     )
     def test_vectors_have_no_instance_dict(self, vector):
         assert not hasattr(vector, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            vector.total = 0.0
+        for field in dataclasses.fields(vector):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vector, field.name, 0.0)
 
     @pytest.mark.parametrize(
         "make", [lambda: ImpactVector(100, 10, 1, 0, 0.5), lambda: CostVector(10, 1, 2.0)],

@@ -5,11 +5,11 @@ from react_irs.preconditions import (
     And,
     Fact,
     Lit,
+    MAX_TOKENS,
     Not,
     Or,
     Precondition,
     PreconditionError,
-    evaluate,
     parse_expr,
     tokenize,
 )
@@ -40,42 +40,55 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "   ", "a &&", "&& a", "(a", "a)", "a b", "A", "a-b", "a || || b", "!"],
+        [
+            "", "   ", "a &&", "&& a", "(a", "a)", "a b", "A", "a-b", "a || || b", "!",
+            pytest.param("!" * 5000 + "a", id="deep-not"),
+            pytest.param("(" * 5000 + "a" + ")" * 5000, id="deep-parens"),
+            pytest.param(" && ".join(["a"] * 3000), id="long-and"),
+            pytest.param(" && ".join(["a"] * 65), id="129-tokens"),
+        ],
     )
     def test_malformed_input_rejected(self, bad):
         with pytest.raises(PreconditionError):
             parse_expr(bad)
 
+    def test_inputs_of_max_tokens_parse(self):
+        depth = (MAX_TOKENS - 2) // 2
+        for text in ("!" * (MAX_TOKENS - 1) + "a", "(" * depth + "!a" + ")" * depth):
+            assert len(tokenize(text)) == MAX_TOKENS
+            assert parse_expr(text).evaluate({}) is True
+
     def test_error_reports_offset(self):
-        with pytest.raises(PreconditionError, match="offset"):
-            tokenize("ok & bad")
+        for text, char, offset in (("ok & bad", "&", 3), ("ok    # x", "#", 6)):
+            with pytest.raises(PreconditionError, match=f"^unexpected character '{char}' at offset {offset}$"):
+                tokenize(text)
 
 
 class TestEvaluation:
     def test_truth_table_and(self):
         expr = parse_expr("a && b")
-        assert evaluate(expr, {"a": True, "b": True}) is True
-        assert evaluate(expr, {"a": True, "b": False}) is False
-        assert evaluate(expr, {"a": False, "b": True}) is False
+        assert expr.evaluate({"a": True, "b": True}) is True
+        assert expr.evaluate({"a": True, "b": False}) is False
+        assert expr.evaluate({"a": False, "b": True}) is False
 
     def test_truth_table_or(self):
         expr = parse_expr("a || b")
-        assert evaluate(expr, {"a": False, "b": False}) is False
-        assert evaluate(expr, {"a": False, "b": True}) is True
+        assert expr.evaluate({"a": False, "b": False}) is False
+        assert expr.evaluate({"a": False, "b": True}) is True
 
     def test_unknown_fact_is_false(self):
-        assert evaluate(parse_expr("missing"), {}) is False
-        assert evaluate(parse_expr("!missing"), {}) is True
+        assert parse_expr("missing").evaluate({}) is False
+        assert parse_expr("!missing").evaluate({}) is True
 
     def test_mixed_expression(self):
         expr = parse_expr("vehicle_stationary || driver_notified")
-        assert evaluate(expr, {"driver_notified": True}) is True
-        assert evaluate(expr, {}) is False
+        assert expr.evaluate({"driver_notified": True}) is True
+        assert expr.evaluate({}) is False
 
     def test_guard_with_negation(self):
         expr = parse_expr("update_available && !driving")
-        assert evaluate(expr, {"update_available": True, "driving": True}) is False
-        assert evaluate(expr, {"update_available": True}) is True
+        assert expr.evaluate({"update_available": True, "driving": True}) is False
+        assert expr.evaluate({"update_available": True}) is True
 
 
 class TestPreconditionWrapper:
@@ -120,11 +133,9 @@ def test_matches_python_boolean_semantics(source, facts):
         .replace("false", " False ")
     )
     expected = eval(py, {"__builtins__": {}}, {n: facts.get(n, False) for n in ["a", "b", "c", "engine_on", "x1"]})
-    assert evaluate(expr, facts) == bool(expected)
+    assert expr.evaluate(facts) == bool(expected)
 
 
 @given(expressions(), st.dictionaries(names, st.booleans()))
 def test_negation_flips_result(source, facts):
-    assert evaluate(parse_expr(f"!({source})"), facts) is not evaluate(
-        parse_expr(source), facts
-    )
+    assert parse_expr(f"!({source})").evaluate(facts) is not parse_expr(source).evaluate(facts)

@@ -58,8 +58,13 @@ W_BENEFITS = (0.0, 0.01, 0.6, 1.0)
 
 
 def _steps(head):
-    """(chosen, score, feasible_count, fallback) for a whole ranking."""
-    return [(o.chosen, o.score, o.feasible_count, o.fallback) for o in (head, *head.rest)]
+    """(chosen, score, feasible_count, fallback) for a whole ranking, which
+    only the head's ``rest`` continues: every later ``rest`` is empty."""
+    steps = [head[:4]]
+    for outcome in head.rest:
+        assert list(outcome.rest) == []
+        steps.append(outcome[:4])
+    return steps
 
 
 def _lp_rescan(candidates, impact, objective):
