@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from react_irs.cli import main
+from react_irs.cli import MODES, main
 from react_irs.files import (
     SchemaError,
     data_dir,
@@ -11,7 +13,10 @@ from react_irs.files import (
     parse_scenario,
     validate_file,
 )
-from _support import BAD_FILES, write_bad_file
+from react_irs.harness import CSV_COLUMNS
+from react_irs.selection import ALGORITHMS
+from _reference import _entries, _instances
+from _support import BAD_FILES, fixture_rows, load_expected, write_bad_file
 
 
 @pytest.fixture()
@@ -152,6 +157,61 @@ class TestRun:
         first = lambda res: res.output.strip().splitlines()[1].split(",")[1]
         assert first(base) == "17"
         assert first(cost_led) == "30"  # zero-cost notification wins under cost focus
+
+
+def _projection(records: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([record[c] for c in CSV_COLUMNS] for record in records)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_run_output_matches_frozen_series(runner, name, mode, algo):
+    """What ``react run --no-timings`` prints, in both formats, against the
+    frozen series; the CSV is the JSONL's projection onto ``CSV_COLUMNS``."""
+    args = ["run", "--scenario", name, "--algo", algo, "--mode", mode, "--no-timings"]
+    if mode == "velocity-sweep":
+        table = load_expected("velocity_sweep.json")[name][algo]
+        args += ["--velocities", ",".join(str(row["velocity_kmh"]) for row in table)]
+    else:
+        doc = load_expected(f"{mode}_{name}_{algo}.json")
+        if mode != "static":
+            args += ["--iterations", str(doc["iterations"]), "--seed", str(doc.get("seed", 7))]
+    out = {}
+    for fmt in ("jsonl", "csv"):
+        result = runner.invoke(main, args + ["--format", fmt])
+        assert result.exit_code == 0, result.output
+        out[fmt] = result.output
+    records = [json.loads(line) for line in out["jsonl"].splitlines()]
+    assert out["csv"] == _projection(records)
+    assert all(r["selection_time_ms"] == 0.0 for r in records)
+    if mode == "velocity-sweep":
+        assert [(r["step"], r["velocity_kmh"], r["impact"], r["response_index"]) for r in records] == [
+            (step, row["velocity_kmh"], row["impact"], row["response_index"])
+            for step, row in enumerate(table, start=1)
+        ]
+        # The table pins no target, cost or benefit: each row must be an
+        # instance of the sweep's candidate set, re-derived from the JSON.
+        scenario = json.loads((data_dir() / f"{name}.json").read_text())
+        overrides = scenario["catalog_overrides"]
+        catalog = data_dir() / overrides.get(
+            f"velocity-sweep:{algo}", overrides.get("velocity-sweep:*", scenario["catalog_ref"]))
+        instances = {
+            (c["idx"], c["target"], c["cost"], c["benefit"])
+            for c in _instances(_entries(catalog, scenario["intrusion_result"]),
+                                scenario["infected_asset"], scenario["affected_asset"])
+        }
+        for r in records:
+            assert (r["response_index"], r["target_asset"], r["cost"], r["benefit"]) in instances
+    else:
+        got = [(r["step"], r["response_index"], r["target_asset"], r["cost"], r["benefit"])
+               for r in records]
+        assert got == fixture_rows(doc)
+        assert all(r["impact"] == doc["impact"] for r in records)
 
 
 class TestValidate:
