@@ -20,7 +20,7 @@ print()
 
 # the optimizers never rank anything whose cost reaches the impact; the
 # additive-weighting strategy has no such guard
-impact = reports["saw"].impact
+impact = reports["saw"].selections[0].impact
 offenders = [
     r for r in reports["saw"].selections
     if r.cost > impact and r.response_index != 31

@@ -20,11 +20,8 @@ from .engine import (
     Success,
     adapt_on_failure,
     adapt_on_success,
-    always_failure_script,
-    always_success_script,
     estimate_loop_time,
     inner_loop,
-    scripted_feedback,
 )
 from .files import (
     Catalog,

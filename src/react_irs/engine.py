@@ -359,29 +359,6 @@ class Engine:
         return (spec, *outcome)
 
 
-def scripted_feedback(verdicts: Sequence[FeedbackVerdict]) -> FeedbackSource:
-    """Feedback source that replays a fixed verdict list (Success once
-    exhausted)."""
-    script = list(verdicts)
-
-    def source(iteration: int, applied: CandidateInstance) -> FeedbackVerdict:
-        if iteration <= len(script):
-            return script[iteration - 1]
-        return Success()
-
-    return source
-
-
-def always_success_script(event: IntrusionEvent, iterations: int) -> list[FeedbackVerdict]:
-    """Every response works, but the detector keeps re-reporting the event
-    until the final iteration — the sustained-success evaluation shape."""
-    return [NewIntrusion(event)] * (iterations - 1) + [Success()]
-
-
-def always_failure_script(iterations: int) -> list[FeedbackVerdict]:
-    return [Failure()] * iterations
-
-
 class LoopOrder(Enum):
     CHECK_FIRST = "check-first"
     SELECT_FIRST = "select-first"

@@ -5,13 +5,15 @@ Three experiment shapes, each deciding through one ``Engine``:
 * static quality — ``Engine.decide`` with every precondition forced to
   "rejected", so the strategy drains the whole candidate set; the
   sequence ranks the catalog from the strategy's point of view.
-* dynamic — ``Engine.run``, the feedback loop with a scripted verdict
+* dynamic — ``Engine.run``, the feedback loop with a fixed verdict
   (always-success or always-failure) adapting over iterations.
 * velocity sweep — ``Engine.decide`` at several velocities.
 
-Reports emit as JSONL (one record per selection) or as CSV, the fixed
-projection of those records onto ``CSV_COLUMNS``; with timings
-suppressed the output is byte-stable for a fixed seed.
+Every run returns one ``RunReport`` whose rows are numbered 1..n: the
+attempts of a static drain, the iterations of a dynamic run, or the
+velocities of a sweep.  A report emits as JSONL (one record per row) or
+as CSV, the fixed projection of those records onto ``CSV_COLUMNS``; with
+timings suppressed the output is byte-stable for a fixed seed.
 """
 from __future__ import annotations
 
@@ -21,14 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
-from .engine import (
-    AdaptationConfig,
-    Attempt,
-    Engine,
-    always_failure_script,
-    always_success_script,
-    scripted_feedback,
-)
+from .engine import AdaptationConfig, Attempt, Engine, Failure, NewIntrusion, Success
 from .files import Scenario, load_catalog
 from .model import DomainError
 from .selection import SawConfig, make_selector
@@ -64,7 +59,6 @@ class RunReport:
     mode: str
     algorithm: str
     scenario: str
-    impact: float
     selections: list[SelectionRow] = field(default_factory=list)
     list_generation_time_s: float | None = None
     peak_memory_bytes: int | None = None
@@ -111,7 +105,7 @@ def run_static_quality(
         scenario.event(), precondition_policy=lambda candidate: False
     )
     return RunReport(
-        mode="static", algorithm=algorithm, scenario=scenario.name, impact=impact,
+        mode="static", algorithm=algorithm, scenario=scenario.name,
         selections=[
             _row(step, attempt, impact, attempt.selection_time_ms)
             for step, attempt in enumerate(attempts, start=1)
@@ -129,7 +123,7 @@ def run_dynamic(
     seed: int = 7,
     saw_cfg: SawConfig | None = None,
 ) -> RunReport:
-    """Run the feedback loop with a scripted verdict.
+    """Run the feedback loop with a fixed verdict.
 
     ``verdict`` is "success" (every response works, the event keeps
     being re-reported until the final iteration) or "failure" (nothing
@@ -142,16 +136,18 @@ def run_dynamic(
     engine = _engine(scenario, mode, algorithm, saw_cfg, seed)
 
     if verdict == "success":
-        script = always_success_script(event, iterations)
+        def feedback(iteration, applied):
+            return Success() if iteration == iterations else NewIntrusion(event)
     elif verdict == "failure":
-        script = always_failure_script(iterations)
+        def feedback(iteration, applied):
+            return Failure()
     else:
         raise DomainError(f"unknown verdict {verdict!r} (expected success or failure)")
 
-    trace = engine.run(event, scripted_feedback(script), max_iterations=iterations)
+    trace = engine.run(event, feedback, max_iterations=iterations)
 
     return RunReport(
-        mode=mode, algorithm=algorithm, scenario=scenario.name, impact=trace.records[0].impact,
+        mode=mode, algorithm=algorithm, scenario=scenario.name,
         selections=[
             _row(r.iteration, r.applied, r.impact, r.selection_time_ms)
             for r in trace.records
@@ -166,76 +162,68 @@ def run_velocity_sweep(
     algorithm: str,
     velocities: Sequence[float] = (0.0, 50.0, 100.0),
     saw_cfg: SawConfig | None = None,
-) -> list[RunReport]:
-    """Impact and first applicable selection at each velocity.  The set does
-    not depend on the velocity, so only the first decision generates it and
-    only the first report carries ``list_generation_time_s``."""
+) -> RunReport:
+    """Impact and first applicable selection at each velocity, one row per
+    velocity.  The set does not depend on the velocity, so only the first
+    decision generates it, and its time is ``list_generation_time_s``."""
     if not velocities:
         raise DomainError("velocities must be non-empty")
     engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)
-    reports = []
-    for velocity in velocities:
-        _, impact, _, attempts, generation_s, _ = engine.decide(
+    rows = []
+    generation_s = None
+    for step, velocity in enumerate(velocities, start=1):
+        _, impact, _, attempts, decision_generation_s, selection_ms = engine.decide(
             scenario.event(velocity_kmh=velocity)
         )
-        applied = attempts[-1]
-        reports.append(RunReport(
-            mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name, impact=impact,
-            selections=[_row(1, applied, impact, applied.selection_time_ms, float(velocity))],
-            list_generation_time_s=None if reports else generation_s,
-            peak_memory_bytes=_peak_memory_bytes(),
-        ))
-    return reports
+        if generation_s is None:
+            generation_s = decision_generation_s
+        rows.append(_row(step, attempts[-1], impact, selection_ms, float(velocity)))
+    return RunReport(
+        mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name, selections=rows,
+        list_generation_time_s=generation_s, peak_memory_bytes=_peak_memory_bytes(),
+    )
 
 
-def _records(reports: Sequence[RunReport], include_timings: bool):
-    """One record per selection, with steps numbered across reports."""
-    step = 0
-    for report in reports:
-        for row in report.selections:
-            step += 1
-            record = {
-                "mode": report.mode,
-                "algorithm": report.algorithm,
-                "scenario": report.scenario,
-                "step": step,
-                "response_index": row.response_index,
-                "target_asset": row.target_asset,
-                "cost": row.cost,
-                "benefit": row.benefit,
-                "impact": row.impact,
-                "selection_time_ms": row.selection_time_ms if include_timings else 0.0,
-            }
-            if row.velocity_kmh is not None:
-                record["velocity_kmh"] = row.velocity_kmh
-            if report.seed is not None:
-                record["seed"] = report.seed
-            yield record
+def _records(report: RunReport, include_timings: bool):
+    """One record per selection row, numbered by the row's own step."""
+    for row in report.selections:
+        record = {
+            "mode": report.mode,
+            "algorithm": report.algorithm,
+            "scenario": report.scenario,
+            "step": row.step,
+            "response_index": row.response_index,
+            "target_asset": row.target_asset,
+            "cost": row.cost,
+            "benefit": row.benefit,
+            "impact": row.impact,
+            "selection_time_ms": row.selection_time_ms if include_timings else 0.0,
+        }
+        if row.velocity_kmh is not None:
+            record["velocity_kmh"] = row.velocity_kmh
+        if report.seed is not None:
+            record["seed"] = report.seed
+        yield record
 
 
 def emit_series(
-    report: RunReport | Sequence[RunReport],
+    report: RunReport,
     fmt: str,
     out: IO[str] | str | Path,
     include_timings: bool = True,
 ) -> None:
-    """Write the selection series as CSV or JSONL.
-
-    Steps are renumbered sequentially across reports so a sweep (one
-    report per velocity) emits as a single table.
-    """
-    reports = [report] if isinstance(report, RunReport) else list(report)
+    """Write the report's selection rows as CSV or JSONL, one record per row."""
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"unknown format {fmt!r} (expected csv or jsonl)")
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            _emit(reports, fmt, fh, include_timings)
+            _emit(report, fmt, fh, include_timings)
     else:
-        _emit(reports, fmt, out, include_timings)
+        _emit(report, fmt, out, include_timings)
 
 
-def _emit(reports, fmt, fh, include_timings):
-    records = _records(reports, include_timings)
+def _emit(report, fmt, fh, include_timings):
+    records = _records(report, include_timings)
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import random
 
+from react_irs.engine import FeedbackSource, Success
 from react_irs.files import data_dir
 from react_irs.model import (
     CandidateInstance,
@@ -57,6 +58,15 @@ def fixture_rows(doc: dict) -> list[tuple]:
         (s["step"], s["response_index"], s["target_asset"], s["cost"], s["benefit"])
         for s in doc["steps"]
     ]
+
+
+def replay(verdicts: list) -> FeedbackSource:
+    """A feedback source that returns ``verdicts`` in order, then ``Success()``."""
+
+    def feedback(iteration, applied):
+        return verdicts[iteration - 1] if iteration <= len(verdicts) else Success()
+
+    return feedback
 
 
 def make_response(

@@ -14,17 +14,14 @@ from react_irs.engine import (
     Success,
     adapt_on_failure,
     adapt_on_success,
-    always_failure_script,
-    always_success_script,
     estimate_loop_time,
     inner_loop,
-    scripted_feedback,
 )
 from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult, Place
 from react_irs.responses import generate_candidates, response_benefit
 from react_irs.risk import event_impact
 from react_irs.selection import make_selector
-from _support import make_event, make_response
+from _support import make_event, make_response, replay
 
 
 def _untimed(attempts):
@@ -242,7 +239,7 @@ class TestEngineRuns:
 
     def _run(self, event, verdicts, **kwargs):
         engine = Engine(self._catalog(), make_selector("lp-max"))
-        return engine.run(event, scripted_feedback(verdicts), **kwargs)
+        return engine.run(event, replay(verdicts), **kwargs)
 
     def test_success_stops_the_loop(self):
         event = make_event()
@@ -253,7 +250,7 @@ class TestEngineRuns:
 
     def test_failure_decays_until_choice_changes(self):
         event = make_event()
-        trace = self._run(event, always_failure_script(4), max_iterations=4)
+        trace = self._run(event, [Failure()] * 4, max_iterations=4)
         picks = [r.applied.response_index for r in trace.records]
         benefits = [r.applied.benefit for r in trace.records]
         # 17 decays 220 -> 22 (ties 30 on index) -> 2, handing the lead to 30
@@ -270,20 +267,13 @@ class TestEngineRuns:
 
     def test_iteration_cap_respected(self):
         event = make_event()
-        trace = self._run(event, always_failure_script(50), max_iterations=3)
+        trace = self._run(event, [Failure()] * 50, max_iterations=3)
         assert len(trace.records) == 3
 
     def test_default_iteration_cap(self):
         event = make_event()
-        trace = self._run(event, always_failure_script(50))
+        trace = self._run(event, [Failure()] * 50)
         assert len(trace.records) == DEFAULT_MAX_ITERATIONS
-
-    def test_always_success_script_shape(self):
-        event = make_event()
-        script = always_success_script(event, 5)
-        assert len(script) == 5
-        assert all(isinstance(v, NewIntrusion) for v in script[:-1])
-        assert isinstance(script[-1], Success)
 
     def test_adaptation_is_per_target_instance(self):
         from react_irs.model import Place
@@ -294,7 +284,7 @@ class TestEngineRuns:
         ]
         event = make_event(infected="cam", affected="ecu")
         engine = Engine(catalog, make_selector("lp-max"))
-        trace = engine.run(event, scripted_feedback(always_failure_script(2)), 2)
+        trace = engine.run(event, replay([Failure()] * 2), 2)
         picks = [(r.applied.response_index, r.applied.target_asset) for r in trace.records]
         assert picks == [(20, "cam"), (20, "ecu")]
 
@@ -312,7 +302,7 @@ class TestEngineRuns:
             make_selector("lp-max"),
             effects={17: {"update_available": True}},
         )
-        trace = engine.run(event, scripted_feedback(always_failure_script(3)), 3)
+        trace = engine.run(event, replay([Failure()] * 3), 3)
         picks = [r.applied.response_index for r in trace.records]
         # 29 is locked out until applying 17 sets the fact it needs
         assert picks[0] == 17
@@ -322,7 +312,7 @@ class TestEngineRuns:
         event = make_event()
         engine = Engine(self._catalog(), make_selector("lp-max"))
         with pytest.raises(DomainError):
-            engine.run(event, scripted_feedback([Success()]), 0)
+            engine.run(event, replay([Success()]), 0)
 
 
 GENERIC_FACTS = (
@@ -407,7 +397,7 @@ class TestCandidateMemo:
             ] + [Success()]
             seed = rng.randrange(2**31)
             engine = Engine(catalog, selector, adaptation=AdaptationConfig(rng_seed=seed))
-            trace = engine.run(first, scripted_feedback(verdicts), len(verdicts))
+            trace = engine.run(first, replay(verdicts), len(verdicts))
             got = [_untimed(r.attempts) for r in trace.records]
             assert got == _from_scratch(catalog, selector, seed, first, verdicts, stats)
             # Deciding first, on the run's own key and on another, adapts
@@ -416,7 +406,7 @@ class TestCandidateMemo:
             decided.decide(first)
             decided.decide(_random_event(random.Random(seed)), precondition_policy=lambda cand: False)
             assert not decided._adapted
-            again = decided.run(first, scripted_feedback(verdicts), len(verdicts))
+            again = decided.run(first, replay(verdicts), len(verdicts))
             assert list(map(_untimed_record, again.records)) == list(map(_untimed_record, trace.records))
         assert stats["revisits"] > 0 and stats["cross_key"] > 0
 
@@ -429,7 +419,7 @@ class TestCandidateMemo:
 
         event = make_event(infected="cam", affected="ecu")
         engine = Engine(generic_catalog.responses, selector)
-        engine.run(event, scripted_feedback(always_failure_script(4)), 4)
+        engine.run(event, replay([Failure()] * 4), 4)
         assert len(handed) == 4
         assert all(
             len(kept) == len(snapshot) and all(a is b for a, b in zip(kept, snapshot))
@@ -443,7 +433,7 @@ class TestCandidateMemo:
         verdicts = [NewIntrusion(events[1]), Failure(), NewIntrusion(events[2]),
                     NewIntrusion(events[0]), Failure(), Success()]
         engine = Engine(generic_catalog.responses, make_selector("lp-max"))
-        engine.run(events[0], scripted_feedback(verdicts), len(verdicts))
+        engine.run(events[0], replay(verdicts), len(verdicts))
         holders = {}
         for candidates in engine._candidates.values():
             for cand in candidates:

@@ -1,10 +1,10 @@
-import dataclasses
 import io
 import json
 import math
 import shutil
 import statistics
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,17 +19,11 @@ from react_irs.harness import (
 )
 from react_irs.model import DomainError, Place
 from react_irs.responses import generate_candidates
+from react_irs.selection import make_selector
 from _reference import static_series
 from _support import fixture_rows, load_expected, make_event, make_response, report_rows
 
 ALGOS = ("lp-max", "lp-min", "saw")
-
-
-def _untimed(report):
-    rows = [row._replace(selection_time_ms=0.0) for row in report.selections]
-    return dataclasses.replace(
-        report, selections=rows, list_generation_time_s=None, peak_memory_bytes=None
-    )
 
 
 class TestStaticQuality:
@@ -37,14 +31,14 @@ class TestStaticQuality:
     def test_scenario1_matches_shipped_series(self, scenario1, algo):
         report = run_static_quality(scenario1, algo)
         expected = load_expected(f"static_scenario1_{algo}.json")
-        assert report.impact == expected["impact"]
+        assert {r.impact for r in report.selections} == {expected["impact"]}
         assert report_rows(report) == fixture_rows(expected)
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_scenario2_matches_shipped_series(self, scenario2, algo):
         report = run_static_quality(scenario2, algo)
         expected = load_expected(f"static_scenario2_{algo}.json")
-        assert report.impact == expected["impact"]
+        assert {r.impact for r in report.selections} == {expected["impact"]}
         assert report_rows(report) == fixture_rows(expected)
 
     def test_follows_an_in_place_edit_of_its_catalog(self, tmp_path):
@@ -77,7 +71,7 @@ class TestStaticQuality:
             scenario.intrusion_result.value,
             scenario.infected_asset,
             scenario.affected_asset,
-            report.impact,
+            report.selections[0].impact,
             algo,
         )
         assert report_rows(report) == reference
@@ -139,27 +133,29 @@ class TestVelocitySweep:
     @pytest.mark.parametrize("algo", ALGOS)
     def test_matches_shipped_table(self, request, fixture, algo):
         scenario = request.getfixturevalue(fixture)
-        reports = run_velocity_sweep(scenario, algo, velocities=(0, 50, 100))
+        report = run_velocity_sweep(scenario, algo, velocities=(0, 50, 100))
         expected = load_expected("velocity_sweep.json")[fixture][algo]
         got = [
             {
-                "velocity_kmh": int(r.selections[0].velocity_kmh),
+                "velocity_kmh": int(r.velocity_kmh),
                 "impact": r.impact,
-                "response_index": r.selections[0].response_index,
+                "response_index": r.response_index,
             }
-            for r in reports
+            for r in report.selections
         ]
         assert got == expected
 
-    def test_one_report_per_velocity(self, scenario1):
-        reports = run_velocity_sweep(scenario1, "lp-max", velocities=(0, 30, 75, 120))
-        assert len(reports) == 4
-        assert [r.impact for r in reports] == [200.0, 201.0, 300.0, 300.0]
+    def test_one_row_per_velocity(self, scenario1):
+        report = run_velocity_sweep(scenario1, "lp-max", velocities=(0, 30, 75, 120))
+        assert report.mode == "velocity-sweep"
+        assert [r.step for r in report.selections] == [1, 2, 3, 4]
+        assert [r.velocity_kmh for r in report.selections] == [0.0, 30.0, 75.0, 120.0]
+        assert [r.impact for r in report.selections] == [200.0, 201.0, 300.0, 300.0]
 
     @pytest.mark.parametrize("fixture", ["scenario1", "scenario2"])
     @pytest.mark.parametrize("algo", ALGOS)
     def test_one_generation_per_sweep(self, request, monkeypatch, fixture, algo):
-        """The sweep's one engine generates its set once; each report equals
+        """The sweep's one engine generates its set once; each row equals
         the one a fresh engine gives at that velocity alone."""
         scenario = request.getfixturevalue(fixture)
         calls = []
@@ -170,12 +166,39 @@ class TestVelocitySweep:
 
         monkeypatch.setattr(engine, "generate_candidates", counted)
         velocities = (0.0, 30.0, 75.0, 120.0)
-        reports = run_velocity_sweep(scenario, algo, velocities)
+        report = run_velocity_sweep(scenario, algo, velocities)
         assert len(calls) == 1
-        assert [r.list_generation_time_s is None for r in reports] == [False, True, True, True]
-        fresh = [run_velocity_sweep(scenario, algo, (v,))[0] for v in velocities]
+        assert report.list_generation_time_s is not None
+        fresh = [run_velocity_sweep(scenario, algo, (v,)).selections[0] for v in velocities]
         assert len(calls) == 1 + len(velocities)
-        assert list(map(_untimed, reports)) == list(map(_untimed, fresh))
+        assert [row._replace(selection_time_ms=0.0) for row in report.selections] == [
+            row._replace(step=step, selection_time_ms=0.0)
+            for step, row in enumerate(fresh, start=1)
+        ]
+
+    def test_row_time_covers_the_rejected_attempts(self, tmp_path, monkeypatch):
+        """A sweep row carries its decision's whole inner loop, as a dynamic
+        row does, not only the ranking step of the applied attempt."""
+        for name in ("scenario1.json", "architecture.json", "catalog_scenario1_dynamic.json"):
+            shutil.copy(data_dir() / name, tmp_path / name)
+        path = tmp_path / "catalog_scenario1_dynamic.json"
+        doc = json.loads(path.read_text())
+        next(r for r in doc["responses"] if r["index"] == 17)["precondition"] = "vehicle_stationary"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(tmp_path / "scenario1.json")
+
+        def counting_clock():
+            ticks = iter(range(10**6))
+            return SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+
+        monkeypatch.setattr(engine, "time", counting_clock())
+        row = run_velocity_sweep(scenario, "lp-max", (50.0,)).selections[0]
+        monkeypatch.setattr(engine, "time", counting_clock())
+        catalog = load_catalog(scenario.catalog_path("velocity-sweep", "lp-max")).responses
+        _, _, _, attempts, _, selection_ms = engine.Engine(
+            catalog, make_selector("lp-max")).decide(scenario.event(velocity_kmh=50.0))
+        assert [a.response_index for a in attempts] == [17, row.response_index]
+        assert row.selection_time_ms == selection_ms > attempts[-1].selection_time_ms
 
     def test_empty_velocities_rejected(self, scenario1):
         with pytest.raises(DomainError):
@@ -205,13 +228,21 @@ class TestEmission:
             assert row["mode"] == "dynamic-success"
             assert row["seed"] == 7
 
-    def test_steps_renumbered_across_reports(self, scenario1):
-        reports = run_velocity_sweep(scenario1, "lp-max", velocities=(0, 50, 100))
+    def test_sweep_steps_are_the_row_steps(self, scenario1):
+        report = run_velocity_sweep(scenario1, "lp-max", velocities=(0, 50, 100))
         buf = io.StringIO()
-        emit_series(reports, "jsonl", buf)
+        emit_series(report, "jsonl", buf)
         rows = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert [r["step"] for r in rows] == [1, 2, 3]
         assert [r["velocity_kmh"] for r in rows] == [0.0, 50.0, 100.0]
+
+    def test_records_carry_the_row_step(self, scenario1):
+        report = run_static_quality(scenario1, "lp-max")
+        rows = report.selections
+        report.selections = [rows[0]._replace(step=7), rows[1]._replace(step=3)]
+        buf = io.StringIO()
+        emit_series(report, "jsonl", buf)
+        assert [json.loads(line)["step"] for line in buf.getvalue().splitlines()] == [7, 3]
 
     def test_timings_can_be_zeroed_for_determinism(self, scenario1):
         report = run_static_quality(scenario1, "saw")
