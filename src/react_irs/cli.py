@@ -28,8 +28,18 @@ EXIT_RUNTIME = 3
 
 def _parse_velocities(ctx, param, text: str) -> list[float]:
     try:
-        return [check_weight(float(v), "velocity") for v in text.split(",") if v.strip() != ""]
+        velocities = [check_weight(float(v), "velocity") for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+    if not velocities:
+        raise click.BadParameter("needs at least one velocity")
+    return velocities
+
+
+def _saw_config(ctx, param, value: float | None) -> SawConfig | None:
+    try:
+        return None if value is None else SawConfig(w_benefit=value)
+    except DomainError as exc:
         raise click.BadParameter(str(exc)) from None
 
 
@@ -46,15 +56,15 @@ def main() -> None:
               help="Selection strategy.")
 @click.option("--mode", type=click.Choice(MODES), default="static", show_default=True,
               help="Evaluation mode.")
-@click.option("--iterations", type=int, default=5, show_default=True,
+@click.option("--iterations", type=click.IntRange(min=1), default=5, show_default=True,
               help="Outer-loop iterations for the dynamic modes.")
 @click.option("--seed", type=int, default=7, show_default=True, envvar="REACT_SEED",
               help="Adaptation RNG seed (REACT_SEED overrides).")
 @click.option("--velocities", default="0,50,100", show_default=True,
               callback=_parse_velocities,
               help="Comma-separated velocities for velocity-sweep mode (km/h).")
-@click.option("--saw-benefit-weight", type=float, default=None,
-              help="Override the SAW benefit criterion weight (cost weight "
+@click.option("--saw-benefit-weight", "saw_cfg", type=float, default=None,
+              callback=_saw_config, help="Override the SAW benefit criterion weight (cost weight "
                    "becomes its complement).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Output file (stdout when omitted).")
@@ -63,10 +73,9 @@ def main() -> None:
 @click.option("--no-timings", is_flag=True,
               help="Zero the timing column for byte-reproducible output.")
 def run(scenario_ref, algorithm, mode, iterations, seed, velocities,
-        saw_benefit_weight, out_path, fmt, no_timings) -> None:
+        saw_cfg, out_path, fmt, no_timings) -> None:
     """Run a scenario in one evaluation mode and emit the selection series."""
     try:
-        saw_cfg = None if saw_benefit_weight is None else SawConfig(w_benefit=saw_benefit_weight)
         scenario = load_scenario(resolve_scenario_ref(scenario_ref))
         if mode == "static":
             result = run_static_quality(scenario, algorithm, saw_cfg=saw_cfg)

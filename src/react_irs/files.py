@@ -185,12 +185,11 @@ def _parse_stop(doc: Any, context: str) -> StopCondition:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _parse_response(doc: Any) -> ResponseSpec:
-    doc = _object(doc, "response")
-    index = _require(doc, "index", "response")
-    context = f"response {index!r}"
+def _parse_response(doc: Any, context: str) -> ResponseSpec:
+    doc = _object(doc, context)
+    index = _require(doc, "index", context)
     if type(index) is not int:
-        raise SchemaError(f"{context}: index must be an integer")
+        raise SchemaError(f"{context}.index: expected an integer, got {index!r}")
     is_general = _bool(doc.get("general", False), f"{context}.general")
     applies = frozenset(
         _enum(IntrusionResult, value, f"{context}.applies_to")
@@ -203,7 +202,7 @@ def _parse_response(doc: Any) -> ResponseSpec:
             _str(doc.get("precondition", "true"), f"{context}.precondition")
         )
     except PreconditionError as exc:
-        raise SchemaError(f"{context}: bad precondition: {exc}") from None
+        raise SchemaError(f"{context}.precondition: {exc}") from None
     benefit = _parse_impact_vector(_require(doc, "benefit", context), f"{context}.benefit")
     return ResponseSpec(
         index=index,
@@ -223,16 +222,19 @@ def _parse_response(doc: Any) -> ResponseSpec:
 def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
     _check_header(doc, "catalog", "catalog")
     entries = _list(_require(doc, "responses", "catalog"), "catalog.responses")
-    responses = tuple(_parse_response(d) for d in entries)
+    responses = []
     seen: set[int] = set()
-    for spec in responses:
+    for i, entry in enumerate(entries):
+        context = f"catalog.responses[{i}]"
+        spec = _parse_response(entry, context)
         if spec.index in seen:
-            raise SchemaError(f"duplicate response index {spec.index}")
+            raise SchemaError(f"{context}.index: duplicate response index {spec.index}")
         seen.add(spec.index)
+        responses.append(spec)
     terminals = [spec for spec in responses if spec.terminal]
     if len(terminals) != 1:
         raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    return Catalog(name=_str(doc.get("name", ""), "catalog.name"), responses=responses)
+    return Catalog(name=_str(doc.get("name", ""), "catalog.name"), responses=tuple(responses))
 
 
 #: Path as given -> (the file's bytes, the catalog parsed from them).

@@ -109,15 +109,36 @@ class TestRun:
         result = runner.invoke(main, ["run", "--scenario", "scenario1", "--algo", "best"])
         assert result.exit_code == 2
 
-    def test_runtime_error_exit_code(self, runner):
+    def test_runtime_error_exit_code(self, runner, tmp_path):
         result = runner.invoke(
             main,
             [
                 "run", "--scenario", "scenario1", "--algo", "lp-max",
-                "--mode", "dynamic-fail", "--iterations", "0",
+                "--out", str(tmp_path / "missing" / "run.csv"),
             ],
         )
         assert result.exit_code == 3
+        assert "cannot write output" in result.stderr
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--mode", "dynamic-fail", "--iterations", "0"],
+            ["--mode", "dynamic-fail", "--iterations", "-3"],
+            ["--saw-benefit-weight", "2"],
+            ["--saw-benefit-weight", "nan"],
+            ["--saw-benefit-weight", "-0.5"],
+            ["--mode", "velocity-sweep", "--velocities", ","],
+            ["--mode", "velocity-sweep", "--velocities", ""],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_option_value_is_usage_error(self, runner, option):
+        result = runner.invoke(
+            main, ["run", "--scenario", "scenario1", "--algo", "saw"] + option
+        )
+        assert result.exit_code == 2, result.output
+        assert "Invalid value" in result.output
 
     def test_bad_velocities_string(self, runner):
         result = runner.invoke(

@@ -15,6 +15,7 @@ from react_irs.files import (
     resolve_scenario_ref,
     validate_file,
 )
+from react_irs.model import IntrusionResult, StopKind
 from react_irs.preconditions import Precondition
 from _support import BAD_FILES, write_bad_file
 
@@ -137,6 +138,41 @@ class TestCatalog:
         doc["responses"].append(dict(doc["responses"][0]))
         with pytest.raises(SchemaError, match="duplicate"):
             parse_catalog(doc)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"cost": {"a": 10, "perf": 10, "w_a": -1}},
+             "catalog.responses[1].cost: w_a must be a finite non-negative number, got -1"),
+            ({"benefit": {"s": 7, "f": 0, "o": 0, "p": 0}},
+             "catalog.responses[1].benefit: S must be one of (0, 1, 10, 100), got 7"),
+            ({"index": "6"}, "catalog.responses[1].index: expected an integer, got '6'"),
+            ({"index": 5}, "catalog.responses[1].index: duplicate response index 5"),
+            ({"place": "roof"},
+             "catalog.responses[1].place: 'roof' is not one of: source, destination, both"),
+            ({"precondition": "a &"},
+             "catalog.responses[1].precondition: unexpected character '&' at offset 2"),
+            ({"applies_to": ["x"]},
+             "catalog.responses[1].applies_to: 'x' is not one of: "
+             + ", ".join(r.value for r in IntrusionResult)),
+            ({"stop": {"kind": "sometimes"}},
+             "catalog.responses[1].stop.kind: 'sometimes' is not one of: "
+             + ", ".join(k.value for k in StopKind)),
+            ({"action": None}, "catalog.responses[1].action: expected a string, got None"),
+            ({"applies_to": []}, "catalog.responses[1]: needs applies_to entries or general=true"),
+            ("x", "catalog.responses[1]: expected a JSON object, got 'x'"),
+        ],
+        ids=["cost", "benefit", "index-type", "duplicate-index", "place", "precondition",
+             "applies-to", "stop-kind", "action", "no-result", "not-object"],
+    )
+    def test_errors_name_the_response_position(self, change, message):
+        doc = minimal_catalog_doc()
+        first, terminal = doc["responses"]
+        second = {**first, "index": 6, **change} if isinstance(change, dict) else change
+        doc["responses"] = [first, second, terminal]
+        with pytest.raises(SchemaError) as info:
+            parse_catalog(doc)
+        assert str(info.value) == message
 
     def test_invalid_level_rejected(self):
         doc = minimal_catalog_doc()
