@@ -170,17 +170,16 @@ def run_velocity_sweep(
         raise DomainError("velocities must be non-empty")
     engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)
     rows = []
-    generation_s = None
     for step, velocity in enumerate(velocities, start=1):
-        _, impact, _, attempts, decision_generation_s, selection_ms = engine.decide(
+        _, impact, _, attempts, generation_s, selection_ms = engine.decide(
             scenario.event(velocity_kmh=velocity)
         )
-        if generation_s is None:
-            generation_s = decision_generation_s
+        if step == 1:
+            first_generation_s = generation_s
         rows.append(_row(step, attempts[-1], impact, selection_ms, float(velocity)))
     return RunReport(
         mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name, selections=rows,
-        list_generation_time_s=generation_s, peak_memory_bytes=_peak_memory_bytes(),
+        list_generation_time_s=first_generation_s, peak_memory_bytes=_peak_memory_bytes(),
     )
 
 
