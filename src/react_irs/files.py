@@ -100,6 +100,15 @@ def _str(value: Any, context: str) -> str:
     return value
 
 
+def _weight(value: Any, context: str) -> float:
+    try:
+        return check_weight(value)
+    except DomainError:
+        raise SchemaError(
+            f"{context}: expected a finite non-negative number, got {value!r}"
+        ) from None
+
+
 def _flags(doc: Any, context: str) -> dict[str, bool]:
     return {str(k): _bool(v, f"{context}.{k}") for k, v in _object(doc, context).items()}
 
@@ -314,22 +323,16 @@ class Scenario:
 
 def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenario:
     _check_header(doc, "scenario", "scenario")
-    context = f"scenario {doc.get('name', '?')!r}"
+    context = "scenario"
     effects: dict[int, dict[str, bool]] = {}
     for index, updates in _object(doc.get("effects", {}), f"{context}.effects").items():
         try:
             key = int(index)
         except ValueError:
-            raise SchemaError(f"{context}: effects keys must be response indices") from None
+            raise SchemaError(f"{context}.effects.{index}: key is not a response index") from None
         effects[key] = _flags(updates, f"{context}.effects.{index}")
     overrides = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
     overrides = {k: _str(v, f"{context}.catalog_overrides.{k}") for k, v in overrides.items()}
-    velocity = _require(doc, "velocity_kmh", context)
-    try:
-        velocity = check_weight(velocity, "velocity_kmh")
-        environment_weight = check_weight(doc.get("environment_weight", 1.0), "environment_weight")
-    except DomainError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
     return Scenario(
         name=_str(_require(doc, "name", context), f"{context}.name"),
         architecture_ref=_str(doc.get("architecture_ref", "architecture.json"),
@@ -341,11 +344,12 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
             _require(doc, "intrusion_result", context),
             f"{context}.intrusion_result",
         ),
-        velocity_kmh=velocity,
+        velocity_kmh=_weight(_require(doc, "velocity_kmh", context), f"{context}.velocity_kmh"),
         impact_params=_parse_impact_vector(
             _require(doc, "impact_params", context), f"{context}.impact_params"
         ),
-        environment_weight=environment_weight,
+        environment_weight=_weight(doc.get("environment_weight", 1.0),
+                                   f"{context}.environment_weight"),
         facts=_flags(doc.get("facts", {}), f"{context}.facts"),
         catalog_ref=_str(_require(doc, "catalog_ref", context), f"{context}.catalog_ref"),
         catalog_overrides=overrides,
@@ -363,9 +367,7 @@ def load_scenario(path: str | Path) -> Scenario:
         ("affected_asset", scenario.affected_asset),
     ):
         if asset_id not in architecture:
-            raise SchemaError(
-                f"scenario {scenario.name!r}: {role} {asset_id!r} not in architecture"
-            )
+            raise SchemaError(f"scenario.{role}: {asset_id!r} not in architecture")
     return scenario
 
 

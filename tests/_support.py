@@ -164,6 +164,37 @@ def random_candidate_set(
     return candidates, impact
 
 
+def level_grid_set(
+    rng: random.Random,
+    n: int,
+    *,
+    unit_weights: bool = False,
+    indices: range | None = None,
+) -> list[CandidateInstance]:
+    """``n`` candidates on the level grid, the terminal entry (index 31)
+    last.  The others have index 1..n (31 skipped) and weights drawn from
+    [0.5, 1.5]; ``unit_weights`` sets every weight to 1, and ``indices``
+    draws each index from that range instead, so indices repeat."""
+
+    def weight():
+        return 1.0 if unit_weights else round(rng.uniform(0.5, 1.5), 2)
+
+    def level():
+        return rng.choice(LEVELS)
+
+    specs = [
+        make_response(
+            rng.choice([j for j in indices if j != 31]) if indices else i,
+            a=level(), perf=level(), s=level(), f=level(), o=level(), p=level(),
+            w_a=weight(), w_perf=weight(), weights=(weight(), weight(), weight(), weight()),
+        )
+        for i in range(1, n + 1)
+        if i != 31
+    ]
+    specs.append(make_response(31, terminal=True))
+    return [CandidateInstance(spec, "ecu") for spec in specs]
+
+
 def assert_selectors_match_oracle(n_sets: int, seed: int = 20240) -> None:
     """Both optimizers must equal the brute-force scan on random sets."""
     rng = random.Random(seed)

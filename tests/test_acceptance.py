@@ -24,12 +24,12 @@ from react_irs.harness import (
     run_static_quality,
     run_velocity_sweep,
 )
-from react_irs.model import CandidateInstance
 from react_irs.responses import response_benefit, response_cost
 from react_irs.selection import SawConfig, make_selector, saw_select
 from _support import (
     assert_selectors_match_oracle,
     fixture_rows,
+    level_grid_set,
     load_expected,
     make_event,
     make_response,
@@ -168,22 +168,7 @@ def test_loop_orderings_agree_at_even_odds():
 def test_selection_latency_and_run_budgets(scenario1, tmp_path):
     """A 64-candidate selection stays under 50 ms; a full static drain under
     2 s; byte-identical output when timings are zeroed."""
-    rng = random.Random(1)
-    candidates = [
-        make_response(
-            i,
-            a=rng.choice((0, 1, 10, 100)),
-            perf=rng.choice((0, 1, 10, 100)),
-            s=rng.choice((0, 1, 10, 100)),
-            f=rng.choice((0, 1, 10, 100)),
-            o=rng.choice((0, 1, 10, 100)),
-            p=rng.choice((0, 1, 10, 100)),
-        )
-        for i in range(1, 65)
-        if i != 31
-    ]
-    candidates.append(make_response(31, terminal=True))
-    candidates = [CandidateInstance(spec, "ecu") for spec in candidates]
+    candidates = level_grid_set(random.Random(1), 64, unit_weights=True)
     assert len(candidates) == 64  # 63 regular entries + the terminal
     event = make_event()
     for algo in ALGOS:
@@ -207,33 +192,20 @@ def test_selection_latency_and_run_budgets(scenario1, tmp_path):
 def test_4096_candidate_drains_stay_under_the_drain_budget(scenario1):
     """Draining 4,096 candidates with every precondition rejected takes
     under 2 s per strategy, and for ``saw`` also at a preference bound of
-    0 (all-zero impact alphas, so every step is a fallback), and ends at
-    the terminal entry."""
-    rng = random.Random(4096)
-
-    def weight():
-        return round(rng.uniform(0.5, 1.5), 2)
-
-    def level():
-        return rng.choice((0, 1, 10, 100))
-
-    specs = [
-        make_response(
-            i, a=level(), perf=level(), s=level(), f=level(), o=level(), p=level(),
-            w_a=weight(), w_perf=weight(), weights=(weight(), weight(), weight(), weight()),
-        )
-        for i in range(1, 4097)
-        if i != 31
-    ]
-    specs.append(make_response(31, terminal=True))
-    candidates = [CandidateInstance(spec, "ecu") for spec in specs]
+    0 (all-zero impact alphas, so every step is a fallback) and of 1 (a
+    bound that binds, so the forest expands ineligible nodes), and ends
+    at the terminal entry."""
+    candidates = level_grid_set(random.Random(4096), 4096)
     event = scenario1.event()
     feasible = sum(
-        not spec.terminal and response_cost(spec.cost) < 210.0 for spec in specs
+        not c.response.terminal and response_cost(c.response.cost) < 210.0 for c in candidates
     )
     selectors = {algo: make_selector(algo) for algo in ALGOS}
     selectors["saw at bound 0"] = lambda cands, impact, event: saw_select(
         cands, [0.0] * 5, SawConfig(), impact
+    )
+    selectors["saw at bound 1"] = lambda cands, impact, event: saw_select(
+        cands, [1.0, 0.0, 0.0, 0.0, 0.0], SawConfig(), impact
     )
     for algo, selector in selectors.items():
         t0 = time.perf_counter()

@@ -238,6 +238,40 @@ class TestScenario:
         with pytest.raises(SchemaError, match="flux_capacitor"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"facts": {"driving": "no"}},
+             "scenario.facts.driving: expected true or false, got 'no'"),
+            ({"velocity_kmh": -3.0},
+             "scenario.velocity_kmh: expected a finite non-negative number, got -3.0"),
+            ({"environment_weight": "x"},
+             "scenario.environment_weight: expected a finite non-negative number, got 'x'"),
+            ({"infected_asset": "flux_capacitor"},
+             "scenario.infected_asset: 'flux_capacitor' not in architecture"),
+            ({"affected_asset": 5}, "scenario.affected_asset: expected a string, got 5"),
+            ({"effects": {"x": {}}}, "scenario.effects.x: key is not a response index"),
+            ({"effects": {"20": {"attacker_isolated": 1}}},
+             "scenario.effects.20.attacker_isolated: expected true or false, got 1"),
+            ({"catalog_overrides": {"static:*": 5}},
+             "scenario.catalog_overrides.static:*: expected a string, got 5"),
+            ({"impact_params": {"s": 7, "f": 0, "o": 0, "p": 0}},
+             "scenario.impact_params: S must be one of (0, 1, 10, 100), got 7"),
+            ({"intrusion_result": "x"},
+             "scenario.intrusion_result: 'x' is not one of: "
+             + ", ".join(r.value for r in IntrusionResult)),
+        ],
+        ids=["facts", "velocity", "environment-weight", "unknown-asset", "asset-type",
+             "effects-key", "effects-flag", "override", "impact-params", "result"],
+    )
+    def test_errors_name_the_json_path(self, data, tmp_path, change, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**scenario1_doc(data), **change}))
+        (tmp_path / "architecture.json").write_text((data / "architecture.json").read_text())
+        with pytest.raises(SchemaError) as info:
+            load_scenario(path)
+        assert str(info.value) == message
+
     def test_negative_velocity_rejected(self, data):
         doc = scenario1_doc(data)
         doc["velocity_kmh"] = -3.0

@@ -1,13 +1,16 @@
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from react_irs.model import CandidateInstance, DomainError, EnvironmentTerm
+from react_irs import selection
 from react_irs.risk import event_impact
 from react_irs.selection import (
     EPSILON,
     RHO,
+    SAW_FOREST_MIN,
     SawConfig,
     brute_force_oracle,
     compute_impact_alphas,
@@ -17,7 +20,7 @@ from react_irs.selection import (
     saw_preferences,
     saw_select,
 )
-from _support import make_event, make_response
+from _support import level_grid_set, make_event, make_response
 
 
 def instances(*specs):
@@ -155,6 +158,19 @@ class TestSawSelect:
         assert out.fallback
         assert out.feasible_count == 0
         assert out.chosen.response.index == 1  # still the global maximum
+
+    def test_sets_of_saw_forest_min_take_the_forest(self, monkeypatch):
+        ranked = []
+        for name in ("_saw_walk", "_saw_forest"):
+
+            def spy(*args, rank=getattr(selection, name), name=name):
+                ranked.append(name)
+                return rank(*args)
+
+            monkeypatch.setattr(selection, name, spy)
+        for n in (SAW_FOREST_MIN - 1, SAW_FOREST_MIN):
+            saw_select(level_grid_set(random.Random(n), n), [1.0] * 5, SawConfig(), impact=210.0)
+        assert ranked == ["_saw_walk", "_saw_forest"]
 
     def test_single_candidate(self):
         cands = instances(make_response(31, terminal=True))

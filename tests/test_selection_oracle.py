@@ -1,17 +1,23 @@
 """Cross-checks: the optimizing selectors against an exhaustive scan."""
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from react_irs.selection import (
+    RHO,
+    SAW_FOREST_MIN,
     SawConfig,
+    _head,
+    _saw_forest,
+    _saw_walk,
     brute_force_oracle,
     lp_select_max_benefit,
     lp_select_min_cost,
     saw_preferences,
     saw_select,
 )
-from _support import assert_selectors_match_oracle, random_candidate_set
+from _support import assert_selectors_match_oracle, level_grid_set, random_candidate_set
 
 
 def test_selectors_match_oracle_on_random_sets():
@@ -102,11 +108,16 @@ def _assert_rankings_match(candidates, impact, w_benefit, bound):
         for step, (f, s) in enumerate(zip(fast, slow)):
             assert f[0] is s[0] and f[1:] == s[1:], (objective, step, f[1:], s[1:])
     cfg = SawConfig(w_benefit=w_benefit)
-    fast = _steps(saw_select(candidates, BOUND_ALPHAS[bound], cfg, impact))
     slow = _saw_rescan(candidates, cfg, impact, bound)
-    assert len(fast) == len(slow) == len(candidates)
-    for step, (f, s) in enumerate(zip(fast, slow)):
-        assert f[0] is s[0] and f[1:] == s[1:], ("saw", w_benefit, bound, step, f[1:], s[1:])
+    # saw_select takes the walk below SAW_FOREST_MIN candidates; the forest
+    # is run directly so that it meets these small, tie-heavy sets too.
+    forest = _head(_saw_forest(candidates, RHO * sum(BOUND_ALPHAS[bound]), cfg, impact))
+    for name, head in (("saw", saw_select(candidates, BOUND_ALPHAS[bound], cfg, impact)),
+                       ("forest", forest)):
+        fast = _steps(head)
+        assert len(fast) == len(slow) == len(candidates)
+        for step, (f, s) in enumerate(zip(fast, slow)):
+            assert f[0] is s[0] and f[1:] == s[1:], (name, w_benefit, bound, step, f[1:], s[1:])
 
 
 def test_rankings_equal_a_rescan_of_the_shrinking_set():
@@ -130,3 +141,26 @@ def test_rankings_equal_a_rescan_of_the_shrinking_set():
 def test_any_seeded_ranking_equals_a_rescan(seed, w_benefit, bound):
     candidates, impact = random_candidate_set(random.Random(seed), max_candidates=24)
     _assert_rankings_match(candidates, impact, w_benefit, bound)
+
+
+def _assert_forest_matches_walk(candidates, impact, cfg):
+    for bound in sorted(BOUND_ALPHAS):
+        args = (candidates, RHO * sum(BOUND_ALPHAS[bound]), cfg, impact)
+        for step, (f, w) in enumerate(zip(_saw_forest(*args), _saw_walk(*args), strict=True)):
+            assert f[0] is w[0] and f[1:4] == w[1:4], (bound, step, f[1:4], w[1:4])
+
+
+@pytest.mark.parametrize("n", [1026, 4096])
+def test_forest_ranks_large_sets_as_the_walk_does(n):
+    """Step by step, at every bound, on sets far above SAW_FOREST_MIN."""
+    assert n >= SAW_FOREST_MIN
+    _assert_forest_matches_walk(level_grid_set(random.Random(n), n), 210.0, SawConfig())
+
+
+def test_forest_ranks_shared_grid_points_as_the_walk_does():
+    """Unit weights put 4,096 candidates on 341 (benefit, cost) points, the
+    most common one 59 times, with catalog indices from 1-39: long chains
+    of equal scores that the index-then-position tie-break must order."""
+    rng = random.Random(48)
+    candidates = level_grid_set(rng, 4096, unit_weights=True, indices=range(1, 40))
+    _assert_forest_matches_walk(candidates, 210.0, SawConfig())
