@@ -5,14 +5,14 @@ is scored differently depending on how fast the vehicle is moving when the
 detector fires.
 """
 from react_irs.files import data_dir, load_scenario
-from react_irs.risk import environment_from_velocity, event_impact, legacy_impact
+from react_irs.risk import environment_from_velocity, event_impact
 
 scenario = load_scenario(data_dir() / "scenario1.json")
 params = scenario.impact_params
 
 print(f"scenario: {scenario.name}")
 print(f"impact parameters: S={params.s} F={params.f} O={params.o} P={params.p}")
-print(f"speed-independent part of the score: {legacy_impact(params)}")
+print(f"speed-independent part of the score: {params.s + params.f + params.o + params.p}")
 print()
 
 print(f"{'velocity (km/h)':>16} {'env level':>10} {'impact':>8}")

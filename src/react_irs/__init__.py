@@ -68,7 +68,6 @@ from .responses import (
 from .risk import (
     environment_from_velocity,
     event_impact,
-    legacy_impact,
 )
 from .selection import (
     ALGORITHMS,
@@ -79,7 +78,6 @@ from .selection import (
     lp_select_max_benefit,
     lp_select_min_cost,
     make_selector,
-    saw_preferences,
     saw_select,
 )
 

@@ -7,10 +7,16 @@ duplicate indices and unresolvable references all raise
 UTF-8 and a top level that is not a JSON object: a loader lets no other
 error escape.  Keys the schema does not name are ignored.
 
+A catalog may be an overlay: it ``extends`` a full catalog, drops the
+base indices it lists in ``remove``, and its ``responses`` replace base
+entries or add new ones by index, the result in index order.  Its base
+may not itself be an overlay.
+
 A catalog is parsed once per path and file content: ``load_catalog``
-reads the file's bytes on every call and returns the catalog it kept for
-that path while they are unchanged.  A returned catalog is therefore
-shared between callers; it is immutable, like everything it holds.
+reads the file's bytes on every call, and an overlay's base's bytes too,
+and returns the catalog it kept for that path while both are unchanged.
+A returned catalog is therefore shared between callers; it is immutable,
+like everything it holds.
 """
 from __future__ import annotations
 
@@ -228,45 +234,76 @@ def _parse_response(doc: Any, context: str) -> ResponseSpec:
     )
 
 
-def parse_catalog(doc: Mapping[str, Any]) -> Catalog:
+def parse_catalog(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Catalog:
+    """Parse a catalog; an overlay's ``extends`` is relative to ``base_dir``."""
+    return _parse_catalog(doc, base_dir)[0]
+
+
+def _parse_catalog(
+    doc: Mapping[str, Any], base_dir: str | Path
+) -> tuple[Catalog, tuple[str, bytes] | None]:
+    """The catalog, and for an overlay its base's path and bytes."""
     _check_header(doc, "catalog", "catalog")
     entries = _list(_require(doc, "responses", "catalog"), "catalog.responses")
-    responses = []
-    seen: set[int] = set()
+    responses: dict[int, ResponseSpec] = {}
     for i, entry in enumerate(entries):
         context = f"catalog.responses[{i}]"
         spec = _parse_response(entry, context)
-        if spec.index in seen:
+        if spec.index in responses:
             raise SchemaError(f"{context}.index: duplicate response index {spec.index}")
-        seen.add(spec.index)
-        responses.append(spec)
-    terminals = [spec for spec in responses if spec.terminal]
+        responses[spec.index] = spec
+    base = None
+    if "extends" in doc:
+        ref = _str(doc["extends"], "catalog.extends")
+        path = str(Path(base_dir) / ref)
+        try:
+            data, catalog, _ = _load(path, as_base=True)
+        except SchemaError as exc:
+            raise SchemaError(f"catalog.extends: {ref}: {exc}") from None
+        kept = {spec.index: spec for spec in catalog.responses}
+        for i, index in enumerate(_list(doc.get("remove", []), "catalog.remove")):
+            if type(index) is not int or kept.pop(index, None) is None:
+                raise SchemaError(f"catalog.remove[{i}]: {ref} has no response index {index!r}")
+        base, responses = (path, data), dict(sorted({**kept, **responses}.items()))
+    elif "remove" in doc:
+        raise SchemaError("catalog.remove: only an overlay (with extends) removes entries")
+    terminals = [spec for spec in responses.values() if spec.terminal]
     if len(terminals) != 1:
         raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    return Catalog(name=_str(doc.get("name", ""), "catalog.name"), responses=tuple(responses))
+    return Catalog(_str(doc.get("name", ""), "catalog.name"), tuple(responses.values())), base
 
 
-#: Path as given -> (the file's bytes, the catalog parsed from them).
-_catalogs: dict[str, tuple[bytes, Catalog]] = {}
+#: Path as given -> (its bytes, their catalog, an overlay's base path and bytes or None).
+_catalogs: dict[str, tuple[bytes, Catalog, tuple[str, bytes] | None]] = {}
 
 
 def load_catalog(path: str | Path) -> Catalog:
     """Load a catalog file, parsing it only when its bytes have changed.
 
-    Every call reads the file.  When its bytes equal the ones kept for this
-    path, the kept catalog is returned: the same shared, immutable object.
-    Content is compared, not mtime or size, so a same-size rewrite within
-    one mtime tick is still seen.  A load that fails stores nothing.  Two
-    threads loading the same changed file at once at worst both parse it.
+    Every call reads the file, and an overlay's call also reads its base.
+    When the bytes of both equal the ones kept for this path, the kept
+    catalog is returned: the same shared, immutable object.  Content is
+    compared, not mtime or size, so a same-size rewrite within one mtime
+    tick is still seen.  A load that fails stores nothing.  Two threads
+    loading the same changed file at once at worst both parse it.
     """
+    return _load(str(path))[1]
+
+
+def _load(path: str, as_base: bool = False) -> tuple[bytes, Catalog, tuple[str, bytes] | None]:
+    """The cache entry for ``path``, parsed again unless the file's bytes,
+    and an overlay's base's, are the kept ones; a base may not be an overlay."""
     data = _read_bytes(path)
-    key = str(path)
-    kept = _catalogs.get(key)
-    if kept is not None and kept[0] == data:
-        return kept[1]
-    catalog = parse_catalog(_decode_json(data, path))
-    _catalogs[key] = (data, catalog)
-    return catalog
+    kept = _catalogs.get(path)
+    if kept is not None and kept[0] == data and (
+        kept[2] is None or not as_base and _read_bytes(kept[2][0]) == kept[2][1]
+    ):
+        return kept
+    doc = _decode_json(data, path)
+    if as_base and "extends" in _object(doc, "catalog"):
+        raise SchemaError("an overlay's base must be a full catalog, not another overlay")
+    kept = _catalogs[path] = (data, *_parse_catalog(doc, Path(path).parent))
+    return kept
 
 
 # --------------------------------------------------------------------------
@@ -326,11 +363,9 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     context = "scenario"
     effects: dict[int, dict[str, bool]] = {}
     for index, updates in _object(doc.get("effects", {}), f"{context}.effects").items():
-        try:
-            key = int(index)
-        except ValueError:
-            raise SchemaError(f"{context}.effects.{index}: key is not a response index") from None
-        effects[key] = _flags(updates, f"{context}.effects.{index}")
+        if not (isinstance(index, str) and index.isascii() and index.isdigit()):
+            raise SchemaError(f"{context}.effects.{index}: key is not a response index")
+        effects[int(index)] = _flags(updates, f"{context}.effects.{index}")
     overrides = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
     overrides = {k: _str(v, f"{context}.catalog_overrides.{k}") for k, v in overrides.items()}
     return Scenario(
@@ -404,7 +439,7 @@ def validate_file(path: str | Path) -> str:
     if kind == "architecture":
         parse_architecture(doc)
     elif kind == "catalog":
-        parse_catalog(doc)
+        parse_catalog(doc, base_dir=Path(path).parent)
     elif kind == "scenario":
         load_scenario(path)
     else:

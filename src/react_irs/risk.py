@@ -11,7 +11,7 @@ higher stakes.
 """
 from __future__ import annotations
 
-from .model import DomainError, ImpactVector, IntrusionEvent
+from .model import DomainError, IntrusionEvent
 
 
 def environment_from_velocity(velocity_kmh: float) -> int:
@@ -29,11 +29,6 @@ def environment_from_velocity(velocity_kmh: float) -> int:
     if velocity_kmh >= 30:
         return 1
     return 0
-
-
-def legacy_impact(params: ImpactVector) -> int:
-    """Unweighted sum S + F + O + P (the static reference score)."""
-    return params.s + params.f + params.o + params.p
 
 
 def environment_term(event: IntrusionEvent) -> float:

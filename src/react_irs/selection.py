@@ -100,28 +100,6 @@ def _head(steps: Iterator[SelectionOutcome]) -> SelectionOutcome:
     return SelectionOutcome(chosen, score, feasible_count, fallback, steps)
 
 
-def saw_preferences(
-    candidates: Sequence[CandidateInstance], cfg: SawConfig, impact: float
-) -> list[tuple[CandidateInstance, float]]:
-    """Per-candidate preference values.
-
-    Benefit normalizes as v/max(v), cost as min(v)/v; zeros are replaced
-    by ``EPSILON`` before any division (including max/min).  The impact is
-    needed to peg the terminal entry's cost.
-    """
-    if not candidates:
-        raise DomainError("cannot rank an empty candidate set")
-    benefits = [response_benefit(c.response.benefit) or EPSILON for c in candidates]
-    costs = [effective_cost(c, impact) or EPSILON for c in candidates]
-    max_b = max(benefits)
-    min_c = min(costs)
-    w_benefit, w_cost = cfg.w_benefit, cfg.w_cost
-    return [
-        (c, w_benefit * b / max_b + w_cost * min_c / cost)
-        for c, b, cost in zip(candidates, benefits, costs)
-    ]
-
-
 def compute_impact_alphas(event: IntrusionEvent) -> list[float]:
     """Per-metric impact shares of an event for (S, F, O, P, E): 1.0 where
     the weighted term of :func:`event_impact` is non-zero, else 0.0."""

@@ -1,8 +1,11 @@
-"""Standalone re-derivation of the static selection series.
+"""Standalone re-derivation of the static selection series, and the
+formulas that only the tests read.
 
 Deliberately avoids importing the package: it reads the catalog JSON with
-the stdlib and re-implements ranking with plain dict/loop arithmetic, so
-the harness and this module only agree if both encode the same rules.
+the stdlib, merging an overlay onto its base by the loader's rules, and
+re-implements ranking with plain dict/loop arithmetic, so the harness and
+this module only agree if both encode the same rules.  The formulas at
+the end take the package's candidates but read only their fields.
 """
 from __future__ import annotations
 
@@ -14,10 +17,24 @@ W_BENEFIT, W_COST = 0.6, 0.4
 RHO = 1.0
 
 
-def _entries(catalog_path: Path, result: str) -> list[dict]:
+def _responses(catalog_path: Path) -> list[dict]:
+    """The catalog's entries; an overlay's base entries less ``remove``,
+    replaced or added to by index, in index order."""
     doc = json.loads(catalog_path.read_text(encoding="utf-8"))
+    if "extends" not in doc:
+        return doc["responses"]
+    base = json.loads((catalog_path.parent / doc["extends"]).read_text(encoding="utf-8"))
+    assert "extends" not in base, "an overlay's base must be a full catalog"
+    merged = {resp["index"]: resp for resp in base["responses"]}
+    for index in doc.get("remove", []):
+        del merged[index]
+    merged.update((resp["index"], resp) for resp in doc["responses"])
+    return [merged[index] for index in sorted(merged)]
+
+
+def _entries(catalog_path: Path, result: str) -> list[dict]:
     kept = []
-    for resp in doc["responses"]:
+    for resp in _responses(catalog_path):
         if not resp.get("general") and result not in resp.get("applies_to", ()):
             continue
         cost = resp["cost"]
@@ -98,3 +115,42 @@ def static_series(
         cands.remove(c)
         if c["terminal"]:
             return steps
+
+
+def legacy_impact(params) -> int:
+    """Unweighted sum S + F + O + P (the static reference score)."""
+    return params.s + params.f + params.o + params.p
+
+
+def saw_preferences(candidates, cfg, impact: float) -> list[tuple[object, float]]:
+    """Per-candidate SAW preference values: benefit normalizes as
+    v/max(v), cost as min(v)/v, with zeros replaced by ``EPSILON`` before
+    any division; the terminal entry's cost is the impact."""
+    if not candidates:
+        raise ValueError("cannot rank an empty candidate set")
+    benefits, costs = [], []
+    for c in candidates:
+        b, cv = c.response.benefit, c.response.cost
+        benefits.append(0 + b.w_s * b.s + b.w_f * b.f + b.w_o * b.o + b.w_p * b.p or EPSILON)
+        cost = float(impact) if c.response.terminal else cv.w_a * cv.a + cv.w_perf * cv.perf
+        costs.append(cost or EPSILON)
+    max_b, min_c = max(benefits), min(costs)
+    return [
+        (c, cfg.w_benefit * b / max_b + cfg.w_cost * min_c / cost)
+        for c, b, cost in zip(candidates, benefits, costs)
+    ]
+
+
+def saw_rescan(candidates, cfg, impact: float, bound: float) -> list[tuple]:
+    """The SAW ranking by rescan: re-score the shrinking list and take the
+    best preference below the bound (or the best overall, as a fallback)
+    until nothing is left, as (chosen, score, feasible count, fallback)."""
+    remaining, out = list(candidates), []
+    while remaining:
+        prefs = saw_preferences(remaining, cfg, impact)
+        eligible = [i for i, (_, p) in enumerate(prefs) if p < bound]
+        pool = eligible or range(len(prefs))
+        best = min(pool, key=lambda i: (-prefs[i][1], prefs[i][0].response.index, i))
+        out.append((prefs[best][0], prefs[best][1], len(eligible), not eligible))
+        del remaining[best]
+    return out

@@ -361,6 +361,9 @@ class TestBadNumbers:
             pytest.param("environment_weight", HUGE, id="environment_weight-huge"),
             pytest.param("velocity_kmh", -0.0, id="velocity_kmh-negative-zero"),
             pytest.param("environment_weight", -0.0, id="environment_weight-negative-zero"),
+            pytest.param("effects", {"2_0": {}}, id="effects-key-underscore"),
+            pytest.param("effects", {" -3 ": {}}, id="effects-key-signed"),
+            pytest.param("effects", {"\u0662": {}}, id="effects-key-arabic-indic"),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):

@@ -59,6 +59,11 @@ def minimal_catalog_doc(**overrides):
     return doc
 
 
+def overlay_doc(extends="base.json", **fields):
+    return {"schema_version": 1, "kind": "catalog", "name": "overlay",
+            "extends": extends, "responses": [], **fields}
+
+
 class TestArchitecture:
     def test_shipped_assets(self, data):
         assets = load_architecture(data / "architecture.json")
@@ -197,6 +202,93 @@ class TestCatalog:
             generic_catalog.by_index(99)
 
 
+class TestCatalogOverlay:
+    """A catalog that ``extends`` a full catalog: ``remove`` drops base
+    indices, ``responses`` replace or add entries by index, and the result
+    is in index order."""
+
+    @staticmethod
+    def write(tmp_path, name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return tmp_path / name
+
+    def test_entries_are_removed_replaced_and_added_in_index_order(self, tmp_path):
+        base = minimal_catalog_doc()
+        extra = {**base["responses"][0], "index": 7}
+        base["responses"].insert(1, extra)
+        self.write(tmp_path, "base.json", base)
+        added = {**base["responses"][0], "index": 9, "action": "added"}
+        replaced = {**base["responses"][2], "action": "do nothing"}
+        path = self.write(tmp_path, "overlay.json",
+                          overlay_doc(remove=[5], responses=[replaced, added]))
+        catalog = load_catalog(path)
+        assert [spec.index for spec in catalog.responses] == [7, 9, 31]
+        assert [spec.action for spec in catalog.responses] == [
+            "change settings", "added", "do nothing"]
+        assert parse_catalog(json.loads(path.read_text()), base_dir=tmp_path) == catalog
+        assert validate_file(path) == "catalog"
+
+    def test_an_overlay_of_an_overlay_is_rejected(self, tmp_path):
+        self.write(tmp_path, "base.json", minimal_catalog_doc())
+        self.write(tmp_path, "middle.json", overlay_doc())
+        load_catalog(tmp_path / "middle.json")  # kept as an overlay, then named as a base
+        path = self.write(tmp_path, "top.json", overlay_doc("middle.json"))
+        with pytest.raises(SchemaError) as info:
+            load_catalog(path)
+        assert str(info.value) == (
+            "catalog.extends: middle.json: an overlay's base must be a full catalog,"
+            " not another overlay")
+        path = self.write(tmp_path, "self.json", overlay_doc("self.json"))
+        with pytest.raises(SchemaError, match="not another overlay"):
+            load_catalog(path)
+
+    def test_a_missing_base_is_rejected(self, tmp_path):
+        path = self.write(tmp_path, "overlay.json", overlay_doc("absent.json"))
+        for load in (load_catalog, validate_file):
+            with pytest.raises(SchemaError) as info:
+                load(path)
+            assert str(info.value) == (
+                f"catalog.extends: absent.json: no such file: {tmp_path / 'absent.json'}")
+        with pytest.raises(SchemaError) as info:
+            parse_catalog(overlay_doc(5))
+        assert str(info.value) == "catalog.extends: expected a string, got 5"
+
+    @pytest.mark.parametrize("index", [6, "5", True, [5]])
+    def test_removing_an_index_the_base_lacks_is_rejected(self, tmp_path, index):
+        self.write(tmp_path, "base.json", minimal_catalog_doc())
+        with pytest.raises(SchemaError) as info:
+            parse_catalog(overlay_doc(remove=[5, index]), base_dir=tmp_path)
+        assert str(info.value) == f"catalog.remove[1]: base.json has no response index {index!r}"
+
+    def test_only_an_overlay_removes(self):
+        with pytest.raises(SchemaError) as info:
+            parse_catalog(minimal_catalog_doc(remove=[5]))
+        assert str(info.value) == "catalog.remove: only an overlay (with extends) removes entries"
+
+    def test_an_overlay_still_needs_one_terminal(self, tmp_path):
+        self.write(tmp_path, "base.json", minimal_catalog_doc())
+        with pytest.raises(SchemaError, match="exactly one terminal entry, found 0"):
+            parse_catalog(overlay_doc(remove=[31]), base_dir=tmp_path)
+
+    def test_shipped_overlays_restate_no_base_entry(self, data):
+        """Each shipped overlay extends a full catalog, removes only indices
+        that its base holds, and lists only entries that differ from the
+        base's or are new."""
+        overlays = 0
+        for path in sorted(data.glob("catalog_*.json")):
+            doc = json.loads(path.read_text())
+            if "extends" not in doc:
+                continue
+            overlays += 1
+            base = json.loads((data / doc["extends"]).read_text())
+            assert "extends" not in base, path.name
+            by_index = {entry["index"]: entry for entry in base["responses"]}
+            assert set(doc["remove"]) <= set(by_index), path.name
+            for entry in doc["responses"]:
+                assert entry != by_index.get(entry["index"]), (path.name, entry["index"])
+        assert overlays == 5
+
+
 class TestScenario:
     def test_event_construction(self, scenario1):
         event = scenario1.event()
@@ -260,9 +352,13 @@ class TestScenario:
             ({"intrusion_result": "x"},
              "scenario.intrusion_result: 'x' is not one of: "
              + ", ".join(r.value for r in IntrusionResult)),
+            ({"effects": {"2_0": {}}}, "scenario.effects.2_0: key is not a response index"),
+            ({"effects": {" -3 ": {}}}, "scenario.effects. -3 : key is not a response index"),
+            ({"effects": {"\u0662": {}}}, "scenario.effects.\u0662: key is not a response index"),
         ],
         ids=["facts", "velocity", "environment-weight", "unknown-asset", "asset-type",
-             "effects-key", "effects-flag", "override", "impact-params", "result"],
+             "effects-key", "effects-flag", "override", "impact-params", "result",
+             "effects-key-underscore", "effects-key-signed", "effects-key-arabic-indic"],
     )
     def test_errors_name_the_json_path(self, data, tmp_path, change, message):
         path = tmp_path / "scenario.json"
@@ -373,6 +469,22 @@ class TestCatalogCache:
         # Same size, and the same mtime as a rewrite within one tick.
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert path.stat().st_size == before.st_size
+        assert load_catalog(path).by_index(5).cost.w_a == 1.5
+
+    def test_same_size_base_rewrite_reparses_the_overlay(self, tmp_path):
+        doc = minimal_catalog_doc()
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(doc))
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps(overlay_doc()))
+        first = load_catalog(path)
+        assert load_catalog(path) is first
+        assert first.by_index(5).cost.w_a == 1.0
+        before = base.stat()
+        doc["responses"][0]["cost"]["w_a"] = 1.5
+        base.write_text(json.dumps(doc))
+        os.utime(base, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert base.stat().st_size == before.st_size
         assert load_catalog(path).by_index(5).cost.w_a == 1.5
 
     def test_malformed_rewrite_fails_and_restoring_loads_again(self, tmp_path):

@@ -179,11 +179,14 @@ class TestVelocitySweep:
     def test_row_time_covers_the_rejected_attempts(self, tmp_path, monkeypatch):
         """A sweep row carries its decision's whole inner loop, as a dynamic
         row does, not only the ranking step of the applied attempt."""
-        for name in ("scenario1.json", "architecture.json", "catalog_scenario1_dynamic.json"):
+        for name in ("scenario1.json", "architecture.json", "catalog_scenario1.json",
+                     "catalog_scenario1_dynamic.json"):
             shutil.copy(data_dir() / name, tmp_path / name)
+        base = json.loads((tmp_path / "catalog_scenario1.json").read_text())
+        entry = next(r for r in base["responses"] if r["index"] == 17)
         path = tmp_path / "catalog_scenario1_dynamic.json"
         doc = json.loads(path.read_text())
-        next(r for r in doc["responses"] if r["index"] == 17)["precondition"] = "vehicle_stationary"
+        doc["responses"].append({**entry, "precondition": "vehicle_stationary"})
         path.write_text(json.dumps(doc))
         scenario = load_scenario(tmp_path / "scenario1.json")
 

@@ -38,11 +38,15 @@ def _replaced(node, path, value):
     return copy
 
 
+def _parse_catalog(doc):
+    parse_catalog(doc, base_dir=data_dir())
+
+
 def _parse_scenario(doc):
     parse_scenario(doc, base_dir=data_dir()).event()
 
 
-PARSERS = {"architecture": parse_architecture, "catalog": parse_catalog,
+PARSERS = {"architecture": parse_architecture, "catalog": _parse_catalog,
            "scenario": _parse_scenario}
 DOCUMENTS = sorted(path.name for path in data_dir().glob("*.json"))
 
@@ -71,7 +75,9 @@ def test_a_swapped_value_fails_only_as_a_schema_error(tmp_path, name):
     assert not escapes, "\n".join(escapes[:10])
     assert rejected
 
-    (tmp_path / "architecture.json").write_bytes((data_dir() / "architecture.json").read_bytes())
+    for needed in ("architecture.json", doc.get("extends")):
+        if needed:
+            (tmp_path / needed).write_bytes((data_dir() / needed).read_bytes())
     runner = CliRunner()
     for value, mutated in rejected.items():
         path = tmp_path / name

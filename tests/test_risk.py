@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from react_irs.model import DomainError, ImpactVector, VehicleState
-from react_irs.risk import environment_from_velocity, event_impact, legacy_impact
+from react_irs.risk import environment_from_velocity, event_impact
+from _reference import legacy_impact
 from _support import make_event
 
 

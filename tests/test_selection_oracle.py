@@ -14,9 +14,9 @@ from react_irs.selection import (
     brute_force_oracle,
     lp_select_max_benefit,
     lp_select_min_cost,
-    saw_preferences,
     saw_select,
 )
+from _reference import saw_rescan
 from _support import assert_selectors_match_oracle, level_grid_set, random_candidate_set
 
 
@@ -84,20 +84,6 @@ def _lp_rescan(candidates, impact, objective):
         del remaining[next(i for i, c in enumerate(remaining) if c is o.chosen)]
 
 
-def _saw_rescan(candidates, cfg, impact, bound):
-    """Re-score the shrinking list and take the best preference below the
-    bound (or the best overall, as a fallback) until nothing is left."""
-    remaining, out = list(candidates), []
-    while remaining:
-        prefs = saw_preferences(remaining, cfg, impact)
-        eligible = [i for i, (_, p) in enumerate(prefs) if p < bound]
-        pool = eligible or range(len(prefs))
-        best = min(pool, key=lambda i: (-prefs[i][1], prefs[i][0].response.index, i))
-        out.append((prefs[best][0], prefs[best][1], len(eligible), not eligible))
-        del remaining[best]
-    return out
-
-
 def _assert_rankings_match(candidates, impact, w_benefit, bound):
     for objective, select in (
         ("max-benefit", lp_select_max_benefit),
@@ -108,7 +94,7 @@ def _assert_rankings_match(candidates, impact, w_benefit, bound):
         for step, (f, s) in enumerate(zip(fast, slow)):
             assert f[0] is s[0] and f[1:] == s[1:], (objective, step, f[1:], s[1:])
     cfg = SawConfig(w_benefit=w_benefit)
-    slow = _saw_rescan(candidates, cfg, impact, bound)
+    slow = saw_rescan(candidates, cfg, impact, bound)
     # saw_select takes the walk below SAW_FOREST_MIN candidates; the forest
     # is run directly so that it meets these small, tie-heavy sets too.
     forest = _head(_saw_forest(candidates, RHO * sum(BOUND_ALPHAS[bound]), cfg, impact))
