@@ -13,9 +13,12 @@ a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 ``Engine.decide`` is the one decision step (impact, candidate set, inner
 loop) and returns a plain tuple, which ``Engine.run`` unpacks and extends
 with the effects, the verdict and adaptation.
-An engine generates each candidate set once per (intrusion result,
-infected asset, affected asset) and keeps it; an adaptation replaces the
-one adapted instance in every kept set when it is written.
+An engine asks for each candidate set once per (intrusion result,
+infected asset, affected asset) and keeps its own copy; an adaptation
+replaces the one adapted instance in every kept set when it is written.
+A loaded catalog generates each set once for all its engines
+(``generate_candidates``), so a fresh engine's first decision on a key
+the catalog has met copies the set instead of generating it.
 
 Also hosts the analytic estimator comparing the two possible loop
 orderings (check-all-preconditions-first vs select-first-then-check).
@@ -209,14 +212,33 @@ def inner_loop(
     raise DomainError("candidate set exhausted without an applicable response")
 
 
+def _flags(index: int, updates: Mapping[str, bool]) -> dict[str, bool]:
+    """One ``effects`` entry, checked: an ``int`` key (not a ``bool``) and
+    ``bool`` flags, never coerced."""
+    if type(index) is not int:
+        raise DomainError(f"effects key {index!r} is not a response index (an int)")
+    flags = dict(updates)
+    for name, value in flags.items():
+        if type(value) is not bool:
+            raise DomainError(f"effects[{index}].{name}: expected True or False, got {value!r}")
+    return flags
+
+
 class Engine:
     """One engine instance handles one intrusion sequence or harness run.
 
     Keeps the per-instance adaptation state and the seeded RNG; not meant
-    to be shared between threads.  Candidates are generated once per
-    (intrusion result, infected asset, affected asset) the sequence meets,
-    with the adaptations recorded so far; each later adaptation replaces
-    its (index, target) instance in every kept set when it is written.
+    to be shared between threads.  The engine asks ``generate_candidates``
+    for a set once per (intrusion result, infected asset, affected asset)
+    the sequence meets and writes the adaptations recorded so far into the
+    new list it gets; each later adaptation replaces its (index, target)
+    instance in every kept set when it is written.
+
+    A tuple catalog is kept as given, so the sets of a loaded catalog's
+    ``CatalogResponses`` are generated once for every engine on it; any
+    other sequence is copied into a tuple.  ``effects`` maps a response
+    index to the facts its application sets: each key must be an ``int``
+    and each flag a ``bool``, or a ``DomainError`` names it.
     """
 
     def __init__(
@@ -226,10 +248,10 @@ class Engine:
         adaptation: AdaptationConfig = AdaptationConfig(),
         effects: Mapping[int, Mapping[str, bool]] | None = None,
     ):
-        self._catalog = list(catalog)
+        self._catalog = catalog if isinstance(catalog, tuple) else tuple(catalog)
         self._selector = selector
         self._rng = random.Random(adaptation.rng_seed)
-        self._effects = {int(k): dict(v) for k, v in (effects or {}).items()}
+        self._effects = {index: _flags(index, flags) for index, flags in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], CandidateInstance] = {}
         self._candidates: dict[tuple[IntrusionResult, str, str], list[CandidateInstance]] = {}
         # The catalog index at each position of each kept set, which
@@ -238,7 +260,7 @@ class Engine:
 
     def _candidates_for(self, event: IntrusionEvent) -> list[CandidateInstance]:
         """The event's candidate set; ``generate_candidates`` reads only the
-        key fields, and the catalog is this engine's own copy."""
+        key fields and returns a new list, which this engine then owns."""
         key = (event.result, event.infected_asset, event.affected_asset)
         candidates = self._candidates.get(key)
         if candidates is None:

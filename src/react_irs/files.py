@@ -16,7 +16,11 @@ A catalog is parsed once per path and file content: ``load_catalog``
 reads the file's bytes on every call, and an overlay's base's bytes too,
 and returns the catalog it kept for that path while both are unchanged.
 A returned catalog is therefore shared between callers; it is immutable,
-like everything it holds.
+like everything it holds, but for one cache: its ``responses`` are a
+``CatalogResponses`` tuple, which keeps the candidate sets generated from
+it, so generation is paid once per loaded catalog and (result, infected,
+affected) key.  A rewritten file is parsed into a new tuple, whose sets
+start empty.
 """
 from __future__ import annotations
 
@@ -43,6 +47,7 @@ from .model import (
     check_weight,
 )
 from .preconditions import Precondition, PreconditionError
+from .responses import CatalogResponses
 
 SCHEMA_VERSION = 1
 
@@ -270,7 +275,8 @@ def _parse_catalog(
     terminals = [spec for spec in responses.values() if spec.terminal]
     if len(terminals) != 1:
         raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    return Catalog(_str(doc.get("name", ""), "catalog.name"), tuple(responses.values())), base
+    name = _str(doc.get("name", ""), "catalog.name")
+    return Catalog(name, CatalogResponses(responses.values())), base
 
 
 #: Path as given -> (its bytes, their catalog, an overlay's base path and bytes or None).

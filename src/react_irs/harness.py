@@ -165,7 +165,8 @@ def run_velocity_sweep(
 ) -> RunReport:
     """Impact and first applicable selection at each velocity, one row per
     velocity.  The set does not depend on the velocity, so only the first
-    decision generates it, and its time is ``list_generation_time_s``."""
+    decision asks for it, and the time its lookup or generation took is
+    ``list_generation_time_s``."""
     if not velocities:
         raise DomainError("velocities must be non-empty")
     engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)

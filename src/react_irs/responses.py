@@ -14,13 +14,18 @@ one attribute read per score rather than a call.
 
 ``generate_candidates`` turns a catalog plus an intrusion event into the
 ordered list of concrete (response, target asset) instances the decision
-loop selects from.
+loop selects from.  The set depends only on the catalog and the event's
+(result, infected asset, affected asset) key.  A catalog that ``files``
+parsed is a ``CatalogResponses`` tuple, which keeps each set it has
+generated: generation is paid once per loaded catalog and key, and every
+later call copies the kept set into a new list.  Any other sequence is
+generated from scratch on every call.
 """
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     CandidateInstance,
@@ -28,6 +33,7 @@ from .model import (
     DomainError,
     ImpactVector,
     IntrusionEvent,
+    IntrusionResult,
     Place,
     ResponseSpec,
 )
@@ -60,6 +66,25 @@ def effective_cost(candidate: CandidateInstance, impact: float) -> float:
     return response_cost(candidate.response.cost)
 
 
+class CatalogResponses(tuple):
+    """A parsed catalog's entries, with the candidate sets generated from
+    them so far.
+
+    ``sets`` maps each (result, infected, affected) key that
+    ``generate_candidates`` has met to its set, kept as a tuple.  A parsed
+    catalog's indices are unique, so every set holds the one instance per
+    (index, target) that ``instances`` keeps.  Both fill lazily and live as
+    long as this tuple: for a loaded catalog, as long as its
+    ``load_catalog`` cache entry.
+    """
+
+    def __new__(cls, specs: Iterable[ResponseSpec]):
+        self = super().__new__(cls, specs)
+        self.sets: dict[tuple[IntrusionResult, str, str], tuple[CandidateInstance, ...]] = {}
+        self.instances: dict[tuple[int, str], CandidateInstance] = {}
+        return self
+
+
 def generate_candidates(
     event: IntrusionEvent, catalog: Sequence[ResponseSpec]
 ) -> list[CandidateInstance]:
@@ -72,8 +97,29 @@ def generate_candidates(
     one instance per involved asset when the two assets differ.  When no
     applicable entry is terminal, the catalog's first terminal entry is
     appended.
+
+    Every call returns a new list, which the caller may change.  On a
+    ``CatalogResponses`` the set is generated once per key and copied from
+    the kept tuple on every later call, with the same instances in the same
+    order; any other sequence is generated from scratch.
     """
-    result = event.result
+    key = (event.result, event.infected_asset, event.affected_asset)
+    if not isinstance(catalog, CatalogResponses):
+        return _generate(*key, catalog)
+    kept = catalog.sets.get(key)
+    if kept is None:
+        shared = catalog.instances.setdefault
+        kept = catalog.sets[key] = tuple(
+            shared((cand.response.index, cand.target_asset), cand)
+            for cand in _generate(*key, catalog)
+        )
+    return list(kept)
+
+
+def _generate(
+    result: IntrusionResult, infected: str, affected: str, catalog: Sequence[ResponseSpec]
+) -> list[CandidateInstance]:
+    """``generate_candidates`` from scratch, for one key."""
     specific: list[ResponseSpec] = []
     general: list[ResponseSpec] = []
     terminal: ResponseSpec | None = None
@@ -93,7 +139,6 @@ def generate_candidates(
     ):
         general.append(terminal)
 
-    infected, affected = event.infected_asset, event.affected_asset
     same = infected == affected
     candidates: list[CandidateInstance] = []
     append = candidates.append

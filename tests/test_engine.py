@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -443,6 +445,67 @@ class TestCandidateMemo:
                     holders[id(adapted)] = holders.get(id(adapted), 0) + 1
         assert len(engine._candidates) == 3 and max(holders.values()) > 1
 
+
+class TestSharedCatalog:
+    """Engines on one loaded catalog share its generated sets, never each
+    other's adaptations."""
+
+    @pytest.mark.parametrize("algo", ["lp-max", "lp-min", "saw"])
+    def test_adaptations_never_reach_a_second_engine(self, data, algo):
+        from react_irs.files import load_catalog, parse_catalog
+
+        path = data / "catalog_generic.json"
+        loaded = load_catalog(path).responses
+        selector = make_selector(algo)
+        event = make_event(infected="cam", affected="ecu")
+        later = make_event(infected="ecu", affected="cam", result=IntrusionResult.SYSTEM_UNAVAILABILITY)
+        for verdicts in ([Failure()] * 4, [NewIntrusion(later), Failure(), NewIntrusion(event)]):
+            first = Engine(loaded, selector, AdaptationConfig(rng_seed=3))
+            first.run(event, replay(verdicts), len(verdicts) + 1)
+            assert first._adapted
+            fresh = parse_catalog(json.loads(path.read_text(encoding="utf-8"))).responses
+            for probe in (event, later):
+                got = Engine(loaded, selector).decide(probe)
+                want = Engine(fresh, selector).decide(probe)
+                assert got[:3] == want[:3]
+                assert _untimed(got[3]) == _untimed(want[3])
+                assert generate_candidates(probe, loaded) == generate_candidates(probe, fresh)
+        assert all(
+            cand.response.benefit is cand.response.original_benefit
+            for kept in loaded.sets.values() for cand in kept
+        )
+
+    def test_a_tuple_catalog_is_kept_as_given_and_a_list_is_copied(self, generic_catalog):
+        selector = make_selector("lp-max")
+        assert Engine(generic_catalog.responses, selector)._catalog is generic_catalog.responses
+        catalog = [make_response(2, s=10), make_response(31, terminal=True)]
+        engine = Engine(catalog, selector)
+        catalog.insert(0, make_response(1, s=100))
+        assert engine.decide(make_event())[0].response.index == 2
+
+    @pytest.mark.parametrize(
+        "effects,named",
+        [
+            ({"2_0": {}}, "'2_0'"),
+            ({"20": {}}, "'20'"),
+            ({2.7: {}}, "2.7"),
+            ({True: {}}, "True"),
+            ({17: {"update_available": 1}}, "effects[17].update_available"),
+            ({17: {"update_available": "yes"}}, "'yes'"),
+        ],
+        ids=["underscore", "digit-string", "float", "bool", "int-flag", "string-flag"],
+    )
+    def test_effects_are_checked_not_coerced(self, effects, named):
+        catalog = [make_response(17), make_response(31, terminal=True)]
+        with pytest.raises(DomainError, match=re.escape(named)):
+            Engine(catalog, make_selector("lp-max"), effects=effects)
+
+    def test_effects_are_copied(self):
+        catalog = [make_response(17), make_response(31, terminal=True)]
+        effects = {17: {"update_available": True}}
+        engine = Engine(catalog, make_selector("lp-max"), effects=effects)
+        effects[17]["update_available"] = False
+        assert engine._effects == {17: {"update_available": True}}
 
 def _scan_swap(candidates, instance):
     """A plain scan of the set: every position that holds the instance's

@@ -11,6 +11,7 @@ from react_irs.model import (
 )
 from react_irs.responses import (
     CatalogError,
+    CatalogResponses,
     effective_cost,
     generate_candidates,
     response_benefit,
@@ -279,3 +280,127 @@ class TestGenerationMatchesReference:
         second = dataclasses.replace(catalog[0], index=33, applicable_results=unavailability)
         self._check([*catalog, second], assets, ("two terminals", "file order"))
         self._check([second, *catalog], assets, ("two terminals", "second first"))
+
+
+class TestCatalogMemo:
+    """A parsed catalog generates each (result, infected, affected) set
+    once; every call still returns a new list of the same instances."""
+
+    @pytest.fixture
+    def catalog(self, data):
+        """The generic catalog's entries, freshly parsed: an empty memo."""
+        from react_irs.files import parse_catalog
+
+        doc = json.loads((data / "catalog_generic.json").read_text(encoding="utf-8"))
+        return parse_catalog(doc).responses
+
+    @pytest.fixture
+    def events(self, data):
+        """One event per key of the shipped architecture: 5 x 8 x 8."""
+        doc = json.loads((data / "architecture.json").read_text(encoding="utf-8"))
+        assets = [asset["id"] for asset in doc["assets"]]
+        return [
+            make_event(infected=infected, affected=affected, result=result)
+            for result in IntrusionResult for infected in assets for affected in assets
+        ]
+
+    def test_a_parsed_catalog_starts_with_an_empty_memo(self, catalog, generic_catalog):
+        assert isinstance(catalog, CatalogResponses) and isinstance(catalog, tuple)
+        assert not catalog.sets and not catalog.instances
+        assert catalog == generic_catalog.responses
+
+    def test_mutating_a_returned_set_leaves_the_next_unchanged(self, catalog):
+        event = make_event(infected="cam", affected="ecu")
+        first = generate_candidates(event, catalog)
+        kept = list(first)
+        first.reverse()
+        first[0] = CandidateInstance(make_response(99), "cam")
+        first.append(first[1])
+        second = generate_candidates(event, catalog)
+        assert second is not first
+        assert len(second) == len(kept) and all(a is b for a, b in zip(second, kept))
+        assert second == _reference_candidates(event, catalog)
+
+    def test_every_key_matches_generation_from_scratch(self, catalog, events):
+        for event in events:
+            got = generate_candidates(event, catalog)
+            want = _reference_candidates(event, list(catalog))
+            assert got == want and all(g.response is w.response for g, w in zip(got, want))
+            again = generate_candidates(event, catalog)
+            assert again is not got and all(a is b for a, b in zip(again, got))
+
+    def test_the_memo_holds_at_most_one_set_per_key(self, catalog, events):
+        infected, affected = events[9].infected_asset, events[9].affected_asset
+        first = make_event(infected=infected, affected=affected, s=0, velocity=0.0)
+        other = make_event(infected=infected, affected=affected, s=100, velocity=120.0,
+                           facts={"driving": True})
+        assert generate_candidates(first, catalog) == generate_candidates(other, catalog)
+        assert len(catalog.sets) == 1
+        for event in events + events:
+            generate_candidates(event, catalog)
+        assert len(catalog.sets) == len(events) == 320
+
+    def test_its_instances_are_shared_across_keys(self, catalog, events):
+        for event in events:
+            generate_candidates(event, catalog)
+        positions = [cand for kept in catalog.sets.values() for cand in kept]
+        assert all(
+            cand is catalog.instances[cand.response.index, cand.target_asset] for cand in positions
+        )
+        assert len({id(cand) for cand in positions}) == len(catalog.instances) < len(positions) // 10
+
+    def test_the_memo_of_every_generic_key_stays_small(self, catalog, events):
+        import gc
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for event in events:
+                generate_candidates(event, catalog)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(catalog.sets) == 320
+        assert retained <= 256 * 1024, f"memo retains {retained / 1024:.0f} KiB"
+
+    def test_a_plain_list_mutated_between_calls_is_regenerated(self):
+        catalog = [make_response(2, s=10), make_response(31, terminal=True)]
+        event = make_event()
+        assert [c.response.index for c in generate_candidates(event, catalog)] == [2, 31]
+        catalog.insert(0, make_response(1, s=100))
+        catalog[1] = replaced = make_response(2, s=100)
+        got = generate_candidates(event, catalog)
+        assert [c.response.index for c in got] == [1, 2, 31]
+        assert got[1].response is replaced
+
+    def test_a_same_size_rewrite_yields_sets_from_the_new_content(self, tmp_path):
+        import os
+
+        from react_irs.files import load_catalog
+
+        path = tmp_path / "catalog.json"
+        doc = {
+            "schema_version": 1, "kind": "catalog", "name": "tiny",
+            "responses": [
+                {"index": 5, "action": "change settings", "general": True,
+                 "cost": {"a": 10, "perf": 10, "w_a": 1.0}, "benefit": {"s": 10, "f": 0, "o": 0, "p": 0}},
+                {"index": 31, "action": "no action", "general": True, "terminal": True,
+                 "cost": {"a": 0, "perf": 0}, "benefit": {"s": 0, "f": 0, "o": 0, "p": 0}},
+            ],
+        }
+        path.write_text(json.dumps(doc))
+        event = make_event()
+        old = load_catalog(path).responses
+        assert generate_candidates(event, old)[0].response.cost.w_a == 1.0
+        before = path.stat()
+        doc["responses"][0]["cost"]["w_a"] = 1.5
+        path.write_text(json.dumps(doc))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        new = load_catalog(path).responses
+        assert new is not old and not new.sets
+        assert generate_candidates(event, new)[0].response.cost.w_a == 1.5
+        assert generate_candidates(event, old)[0].response.cost.w_a == 1.0
