@@ -13,12 +13,12 @@ a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 ``Engine.decide`` is the one decision step (impact, candidate set, inner
 loop) and returns a plain tuple, which ``Engine.run`` unpacks and extends
 with the effects, the verdict and adaptation.
-An engine asks for each candidate set once per (intrusion result,
-infected asset, affected asset) and keeps its own copy; an adaptation
-replaces the one adapted instance in every kept set when it is written.
-A loaded catalog generates each set once for all its engines
-(``generate_candidates``), so a fresh engine's first decision on a key
-the catalog has met copies the set instead of generating it.
+An engine asks its ``CatalogResponses`` for each candidate set once per
+(intrusion result, infected asset, affected asset) and keeps its own
+copy; an adaptation replaces the adapted instance, found by identity, in
+every kept set.  A loaded catalog generates each set once for all its
+engines, so a fresh engine's first decision on a key the catalog has met
+copies the set instead of generating it.
 
 Also hosts the analytic estimator comparing the two possible loop
 orderings (check-all-preconditions-first vs select-first-then-check).
@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
-from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .model import (
@@ -44,7 +43,7 @@ from .model import (
     VehicleState,
     check_weight,
 )
-from .responses import generate_candidates
+from .responses import CatalogResponses, generate_candidates
 # Read by bench/tracing.py, which patches these names; the hot path reads .total.
 from .responses import effective_cost, response_benefit
 from .risk import event_impact
@@ -58,8 +57,6 @@ R_MIN, R_MAX = 0.8, 1.2
 
 #: Safety bound on outer-loop iterations.
 DEFAULT_MAX_ITERATIONS = 10
-
-_INDEX = attrgetter("response.index")
 
 # A selector takes (candidates, impact, event) and returns the head
 # SelectionOutcome of its ranking; ``rest`` carries the later outcomes.
@@ -234,11 +231,12 @@ class Engine:
     new list it gets; each later adaptation replaces its (index, target)
     instance in every kept set when it is written.
 
-    A tuple catalog is kept as given, so the sets of a loaded catalog's
-    ``CatalogResponses`` are generated once for every engine on it; any
-    other sequence is copied into a tuple.  ``effects`` maps a response
-    index to the facts its application sets: each key must be an ``int``
-    and each flag a ``bool``, or a ``DomainError`` names it.
+    A ``CatalogResponses`` is kept as given, so the sets of a loaded
+    catalog are generated once for every engine on it; any other sequence
+    is copied into a new one, which raises ``CatalogError`` on a repeated
+    response index.  ``effects`` maps a response index to the facts its
+    application sets: each key must be an ``int`` and each flag a
+    ``bool``, or a ``DomainError`` names it.
     """
 
     def __init__(
@@ -248,15 +246,14 @@ class Engine:
         adaptation: AdaptationConfig = AdaptationConfig(),
         effects: Mapping[int, Mapping[str, bool]] | None = None,
     ):
-        self._catalog = catalog if isinstance(catalog, tuple) else tuple(catalog)
+        if not isinstance(catalog, CatalogResponses):
+            catalog = CatalogResponses(catalog)
+        self._catalog = catalog
         self._selector = selector
         self._rng = random.Random(adaptation.rng_seed)
         self._effects = {index: _flags(index, flags) for index, flags in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], CandidateInstance] = {}
         self._candidates: dict[tuple[IntrusionResult, str, str], list[CandidateInstance]] = {}
-        # The catalog index at each position of each kept set, which
-        # ``_record`` searches with ``list.count`` and ``list.index``.
-        self._indices: dict[tuple[IntrusionResult, str, str], list[int]] = {}
 
     def _candidates_for(self, event: IntrusionEvent) -> list[CandidateInstance]:
         """The event's candidate set; ``generate_candidates`` reads only the
@@ -271,31 +268,21 @@ class Engine:
                     if adapted is not None:
                         candidates[pos] = adapted
             self._candidates[key] = candidates
-            self._indices[key] = list(map(_INDEX, candidates))
         return candidates
 
-    def _record(self, spec: ResponseSpec, target: str) -> None:
-        """Record an adapted instance and swap that one object into every
-        position of every kept set that holds it.  A changed set is a new
-        list, so a list already handed to a selector never changes under
-        it."""
-        instance = CandidateInstance(spec, target)
-        index = spec.index
-        self._adapted[index, target] = instance
-        for set_key, indices in self._indices.items():
-            # An index can sit at more than one position: a ``both`` entry
-            # has one per target, and entries that share an index one each.
-            count = indices.count(index)
-            if not count:
-                continue
-            kept = candidates = self._candidates[set_key]
-            pos = -1
-            for _ in range(count):
-                pos = indices.index(index, pos + 1)
-                if kept[pos].target_asset == target:
-                    if candidates is kept:
-                        candidates = self._candidates[set_key] = list(kept)
+    def _record(self, chosen: CandidateInstance, spec: ResponseSpec) -> None:
+        """Record ``spec`` as ``chosen``'s adaptation and swap the new
+        instance in for ``chosen``, found by identity, in each kept set that
+        holds it (at most once).  A changed set is a new list, so a list
+        already handed to a selector never changes under it."""
+        target = chosen.target_asset
+        instance = self._adapted[spec.index, target] = CandidateInstance(spec, target)
+        for key, kept in self._candidates.items():
+            for pos, cand in enumerate(kept):
+                if cand is chosen:
+                    candidates = self._candidates[key] = list(kept)
                     candidates[pos] = instance
+                    break
 
     def decide(
         self, event: IntrusionEvent, precondition_policy: PreconditionPolicy | None = None
@@ -377,7 +364,7 @@ class Engine:
                 outcome = "new_intrusion", next_event, False
             case _:
                 raise DomainError(f"unknown feedback verdict: {verdict!r}")
-        self._record(spec, chosen.target_asset)
+        self._record(chosen, spec)
         return (spec, *outcome)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
@@ -31,6 +32,11 @@ from .selection import SawConfig, make_selector
 from .engine import inner_loop
 from .responses import generate_candidates
 from .risk import event_impact
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 CSV_COLUMNS = (
     "step",
@@ -74,13 +80,12 @@ def _row(step: int, attempt: Attempt, impact: float, selection_time_ms: float,
 
 
 def _peak_memory_bytes() -> int | None:
-    """Best-effort resident-set high-water mark; informational only."""
-    try:
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:
+    """Best-effort resident-set high-water mark (``None`` without ``resource``);
+    ``ru_maxrss`` is in bytes on macOS and in KiB on Linux."""
+    if resource is None:
         return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 def _engine(scenario: Scenario, mode: str, algorithm: str, saw_cfg: SawConfig | None,

@@ -15,10 +15,11 @@ one attribute read per score rather than a call.
 ``generate_candidates`` turns a catalog plus an intrusion event into the
 ordered list of concrete (response, target asset) instances the decision
 loop selects from.  The set depends only on the catalog and the event's
-(result, infected asset, affected asset) key.  A catalog that ``files``
-parsed is a ``CatalogResponses`` tuple, which keeps each set it has
-generated: generation is paid once per loaded catalog and key, and every
-later call copies the kept set into a new list.  Any other sequence is
+(result, infected asset, affected asset) key.  Every catalog that
+``files`` parses or an ``Engine`` decides on is a ``CatalogResponses``
+tuple of uniquely indexed entries, which keeps each set it has generated
+and one instance per (index, target) that all of them share: every later
+call copies the kept set into a new list.  Any other sequence is
 generated from scratch on every call.
 """
 from __future__ import annotations
@@ -71,15 +72,18 @@ class CatalogResponses(tuple):
     them so far.
 
     ``sets`` maps each (result, infected, affected) key that
-    ``generate_candidates`` has met to its set, kept as a tuple.  A parsed
-    catalog's indices are unique, so every set holds the one instance per
-    (index, target) that ``instances`` keeps.  Both fill lazily and live as
-    long as this tuple: for a loaded catalog, as long as its
-    ``load_catalog`` cache entry.
+    ``generate_candidates`` has met to its set, kept as a tuple.  A
+    repeated index is a ``CatalogError``, so every set holds the one
+    instance per (index, target) that ``instances`` keeps.  Both fill
+    lazily and live as long as this tuple: for a loaded catalog, as long
+    as its ``load_catalog`` cache entry.
     """
 
     def __new__(cls, specs: Iterable[ResponseSpec]):
         self = super().__new__(cls, specs)
+        indices = [spec.index for spec in self]
+        if len(set(indices)) < len(indices):
+            raise CatalogError(f"response index {max(indices, key=indices.count)} is repeated")
         self.sets: dict[tuple[IntrusionResult, str, str], tuple[CandidateInstance, ...]] = {}
         self.instances: dict[tuple[int, str], CandidateInstance] = {}
         return self
@@ -101,7 +105,8 @@ def generate_candidates(
     Every call returns a new list, which the caller may change.  On a
     ``CatalogResponses`` the set is generated once per key and copied from
     the kept tuple on every later call, with the same instances in the same
-    order; any other sequence is generated from scratch.
+    order, and each (index, target) is one instance across all keys; any
+    other sequence is generated from scratch, with new instances.
     """
     key = (event.result, event.infected_asset, event.affected_asset)
     if not isinstance(catalog, CatalogResponses):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,7 @@ from react_irs.engine import (
     inner_loop,
 )
 from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult, Place
-from react_irs.responses import generate_candidates, response_benefit
+from react_irs.responses import CatalogError, CatalogResponses, generate_candidates, response_benefit
 from react_irs.risk import event_impact
 from react_irs.selection import make_selector
 from _support import make_event, make_response, replay
@@ -519,8 +520,8 @@ def _same_objects(a, b):
 
 
 class TestRecord:
-    """``Engine._record`` finds positions through each kept set's index
-    list; the result must be what a scan of the set would give."""
+    """``Engine._record`` finds the adapted instance by identity; the result
+    must be what a scan of the set by (index, target) would give."""
 
     def _write(self, engine, events, position, event=0):
         """Adapt the instance at ``position`` of ``events[event]``'s set.
@@ -528,25 +529,41 @@ class TestRecord:
         instance."""
         before = [list(engine._candidates_for(e)) for e in events]
         chosen = before[event][position]
-        engine._record(adapt_on_failure(chosen.response), chosen.target_asset)
+        engine._record(chosen, adapt_on_failure(chosen.response))
         after = [engine._candidates_for(e) for e in events]
         return before, after, engine._adapted[chosen.response.index, chosen.target_asset]
 
     def test_entries_that_share_an_index(self):
-        # The loader rejects a repeated index; the Python API does not.
+        # Shared instances need unique indices, so the Python API rejects a
+        # repeated one, as the loader does in a file.
         catalog = [
             make_response(20, s=100),
             make_response(20, s=10, action="twin"),
             make_response(31, terminal=True),
         ]
-        event = make_event(infected="cam", affected="ecu")
-        engine = Engine(catalog, make_selector("lp-max"))
-        (before,), (after,), instance = self._write(engine, [event], 1)
-        assert [(c.response.index, c.target_asset) for c in before] == [
-            (20, "ecu"), (20, "ecu"), (31, "ecu"),
+        for given in (catalog, tuple(catalog)):
+            with pytest.raises(CatalogError, match="response index 20 is repeated"):
+                Engine(given, make_selector("lp-max"))
+        with pytest.raises(CatalogError, match="response index 20 is repeated"):
+            CatalogResponses(catalog)
+
+    def test_a_plain_list_shares_one_instance_per_index_and_target(self):
+        catalog = [
+            make_response(20, place=Place.SOURCE),
+            make_response(21, place=Place.BOTH),
+            make_response(31, terminal=True),
         ]
-        assert after[0] is instance and after[1] is instance
-        assert _same_objects(after, _scan_swap(before, instance))
+        events = [
+            make_event(infected="cam", affected="ecu"),
+            make_event(infected="gw", affected="ecu"),
+            make_event(infected="cam", affected="gw"),
+        ]
+        engine = Engine(catalog, make_selector("lp-max"))
+        held = list(chain.from_iterable(engine._candidates_for(e) for e in events))
+        shared = {}
+        for cand in held:
+            assert shared.setdefault((cand.response.index, cand.target_asset), cand) is cand
+        assert len(held) == 12 and len(shared) == 7
 
     def test_both_entry_swaps_only_the_matching_target(self):
         catalog = [make_response(20, place=Place.BOTH), make_response(31, terminal=True)]
@@ -593,7 +610,7 @@ class TestRecord:
         engine = Engine(catalog, make_selector("lp-max"))
         handed = engine._candidates_for(event)
         snapshot = list(handed)
-        engine._record(adapt_on_failure(handed[1].response), "ecu")
+        engine._record(handed[1], adapt_on_failure(handed[1].response))
         assert _same_objects(handed, snapshot)
         assert engine._candidates_for(event) is not handed
 

@@ -3,12 +3,14 @@ import json
 import math
 import shutil
 import statistics
+import sys
 import time
 from types import SimpleNamespace
 
 import pytest
 
 import react_irs.engine as engine
+import react_irs.harness as harness
 from react_irs.files import data_dir, load_catalog, load_scenario
 from react_irs.harness import (
     CSV_COLUMNS,
@@ -308,3 +310,26 @@ class TestGenerationScaling:
             (x - mean_x) ** 2 for x in xs
         )
         assert 0.6 < slope < 1.4, f"growth exponent {slope:.2f} not close to linear"
+
+
+class TestPeakMemory:
+    """``ru_maxrss`` is in bytes on macOS and in KiB on Linux."""
+
+    @pytest.fixture
+    def maxrss(self, monkeypatch):
+        usage = SimpleNamespace(ru_maxrss=3000)
+        monkeypatch.setattr(harness.resource, "getrusage", lambda who: usage)
+        return usage.ru_maxrss
+
+    @pytest.mark.parametrize("platform,scale", [("linux", 1024), ("darwin", 1)])
+    def test_scaled_to_bytes_by_platform(self, monkeypatch, maxrss, platform, scale):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert harness._peak_memory_bytes() == maxrss * scale
+
+    def test_none_without_the_resource_module(self, monkeypatch):
+        monkeypatch.setattr(harness, "resource", None)
+        assert harness._peak_memory_bytes() is None
+
+    def test_a_run_reports_bytes(self, scenario1):
+        peak = run_static_quality(scenario1, "lp-max").peak_memory_bytes
+        assert isinstance(peak, int) and peak > 2**20
