@@ -21,6 +21,12 @@ like everything it holds, but for one cache: its ``responses`` are a
 it, so generation is paid once per loaded catalog and (result, infected,
 affected) key.  A rewritten file is parsed into a new tuple, whose sets
 start empty.
+
+Within one parse, equal values are built once: every entry with the same
+precondition text holds one ``Precondition``, and equal ``applies_to``
+sets and stop rules are one object each.  Nothing is shared between two
+parses, not even with an overlay's base, so a rewritten file gets fresh
+objects throughout.
 """
 from __future__ import annotations
 
@@ -205,7 +211,10 @@ def _parse_stop(doc: Any, context: str) -> StopCondition:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _parse_response(doc: Any, context: str) -> ResponseSpec:
+def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseSpec:
+    """One entry, built from the values its catalog has already parsed:
+    ``shared`` maps each precondition text to its parse, and each
+    ``applies_to`` set and stop rule to the first one equal to it."""
     doc = _object(doc, context)
     index = _require(doc, "index", context)
     if type(index) is not int:
@@ -217,21 +226,25 @@ def _parse_response(doc: Any, context: str) -> ResponseSpec:
     )
     if not is_general and not applies:
         raise SchemaError(f"{context}: needs applies_to entries or general=true")
-    try:
-        precondition = Precondition.parse(
-            _str(doc.get("precondition", "true"), f"{context}.precondition")
-        )
-    except PreconditionError as exc:
-        raise SchemaError(f"{context}.precondition: {exc}") from None
+    text = _str(doc.get("precondition", "true"), f"{context}.precondition")
+    precondition = shared.get(text)
+    if precondition is None:
+        try:
+            precondition = shared[text] = Precondition.parse(text)
+        except PreconditionError as exc:
+            raise SchemaError(f"{context}.precondition: {exc}") from None
     benefit = _parse_impact_vector(_require(doc, "benefit", context), f"{context}.benefit")
+    action = _str(_require(doc, "action", context), f"{context}.action")
+    place = _enum(Place, doc.get("place", "destination"), f"{context}.place")
+    stop = _parse_stop(doc.get("stop", {"kind": "persistent"}), f"{context}.stop")
     return ResponseSpec(
         index=index,
-        action=_str(_require(doc, "action", context), f"{context}.action"),
-        applicable_results=applies,
+        action=action,
+        applicable_results=shared.setdefault(applies, applies),
         is_general=is_general,
         precondition=precondition,
-        place=_enum(Place, doc.get("place", "destination"), f"{context}.place"),
-        stop=_parse_stop(doc.get("stop", {"kind": "persistent"}), f"{context}.stop"),
+        place=place,
+        stop=shared.setdefault(stop, stop),
         cost=_parse_cost_vector(_require(doc, "cost", context), f"{context}.cost"),
         benefit=benefit,
         original_benefit=benefit,
@@ -251,9 +264,10 @@ def _parse_catalog(
     _check_header(doc, "catalog", "catalog")
     entries = _list(_require(doc, "responses", "catalog"), "catalog.responses")
     responses: dict[int, ResponseSpec] = {}
+    shared: dict[Any, Any] = {}
     for i, entry in enumerate(entries):
         context = f"catalog.responses[{i}]"
-        spec = _parse_response(entry, context)
+        spec = _parse_response(entry, context, shared)
         if spec.index in responses:
             raise SchemaError(f"{context}.index: duplicate response index {spec.index}")
         responses[spec.index] = spec
@@ -291,7 +305,9 @@ def load_catalog(path: str | Path) -> Catalog:
     catalog is returned: the same shared, immutable object.  Content is
     compared, not mtime or size, so a same-size rewrite within one mtime
     tick is still seen.  A load that fails stores nothing.  Two threads
-    loading the same changed file at once at worst both parse it.
+    loading the same changed file at once at worst both parse it.  A parse
+    builds each distinct precondition text, ``applies_to`` set and stop
+    rule once and shares it between that catalog's entries.
     """
     return _load(str(path))[1]
 
@@ -348,7 +364,7 @@ class Scenario:
         )
 
     def catalog_path(self, mode: str, algorithm: str) -> Path:
-        """Resolve the catalog for a run mode/algorithm combination.
+        """The catalog for a run mode/algorithm combination, under ``base_dir``.
 
         Lookup order: exact "mode:algorithm" override, then "mode:*",
         then the default ``catalog_ref``.
@@ -358,10 +374,10 @@ class Scenario:
             ref = self.catalog_overrides.get(f"{mode}:*")
         if ref is None:
             ref = self.catalog_ref
-        return (self.base_dir / ref).resolve()
+        return self.base_dir / ref
 
     def architecture_path(self) -> Path:
-        return (self.base_dir / self.architecture_ref).resolve()
+        return self.base_dir / self.architecture_ref
 
 
 def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenario:
@@ -418,7 +434,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _read_bytes(path: str | Path) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
     except OSError as exc:

@@ -38,6 +38,9 @@ try:
 except ImportError:  # Windows
     resource = None
 
+#: One encoder for every JSONL row; ``json.dumps(sort_keys=True)`` builds a new one per call.
+_JSONL = json.JSONEncoder(sort_keys=True)
+
 CSV_COLUMNS = (
     "step",
     "response_index",
@@ -235,4 +238,4 @@ def _emit(report, fmt, fh, include_timings):
         writer.writerows([record[c] for c in CSV_COLUMNS] for record in records)
         return
     for record in records:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(_JSONL.encode(record) + "\n")
