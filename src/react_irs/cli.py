@@ -5,7 +5,7 @@
     react catalog list
 
 Exit codes: 0 on success, 2 for validation/usage problems, 3 for runtime
-failures.  REACT_SEED overrides --seed.
+failures.  REACT_SEED sets the seed when --seed is not given.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def main() -> None:
 @click.option("--iterations", type=click.IntRange(min=1), default=5, show_default=True,
               help="Outer-loop iterations for the dynamic modes.")
 @click.option("--seed", type=int, default=7, show_default=True, envvar="REACT_SEED",
-              help="Adaptation RNG seed (REACT_SEED overrides).")
+              help="Adaptation RNG seed (REACT_SEED, if --seed is not given).")
 @click.option("--velocities", default="0,50,100", show_default=True,
               callback=_parse_velocities,
               help="Comma-separated velocities for velocity-sweep mode (km/h).")

@@ -41,6 +41,7 @@ from .model import (
     IntrusionResult,
     ResponseSpec,
     VehicleState,
+    check_total,
     check_weight,
 )
 from .responses import CatalogResponses, generate_candidates
@@ -146,7 +147,8 @@ def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
     within [R_MIN * w, R_MAX * w] of the pre-call weight.  The restored
     levels are valid, and a product of a valid weight and a positive
     factor is finite unless it overflows, which raises the ``DomainError``
-    naming that weight.
+    naming that weight.  A total that overflows raises the error the
+    validating constructor raises.
     """
     orig, cur = spec.original_benefit, spec.benefit
     uniform = rng.uniform
@@ -156,10 +158,12 @@ def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
         cur.w_o * uniform(R_MIN, R_MAX),
         cur.w_p * uniform(R_MIN, R_MAX),
     )
-    if math.inf in weights:
+    adapted = ImpactVector._unchecked(orig.s, orig.f, orig.o, orig.p, *weights)
+    # An infinite weight makes the total infinite, or NaN at a level of 0.
+    if not adapted.total < math.inf:
         for name, weight in zip(("w_s", "w_f", "w_o", "w_p"), weights):
             check_weight(weight, name)
-    adapted = ImpactVector._unchecked(orig.s, orig.f, orig.o, orig.p, *weights)
+        check_total(adapted.total)
     return spec.with_benefit(adapted)
 
 

@@ -31,6 +31,7 @@ objects throughout.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -174,12 +175,10 @@ class Catalog:
 
 def _parse_impact_vector(doc: Any, context: str) -> ImpactVector:
     doc = _object(doc, context)
+    levels = [_require(doc, key, context) for key in ("s", "f", "o", "p")]
     try:
         return ImpactVector(
-            s=_require(doc, "s", context),
-            f=_require(doc, "f", context),
-            o=_require(doc, "o", context),
-            p=_require(doc, "p", context),
+            *levels,
             w_s=doc.get("w_s", 1.0),
             w_f=doc.get("w_f", 1.0),
             w_o=doc.get("w_o", 1.0),
@@ -191,13 +190,9 @@ def _parse_impact_vector(doc: Any, context: str) -> ImpactVector:
 
 def _parse_cost_vector(doc: Any, context: str) -> CostVector:
     doc = _object(doc, context)
+    a, perf = _require(doc, "a", context), _require(doc, "perf", context)
     try:
-        return CostVector(
-            a=_require(doc, "a", context),
-            perf=_require(doc, "perf", context),
-            w_a=doc.get("w_a", 1.0),
-            w_perf=doc.get("w_perf", 1.0),
-        )
+        return CostVector(a, perf, w_a=doc.get("w_a", 1.0), w_perf=doc.get("w_perf", 1.0))
     except DomainError as exc:
         raise SchemaError(f"{context}: {exc}") from None
 
@@ -390,7 +385,7 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
         effects[int(index)] = _flags(updates, f"{context}.effects.{index}")
     overrides = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
     overrides = {k: _str(v, f"{context}.catalog_overrides.{k}") for k, v in overrides.items()}
-    return Scenario(
+    scenario = Scenario(
         name=_str(_require(doc, "name", context), f"{context}.name"),
         architecture_ref=_str(doc.get("architecture_ref", "architecture.json"),
                               f"{context}.architecture_ref"),
@@ -413,6 +408,11 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
         effects=effects,
         base_dir=Path(base_dir),
     )
+    # E is at most 100, so no velocity gives a larger impact than this.
+    impact = scenario.impact_params.total + scenario.environment_weight * 100
+    if not impact <= sys.float_info.max:
+        raise SchemaError(f"{context}.environment_weight: impact at E = 100 must be finite")
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -24,6 +24,7 @@ copies the spec's ``__dict__`` instead of re-running the constructor as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -56,6 +57,15 @@ def check_weight(value: float, what: str = "weight") -> float:
     except (TypeError, OverflowError):
         pass
     raise DomainError(f"{what} must be a finite non-negative number, got {value!r}")
+
+
+def check_total(total: float, what: str = "weighted total") -> float:
+    """Accept a weighted sum that a float holds: finite levels and weights
+    can still overflow one to infinity, or int weights to an int no float
+    can hold."""
+    if total <= sys.float_info.max:
+        return total
+    raise DomainError(f"{what} must be finite, got {total!r}")
 
 
 class AssetKind(str, Enum):
@@ -123,10 +133,9 @@ class ImpactVector:
             check_level(getattr(self, name), name.upper())
         for name in ("w_s", "w_f", "w_o", "w_p"):
             check_weight(getattr(self, name), name)
-        object.__setattr__(
-            self, "total",
-            0 + self.w_s * self.s + self.w_f * self.f + self.w_o * self.o + self.w_p * self.p,
-        )
+        object.__setattr__(self, "total", check_total(
+            0 + self.w_s * self.s + self.w_f * self.f + self.w_o * self.o + self.w_p * self.p
+        ))
 
     @classmethod
     def _unchecked(
@@ -208,7 +217,7 @@ class CostVector:
         check_level(self.perf, "Perf")
         check_weight(self.w_a, "w_a")
         check_weight(self.w_perf, "w_perf")
-        object.__setattr__(self, "total", self.w_a * self.a + self.w_perf * self.perf)
+        object.__setattr__(self, "total", check_total(self.w_a * self.a + self.w_perf * self.perf))
 
 
 @dataclass(frozen=True)

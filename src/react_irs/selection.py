@@ -23,11 +23,11 @@ Ties break by lowest catalog index, then by candidate-set position
 
 A SAW ranking is the costly one, since its normalizers change as
 candidates leave.  Sets below ``SAW_FOREST_MIN`` candidates are ranked by
-the Threshold Algorithm walk (``_saw_walk``), which needs only two sorts
-to start but deletes each choice from two lists of the whole set.  Larger
-sets are ranked on a dominance forest (``_saw_forest``), which costs a
-pass to build and then scores only the skyline at each step.  Both rank
-exactly as a rescan of the remaining set would, ties included.
+a scan of one benefit-sorted list (``_saw_scan``), which stops at a
+one-sided bound and removes each choice from the list.  Larger sets are
+ranked on a dominance forest (``_saw_forest``), which costs a pass to
+build and then scores only the skyline at each step.  Both rank exactly
+as a rescan of the remaining set would, ties included.
 """
 from __future__ import annotations
 
@@ -49,10 +49,10 @@ RHO = 1.0
 #: every division stays defined.
 EPSILON = 1e-6
 #: Sets of at least this many candidates are ranked for SAW on a dominance
-#: forest, smaller ones by the Threshold Algorithm walk.  The walk costs
-#: less to set up and the forest less per step; ranking level-grid sets
-#: like the benchmark's, the two take about as long at 128 candidates.
-SAW_FOREST_MIN = 128
+#: forest, smaller ones by the benefit-sorted scan.  The scan costs less
+#: to set up and the forest less per step; full drains of level-grid sets
+#: like the benchmark's take about as long with either at 72 candidates.
+SAW_FOREST_MIN = 72
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def saw_select(
     """
     if not candidates:
         raise DomainError("cannot rank an empty candidate set")
-    rank = _saw_forest if len(candidates) >= SAW_FOREST_MIN else _saw_walk
+    rank = _saw_forest if len(candidates) >= SAW_FOREST_MIN else _saw_scan
     return _head(rank(candidates, RHO * sum(event_impact_alphas), cfg, impact))
 
 
@@ -147,7 +147,7 @@ def _saw_criteria(
     return benefits, costs
 
 
-def _saw_walk(
+def _saw_scan(
     candidates: Sequence[CandidateInstance],
     bound: float,
     cfg: SawConfig,
@@ -156,64 +156,49 @@ def _saw_walk(
     """The SAW choice among the candidates not yet chosen, step by step,
     for sets below ``SAW_FOREST_MIN`` candidates.
 
-    Each step is the Threshold Algorithm (Fagin, Lotem & Naor, PODS 2001)
-    over two presorted lists: benefit descending and cost ascending.  The
-    walk reads both lists in lockstep and scores each candidate it meets.
-    A candidate not met yet lies deeper in both lists, so its preference
-    is at most the preference of the current benefit paired with the
-    current cost: the expression is monotone in each operand, rounding
-    included.  The walk stops once that threshold is strictly below the
-    best eligible preference, so ties and every ineligible candidate are
-    always met; with nothing eligible it runs to the end (the fallback).
-    Each step also searches both lists for its choice to delete it, so a
-    drain's cost grows about as the square of the set's size.
-
-    Every preference is positive, so a bound of at most 0 leaves nothing
-    eligible at any step.  Such a walk ranks every candidate as eligible
-    under an infinite bound, which stops it the same way, and reports
-    each step as the fallback.
+    One list, sorted once by benefit descending, holds ``max_b`` at its
+    head; ``min_c`` is recomputed only when the choice held it.  A step
+    scans the list from the head.  No candidate further down scores above
+    the current benefit term plus ``min_c``'s cost term, the preference
+    being monotone in each operand, rounding included.  The scan stops
+    once that bound is strictly below the best eligible preference, so
+    ties and every ineligible candidate are always met.  With nothing
+    eligible, as under a bound of at most 0 (every preference is
+    positive), it meets every candidate and returns the fallback.
     """
-    unbounded = bound <= 0
-    if unbounded:
-        bound = math.inf
     benefits, costs = _saw_criteria(candidates, impact)
     w_benefit, w_cost = cfg.w_benefit, cfg.w_cost
-    positions = list(range(len(candidates)))
-    by_benefit = sorted(positions, key=benefits.__getitem__, reverse=True)
-    by_cost = sorted(positions, key=costs.__getitem__)
-    seen = [-1] * len(candidates)
-    for step in range(len(candidates)):
-        max_b = benefits[by_benefit[0]]
+    order = sorted(range(len(candidates)), key=benefits.__getitem__, reverse=True)
+    min_c = min(costs)
+    while order:
+        max_b = benefits[order[0]]
         # ``w_cost * min_c / cost`` evaluates left to right, so the product
         # can be taken once per step without changing a bit of the result.
-        cost_num = w_cost * costs[by_cost[0]]
+        cost_num = w_cost * min_c
+        top = cost_num / min_c
         best = fallback = -1
         best_p = fallback_p = -math.inf
         ineligible = 0
-        for i, j in zip(by_benefit, by_cost):
-            for k in (i, j):
-                if seen[k] == step:
-                    continue
-                seen[k] = step
-                p = w_benefit * benefits[k] / max_b + cost_num / costs[k]
-                if p < bound:
-                    if p > best_p or (p == best_p and _precedes(k, best, candidates)):
-                        best, best_p = k, p
-                else:
-                    ineligible += 1
-                    if p > fallback_p or (p == fallback_p and _precedes(k, fallback, candidates)):
-                        fallback, fallback_p = k, p
-            if best >= 0 and w_benefit * benefits[i] / max_b + cost_num / costs[j] < best_p:
+        for k in order:
+            benefit_term = w_benefit * benefits[k] / max_b
+            if benefit_term + top < best_p:
                 break
-        if unbounded:
-            yield SelectionOutcome(candidates[best], best_p, 0, True)
-        elif best >= 0:
-            yield SelectionOutcome(candidates[best], best_p, len(by_benefit) - ineligible, False)
+            p = benefit_term + cost_num / costs[k]
+            if p < bound:
+                if p > best_p or (p == best_p and _precedes(k, best, candidates)):
+                    best, best_p = k, p
+            else:
+                ineligible += 1
+                if p > fallback_p or (p == fallback_p and _precedes(k, fallback, candidates)):
+                    fallback, fallback_p = k, p
+        if best >= 0:
+            yield SelectionOutcome(candidates[best], best_p, len(order) - ineligible, False)
         else:
             best = fallback
             yield SelectionOutcome(candidates[best], fallback_p, 0, True)
-        del by_benefit[by_benefit.index(best)]
-        del by_cost[by_cost.index(best)]
+        order.remove(best)
+        if costs[best] == min_c and order:
+            min_c = min(map(costs.__getitem__, order))
 
 
 def _saw_forest(
@@ -251,9 +236,11 @@ def _saw_forest(
     under the root of least benefit at least theirs if that root costs no
     more; no other root can dominate them, so otherwise they become
     roots.  The subtrees below them stay where they are.  A step thus
-    scores a few roots where the walk meets a share of the whole set.
+    scores a few roots where the scan meets a share of the whole set.
 
-    Bounds of at most 0 rank and report as in :func:`_saw_walk`.
+    Every preference is positive, so a bound of at most 0 leaves nothing
+    eligible: the forest then ranks under an infinite bound, which spares
+    it the ineligible subtrees, and flags each step as the fallback.
     """
     unbounded = bound <= 0
     if unbounded:

@@ -87,19 +87,26 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_env_var_used(self, runner, tmp_path):
+        """REACT_SEED sets the seed when --seed is not given; --seed wins."""
         outs = {}
-        for name, env in (("cli", None), ("env", {"REACT_SEED": "11"})):
+        for name, seed, env in (
+            ("cli", "11", None),
+            ("env", None, {"REACT_SEED": "11"}),
+            ("cli-8", "8", None),
+            ("both", "8", {"REACT_SEED": "11"}),
+        ):
             out = tmp_path / f"{name}.csv"
             args = [
                 "run", "--scenario", "scenario1", "--algo", "lp-max",
                 "--mode", "dynamic-success", "--no-timings", "--out", str(out),
             ]
-            if name == "cli":
-                args += ["--seed", "11"]
+            if seed is not None:
+                args += ["--seed", seed]
             result = runner.invoke(main, args, env=env)
             assert result.exit_code == 0
             outs[name] = out.read_bytes()
         assert outs["cli"] == outs["env"]
+        assert outs["both"] == outs["cli-8"] != outs["cli"]
 
     def test_unknown_scenario_is_validation_error(self, runner):
         result = runner.invoke(main, ["run", "--scenario", "ghost", "--algo", "saw"])
@@ -119,6 +126,26 @@ class TestRun:
         )
         assert result.exit_code == 3
         assert "cannot write output" in result.stderr
+
+    def test_runtime_domain_error_exit_code(self, runner, tmp_path):
+        """A weight that loads finite can overflow under success nudges."""
+        data = data_dir()
+        catalog = json.loads((data / "catalog_scenario1.json").read_text())
+        entry = next(r for r in catalog["responses"] if r["index"] == 1)
+        entry["benefit"] = {"s": 1, "f": 0, "o": 0, "p": 0, "w_s": 1.7e308}
+        (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+        scenario = json.loads((data / "scenario1.json").read_text())
+        scenario.update(catalog_ref="catalog.json", catalog_overrides={})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        (tmp_path / "architecture.json").write_text((data / "architecture.json").read_text())
+        # Seed 2 draws 1.18 as the first w_s factor, which overflows 1.7e308.
+        result = runner.invoke(main, [
+            "run", "--scenario", str(path), "--algo", "lp-max", "--mode", "dynamic-success",
+            "--seed", "2",
+        ])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: w_s must be a finite non-negative number, got inf\n"
 
     @pytest.mark.parametrize(
         "option",
@@ -299,6 +326,7 @@ class TestBadNumbers:
             pytest.param("cost", "w_a", HUGE, id="cost-w_a-huge"),
             pytest.param("cost", "w_a", -0.0, id="cost-w_a-negative-zero"),
             pytest.param("benefit", "w_s", -0.0, id="benefit-w_s-negative-zero"),
+            pytest.param("benefit", "w_s", 1.7e308, id="benefit-total-overflow"),
         ],
     )
     def test_catalog_rejects(self, runner, tmp_path, vector, field, value):
@@ -361,6 +389,7 @@ class TestBadNumbers:
             pytest.param("environment_weight", HUGE, id="environment_weight-huge"),
             pytest.param("velocity_kmh", -0.0, id="velocity_kmh-negative-zero"),
             pytest.param("environment_weight", -0.0, id="environment_weight-negative-zero"),
+            pytest.param("environment_weight", 1.7e308, id="environment_weight-impact-overflow"),
             pytest.param("effects", {"2_0": {}}, id="effects-key-underscore"),
             pytest.param("effects", {" -3 ": {}}, id="effects-key-signed"),
             pytest.param("effects", {"\u0662": {}}, id="effects-key-arabic-indic"),

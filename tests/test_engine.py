@@ -133,9 +133,16 @@ class TestWithBenefit:
     def test_adaptation_keeps_the_weight_validation(self):
         # The w_o draw of random.Random(7) is 1.06, so that weight overflows
         # to inf, which the new ImpactVector rejects.
-        spec = make_response(17, s=100, weights=(1.7e308,) * 4)
+        spec = make_response(17, s=1, weights=(1.7e308,) * 4)
         with pytest.raises(DomainError, match="w_o"):
             adapt_on_success(spec, random.Random(7))
+
+    def test_adaptation_rejects_an_overflowing_total(self):
+        # The w_s draw of random.Random(0) is 1.14: the weight stays finite,
+        # but ten times it does not.
+        spec = make_response(17, s=10, weights=(1.7e307, 1.0, 1.0, 1.0))
+        with pytest.raises(DomainError, match="weighted total must be finite, got inf"):
+            adapt_on_success(spec, random.Random(0))
 
 
 class TestInnerLoop:
@@ -224,6 +231,20 @@ class TestInnerLoop:
                 precondition_policy=lambda cand: False,
             )
 
+    def test_ranking_that_runs_out_raises(self):
+        # A SAW ranking ends after its last candidate, so with no terminal
+        # entry a reject-all policy exhausts it.
+        event = make_event()
+        candidates = [CandidateInstance(make_response(5, s=10, a=1), "ecu")]
+        with pytest.raises(DomainError, match="candidate set exhausted"):
+            inner_loop(
+                event,
+                candidates,
+                make_selector("saw"),
+                {},
+                precondition_policy=lambda cand: False,
+            )
+
     def test_attempts_capture_timing(self):
         event = make_event()
         _, attempts = inner_loop(
@@ -267,6 +288,10 @@ class TestEngineRuns:
         assert [r.verdict for r in trace.records] == ["new_intrusion", "success"]
         assert trace.records[0].velocity_kmh == 70
         assert trace.records[1].velocity_kmh == 0
+
+    def test_unknown_verdict_rejected(self):
+        with pytest.raises(DomainError, match="unknown feedback verdict: 'maybe'"):
+            self._run(make_event(), ["maybe"])
 
     def test_iteration_cap_respected(self):
         event = make_event()

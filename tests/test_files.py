@@ -166,9 +166,21 @@ class TestCatalog:
             ({"action": None}, "catalog.responses[1].action: expected a string, got None"),
             ({"applies_to": []}, "catalog.responses[1]: needs applies_to entries or general=true"),
             ("x", "catalog.responses[1]: expected a JSON object, got 'x'"),
+            ({"cost": {"a": 0}}, "catalog.responses[1].cost: missing required field 'perf'"),
+            ({"benefit": {"s": 100, "f": 0, "o": 0, "p": 0, "w_s": 1e307}},
+             "catalog.responses[1].benefit: weighted total must be finite, got inf"),
+            ({"cost": {"a": 100, "perf": 0, "w_a": 1e307}},
+             "catalog.responses[1].cost: weighted total must be finite, got inf"),
+            ({"stop": {"kind": "after_duration"}},
+             "catalog.responses[1].stop: after_duration stop requires positive seconds"),
+            ({"stop": {"kind": "persistent", "seconds": 3}},
+             "catalog.responses[1].stop: persistent stop takes no duration"),
+            ({"precondition": "(a b"}, "catalog.responses[1].precondition: expected ')'"),
         ],
         ids=["cost", "benefit", "index-type", "duplicate-index", "place", "precondition",
-             "applies-to", "stop-kind", "action", "no-result", "not-object"],
+             "applies-to", "stop-kind", "action", "no-result", "not-object",
+             "cost-missing-level", "benefit-overflow", "cost-overflow",
+             "stop-without-seconds", "stop-with-seconds", "precondition-unclosed"],
     )
     def test_errors_name_the_response_position(self, change, message):
         doc = minimal_catalog_doc()
@@ -355,10 +367,17 @@ class TestScenario:
             ({"effects": {"2_0": {}}}, "scenario.effects.2_0: key is not a response index"),
             ({"effects": {" -3 ": {}}}, "scenario.effects. -3 : key is not a response index"),
             ({"effects": {"\u0662": {}}}, "scenario.effects.\u0662: key is not a response index"),
+            ({"impact_params": {"s": 100, "f": 0, "o": 100}},
+             "scenario.impact_params: missing required field 'p'"),
+            ({"impact_params": {"s": 100, "f": 0, "o": 0, "p": 0, "w_s": 1e307}},
+             "scenario.impact_params: weighted total must be finite, got inf"),
+            ({"environment_weight": 1e307},
+             "scenario.environment_weight: impact at E = 100 must be finite"),
         ],
         ids=["facts", "velocity", "environment-weight", "unknown-asset", "asset-type",
              "effects-key", "effects-flag", "override", "impact-params", "result",
-             "effects-key-underscore", "effects-key-signed", "effects-key-arabic-indic"],
+             "effects-key-underscore", "effects-key-signed", "effects-key-arabic-indic",
+             "impact-params-missing-level", "impact-params-overflow", "environment-overflow"],
     )
     def test_errors_name_the_json_path(self, data, tmp_path, change, message):
         path = tmp_path / "scenario.json"

@@ -3,6 +3,7 @@ their ``total`` once, when they are built, and adaptation builds its
 vectors without re-validating them.  The precondition nodes are slotted
 too."""
 import dataclasses
+import math
 import random
 import struct
 import sys
@@ -10,7 +11,7 @@ from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from react_irs.engine import R_MAX, R_MIN, adapt_on_failure, adapt_on_success
 from react_irs.model import LEVELS, CostVector, DomainError, ImpactVector
@@ -88,18 +89,31 @@ ZEROS = (0.0, 0.0, 0.0, 0.0)
 class TestTotals:
     @given(st.tuples(levels, levels, levels, levels), st.tuples(weights, weights, weights, weights))
     @example((100, 10, 1, 0), ZEROS)
+    @example((100, 0, 0, 0), (1e307, 0.0, 0.0, 0.0))
     def test_impact_total_is_the_weighted_sum_from_int_zero(self, lv, ws):
-        total = ImpactVector(*lv, *ws).total
         products = [w * v for w, v in zip(ws, lv)]
         # ``sum`` is this left fold on Python 3.10 and 3.11; from 3.12 on it
         # sums floats with compensation, which can round differently.
-        assert _same(total, reduce(add, products, 0))
+        expected = reduce(add, products, 0)
+        if expected == math.inf:
+            # Finite weights can still overflow the total, which is rejected.
+            with pytest.raises(DomainError, match="weighted total must be finite, got inf"):
+                ImpactVector(*lv, *ws)
+            return
+        total = ImpactVector(*lv, *ws).total
+        assert _same(total, expected)
         if sys.version_info < (3, 12):
             assert _same(total, sum(w * v for w, v in zip(ws, lv)))
 
     @given(levels, levels, weights, weights)
+    @example(100, 0, 1e307, 0.0)
     def test_cost_total_is_the_weighted_sum(self, a, perf, w_a, w_perf):
-        assert _same(CostVector(a, perf, w_a, w_perf).total, w_a * a + w_perf * perf)
+        expected = w_a * a + w_perf * perf
+        if expected == math.inf:
+            with pytest.raises(DomainError, match="weighted total must be finite, got inf"):
+                CostVector(a, perf, w_a, w_perf)
+            return
+        assert _same(CostVector(a, perf, w_a, w_perf).total, expected)
 
 
 def _validated(vector: ImpactVector) -> ImpactVector:
@@ -113,6 +127,9 @@ class TestAdaptedVectors:
     @given(st.tuples(levels, levels, levels, levels), st.tuples(weights, weights, weights, weights))
     @example((100, 10, 1, 0), ZEROS)
     def test_failure_matches_the_validating_constructor(self, lv, ws):
+        # A vector whose total overflows is rejected (TestTotals), so no
+        # spec holds one to adapt.
+        assume(reduce(add, [w * v for w, v in zip(ws, lv)], 0) < math.inf)
         spec = make_response(17, s=lv[0], f=lv[1], o=lv[2], p=lv[3], weights=ws)
         adapted = adapt_on_failure(spec).benefit
         rebuilt = _validated(adapted)
@@ -134,8 +151,8 @@ class TestAdaptedVectors:
         try:
             adapted = adapt_on_success(spec, random.Random(seed)).benefit
         except DomainError as exc:
-            # Only an overflowing weight is rejected, and the validating
-            # constructor rejects the same one.
+            # Only an overflowing weight or total is rejected, and the
+            # validating constructor rejects the same one.
             with pytest.raises(DomainError) as expected:
                 ImpactVector(*lv, *products)
             assert str(exc) == str(expected.value)

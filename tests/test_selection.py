@@ -161,7 +161,7 @@ class TestSawSelect:
 
     def test_sets_of_saw_forest_min_take_the_forest(self, monkeypatch):
         ranked = []
-        for name in ("_saw_walk", "_saw_forest"):
+        for name in ("_saw_scan", "_saw_forest"):
 
             def spy(*args, rank=getattr(selection, name), name=name):
                 ranked.append(name)
@@ -170,7 +170,7 @@ class TestSawSelect:
             monkeypatch.setattr(selection, name, spy)
         for n in (SAW_FOREST_MIN - 1, SAW_FOREST_MIN):
             saw_select(level_grid_set(random.Random(n), n), [1.0] * 5, SawConfig(), impact=210.0)
-        assert ranked == ["_saw_walk", "_saw_forest"]
+        assert ranked == ["_saw_scan", "_saw_forest"]
 
     def test_single_candidate(self):
         cands = instances(make_response(31, terminal=True))
@@ -258,6 +258,19 @@ class TestOptimizers:
             assert select(cands, 200.0).chosen is brute_force_oracle(
                 cands, 200.0, objective
             ).chosen
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            lambda: saw_select([], [1.0] * 5, SawConfig(), impact=1.0),
+            lambda: lp_select_max_benefit([], 1.0),
+            lambda: brute_force_oracle([], 1.0, "max-benefit"),
+        ],
+        ids=["saw", "lp-max", "oracle"],
+    )
+    def test_empty_set_rejected(self, select):
+        with pytest.raises(DomainError, match="empty candidate set"):
+            select()
 
     def test_oracle_rejects_unknown_objective(self):
         cands = instances(make_response(31, terminal=True))

@@ -10,7 +10,7 @@ from react_irs.selection import (
     SawConfig,
     _head,
     _saw_forest,
-    _saw_walk,
+    _saw_scan,
     brute_force_oracle,
     lp_select_max_benefit,
     lp_select_min_cost,
@@ -95,7 +95,7 @@ def _assert_rankings_match(candidates, impact, w_benefit, bound):
             assert f[0] is s[0] and f[1:] == s[1:], (objective, step, f[1:], s[1:])
     cfg = SawConfig(w_benefit=w_benefit)
     slow = saw_rescan(candidates, cfg, impact, bound)
-    # saw_select takes the walk below SAW_FOREST_MIN candidates; the forest
+    # saw_select takes the scan below SAW_FOREST_MIN candidates; the forest
     # is run directly so that it meets these small, tie-heavy sets too.
     forest = _head(_saw_forest(candidates, RHO * sum(BOUND_ALPHAS[bound]), cfg, impact))
     for name, head in (("saw", saw_select(candidates, BOUND_ALPHAS[bound], cfg, impact)),
@@ -129,24 +129,24 @@ def test_any_seeded_ranking_equals_a_rescan(seed, w_benefit, bound):
     _assert_rankings_match(candidates, impact, w_benefit, bound)
 
 
-def _assert_forest_matches_walk(candidates, impact, cfg):
+def _assert_forest_matches_scan(candidates, impact, cfg):
     for bound in sorted(BOUND_ALPHAS):
         args = (candidates, RHO * sum(BOUND_ALPHAS[bound]), cfg, impact)
-        for step, (f, w) in enumerate(zip(_saw_forest(*args), _saw_walk(*args), strict=True)):
-            assert f[0] is w[0] and f[1:4] == w[1:4], (bound, step, f[1:4], w[1:4])
+        for step, (f, s) in enumerate(zip(_saw_forest(*args), _saw_scan(*args), strict=True)):
+            assert f[0] is s[0] and f[1:4] == s[1:4], (bound, step, f[1:4], s[1:4])
 
 
 @pytest.mark.parametrize("n", [1026, 4096])
-def test_forest_ranks_large_sets_as_the_walk_does(n):
+def test_forest_ranks_large_sets_as_the_scan_does(n):
     """Step by step, at every bound, on sets far above SAW_FOREST_MIN."""
     assert n >= SAW_FOREST_MIN
-    _assert_forest_matches_walk(level_grid_set(random.Random(n), n), 210.0, SawConfig())
+    _assert_forest_matches_scan(level_grid_set(random.Random(n), n), 210.0, SawConfig())
 
 
-def test_forest_ranks_shared_grid_points_as_the_walk_does():
+def test_forest_ranks_shared_grid_points_as_the_scan_does():
     """Unit weights put 4,096 candidates on 341 (benefit, cost) points, the
     most common one 59 times, with catalog indices from 1-39: long chains
     of equal scores that the index-then-position tie-break must order."""
     rng = random.Random(48)
     candidates = level_grid_set(rng, 4096, unit_weights=True, indices=range(1, 40))
-    _assert_forest_matches_walk(candidates, 210.0, SawConfig())
+    _assert_forest_matches_scan(candidates, 210.0, SawConfig())
