@@ -13,12 +13,11 @@ a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 ``Engine.decide`` is the one decision step (impact, candidate set, inner
 loop) and returns a plain tuple, which ``Engine.run`` unpacks and extends
 with the effects, the verdict and adaptation.
-An engine asks its ``CatalogResponses`` for each candidate set once per
-(intrusion result, infected asset, affected asset) and keeps its own
-copy; an adaptation replaces the adapted instance, found by identity, in
-every kept set.  A loaded catalog generates each set once for all its
-engines, so a fresh engine's first decision on a key the catalog has met
-copies the set instead of generating it.
+An engine keeps one candidate set, the current intrusion's.  On a new
+(intrusion result, infected asset, affected asset) key it copies the set
+from its ``CatalogResponses``, which generates each set once for all its
+engines, and writes in the adaptations recorded so far; an adaptation
+replaces the adapted instance, found by identity, in that one set.
 
 Also hosts the analytic estimator comparing the two possible loop
 orderings (check-all-preconditions-first vs select-first-then-check).
@@ -228,12 +227,11 @@ def _flags(index: int, updates: Mapping[str, bool]) -> dict[str, bool]:
 class Engine:
     """One engine instance handles one intrusion sequence or harness run.
 
-    Keeps the per-instance adaptation state and the seeded RNG; not meant
-    to be shared between threads.  The engine asks ``generate_candidates``
-    for a set once per (intrusion result, infected asset, affected asset)
-    the sequence meets and writes the adaptations recorded so far into the
-    new list it gets; each later adaptation replaces its (index, target)
-    instance in every kept set when it is written.
+    Keeps the per-instance adaptation state, the seeded RNG and the
+    current event's candidate set with its key; not meant to be shared
+    between threads.  On a new key the engine writes the adaptations
+    recorded so far into the new list ``generate_candidates`` returns;
+    each later adaptation replaces its (index, target) instance in it.
 
     A ``CatalogResponses`` is kept as given, so the sets of a loaded
     catalog are generated once for every engine on it; any other sequence
@@ -257,42 +255,41 @@ class Engine:
         self._rng = random.Random(adaptation.rng_seed)
         self._effects = {index: _flags(index, flags) for index, flags in (effects or {}).items()}
         self._adapted: dict[tuple[int, str], CandidateInstance] = {}
-        self._candidates: dict[tuple[IntrusionResult, str, str], list[CandidateInstance]] = {}
+        self._key: tuple[IntrusionResult, str, str] | None = None
+        self._candidates: list[CandidateInstance] = []
 
     def _candidates_for(self, event: IntrusionEvent) -> list[CandidateInstance]:
-        """The event's candidate set; ``generate_candidates`` reads only the
-        key fields and returns a new list, which this engine then owns."""
+        """The event's candidate set: the current one while its key stays
+        the same, else a new list from ``generate_candidates``."""
         key = (event.result, event.infected_asset, event.affected_asset)
-        candidates = self._candidates.get(key)
-        if candidates is None:
+        if key != self._key:
             candidates = generate_candidates(event, self._catalog)
             if self._adapted:
                 for pos, cand in enumerate(candidates):
                     adapted = self._adapted.get((cand.response.index, cand.target_asset))
                     if adapted is not None:
                         candidates[pos] = adapted
-            self._candidates[key] = candidates
-        return candidates
+            self._key, self._candidates = key, candidates
+        return self._candidates
 
     def _record(self, chosen: CandidateInstance, spec: ResponseSpec) -> None:
         """Record ``spec`` as ``chosen``'s adaptation and swap the new
-        instance in for ``chosen``, found by identity, in each kept set that
-        holds it (at most once).  A changed set is a new list, so a list
-        already handed to a selector never changes under it."""
+        instance in for ``chosen``, found by identity, in the current set
+        if it holds it (at most once).  The changed set is a new list, so a
+        list already handed to a selector never changes under it."""
         target = chosen.target_asset
         instance = self._adapted[spec.index, target] = CandidateInstance(spec, target)
-        for key, kept in self._candidates.items():
-            for pos, cand in enumerate(kept):
-                if cand is chosen:
-                    candidates = self._candidates[key] = list(kept)
-                    candidates[pos] = instance
-                    break
+        for pos, cand in enumerate(self._candidates):
+            if cand is chosen:
+                candidates = self._candidates = list(self._candidates)
+                candidates[pos] = instance
+                break
 
     def decide(
         self, event: IntrusionEvent, precondition_policy: PreconditionPolicy | None = None
     ) -> tuple[CandidateInstance, float, int, tuple[Attempt, ...], float, float]:
-        """``inner_loop`` on the event's kept set, timing the set's lookup or
-        generation and the loop; nothing is applied or adapted.
+        """``inner_loop`` on the event's candidate set, timing the set's
+        lookup or generation and the loop; nothing is applied or adapted.
 
         Returns ``(chosen, impact, candidate_count, attempts, generation_s,
         selection_ms)``: the applied instance, the event's impact, the set's

@@ -19,8 +19,8 @@ loop selects from.  The set depends only on the catalog and the event's
 ``files`` parses or an ``Engine`` decides on is a ``CatalogResponses``
 tuple of uniquely indexed entries, which keeps each set it has generated
 and one instance per (index, target) that all of them share: every later
-call copies the kept set into a new list.  Any other sequence is
-generated from scratch on every call.
+call copies the kept set into a new list.  Any other sequence is wrapped
+in a new ``CatalogResponses`` first.
 """
 from __future__ import annotations
 
@@ -74,9 +74,10 @@ class CatalogResponses(tuple):
     ``sets`` maps each (result, infected, affected) key that
     ``generate_candidates`` has met to its set, kept as a tuple.  A
     repeated index is a ``CatalogError``, so every set holds the one
-    instance per (index, target) that ``instances`` keeps.  Both fill
-    lazily and live as long as this tuple: for a loaded catalog, as long
-    as its ``load_catalog`` cache entry.
+    instance per (index, target) that ``instances`` keeps, which keeps the
+    memo small: the generic catalog's 320 sets hold 8,480 positions but
+    264 instances.  Both fill lazily and live as long as this tuple: for a
+    loaded catalog, as long as its ``load_catalog`` cache entry.
     """
 
     def __new__(cls, specs: Iterable[ResponseSpec]):
@@ -102,15 +103,15 @@ def generate_candidates(
     applicable entry is terminal, the catalog's first terminal entry is
     appended.
 
-    Every call returns a new list, which the caller may change.  On a
-    ``CatalogResponses`` the set is generated once per key and copied from
-    the kept tuple on every later call, with the same instances in the same
-    order, and each (index, target) is one instance across all keys; any
-    other sequence is generated from scratch, with new instances.
+    Every call returns a new list, which the caller may change.  The set
+    is generated once per key and copied from the kept tuple on every later
+    call, with the same instances in the same order, and each (index,
+    target) is one instance across all keys.  Any other sequence is
+    wrapped in a new ``CatalogResponses``, which rejects a repeated index.
     """
-    key = (event.result, event.infected_asset, event.affected_asset)
     if not isinstance(catalog, CatalogResponses):
-        return _generate(*key, catalog)
+        catalog = CatalogResponses(catalog)
+    key = (event.result, event.infected_asset, event.affected_asset)
     kept = catalog.sets.get(key)
     if kept is None:
         shared = catalog.instances.setdefault

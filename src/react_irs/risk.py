@@ -11,7 +11,7 @@ higher stakes.
 """
 from __future__ import annotations
 
-from .model import DomainError, IntrusionEvent
+from .model import DomainError, IntrusionEvent, check_total
 
 
 def environment_from_velocity(velocity_kmh: float) -> int:
@@ -40,5 +40,5 @@ def environment_term(event: IntrusionEvent) -> float:
 
 def event_impact(event: IntrusionEvent) -> float:
     """Weighted impact of an event: its static levels plus the
-    environment term."""
-    return event.impact_params.total + environment_term(event)
+    environment term, checked to be finite (``model.check_total``)."""
+    return check_total(event.impact_params.total + environment_term(event), "event impact")

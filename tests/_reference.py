@@ -1,10 +1,11 @@
 """Standalone re-derivation of the static selection series, and the
 formulas that only the tests read.
 
-Deliberately avoids importing the package: it reads the catalog JSON with
-the stdlib, merging an overlay onto its base by the loader's rules, and
-re-implements ranking with plain dict/loop arithmetic, so the harness and
-this module only agree if both encode the same rules.  The formulas at
+Deliberately avoids importing the package: it reads the scenario and
+catalog JSON with the stdlib, merging an overlay onto its base by the
+loader's rules, derives the impact and the SAW bound from the scenario's
+terms, and re-implements ranking with plain dict/loop arithmetic, so the
+harness and this module only agree if both encode the same rules.  The formulas at
 the end take the package's candidates but read only their fields.
 """
 from __future__ import annotations
@@ -72,13 +73,28 @@ def _eff_cost(c: dict, impact: float) -> float:
     return float(impact) if c["terminal"] else c["cost"]
 
 
-def _pick(cands: list[dict], impact: float, algo: str) -> dict:
+def _env_level(velocity_kmh: float) -> int:
+    for floor, level in ((75, 100), (50, 10), (30, 1)):
+        if velocity_kmh >= floor:
+            return level
+    return 0
+
+
+def _impact_terms(scenario: dict) -> list[float]:
+    """The scenario's weighted S, F, O, P and E terms at its velocity."""
+    params = scenario["impact_params"]
+    terms = [params.get(f"w_{m}", 1.0) * params[m] for m in "sfop"]
+    env = scenario.get("environment_weight", 1.0) * _env_level(scenario["velocity_kmh"])
+    return terms + [env]
+
+
+def _pick(cands: list[dict], impact: float, algo: str, bound: float) -> dict:
     if algo == "saw":
         bs = [c["benefit"] or EPSILON for c in cands]
         cs = [_eff_cost(c, impact) or EPSILON for c in cands]
         max_b, min_c = max(bs), min(cs)
         prefs = [W_BENEFIT * b / max_b + W_COST * min_c / c for b, c in zip(bs, cs)]
-        elig = [i for i, p in enumerate(prefs) if p < RHO * 3.0]
+        elig = [i for i, p in enumerate(prefs) if p < bound]
         if not elig:
             elig = list(range(len(cands)))
         best = min(elig, key=lambda i: (-prefs[i], cands[i]["idx"], i))
@@ -97,18 +113,22 @@ def _pick(cands: list[dict], impact: float, algo: str) -> dict:
 
 
 def static_series(
-    catalog_path: Path,
-    result: str,
-    infected: str,
-    affected: str,
-    impact: float,
-    algo: str,
+    scenario_path: Path, catalog_path: Path, algo: str
 ) -> list[tuple[int, int, str, float, float]]:
-    """(step, index, target, effective cost, benefit) until the terminal."""
-    cands = _instances(_entries(catalog_path, result), infected, affected)
+    """(step, index, target, effective cost, benefit) until the terminal,
+    for the scenario document's intrusion at its velocity.  The impact is
+    the sum of its terms and the SAW bound is ``RHO`` per non-zero term."""
+    scenario = json.loads(scenario_path.read_text(encoding="utf-8"))
+    terms = _impact_terms(scenario)
+    impact, bound = sum(terms), RHO * sum(1.0 for term in terms if term)
+    cands = _instances(
+        _entries(catalog_path, scenario["intrusion_result"]),
+        scenario["infected_asset"],
+        scenario["affected_asset"],
+    )
     steps = []
     while True:
-        c = _pick(cands, impact, algo)
+        c = _pick(cands, impact, algo, bound)
         steps.append(
             (len(steps) + 1, c["idx"], c["target"], _eff_cost(c, impact), c["benefit"])
         )

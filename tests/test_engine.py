@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -20,7 +21,9 @@ from react_irs.engine import (
     estimate_loop_time,
     inner_loop,
 )
-from react_irs.model import CandidateInstance, DomainError, ImpactVector, IntrusionResult, Place
+from react_irs.model import (
+    CandidateInstance, DomainError, EnvironmentTerm, ImpactVector, IntrusionResult, Place,
+)
 from react_irs.responses import CatalogError, CatalogResponses, generate_candidates, response_benefit
 from react_irs.risk import event_impact
 from react_irs.selection import make_selector
@@ -342,6 +345,16 @@ class TestEngineRuns:
         with pytest.raises(DomainError):
             engine.run(event, replay([Success()]), 0)
 
+    @pytest.mark.parametrize("algo", ["lp-max", "lp-min", "saw"])
+    def test_a_follow_up_with_an_infinite_impact_is_rejected(self, algo):
+        """An event built in code can carry an environment weight whose term
+        overflows; the step that decides on it raises instead of ranking
+        at an impact of ``inf``."""
+        huge = replace(make_event(velocity=80), env=EnvironmentTerm(e=100, w_e=1.7e308))
+        engine = Engine(self._catalog(), make_selector(algo))
+        with pytest.raises(DomainError, match="event impact must be finite, got inf"):
+            engine.run(make_event(), replay([NewIntrusion(huge)]), 3)
+
 
 GENERIC_FACTS = (
     "backup_storage_ready", "driver_notified", "driving", "honeypot_ready",
@@ -438,6 +451,26 @@ class TestCandidateMemo:
             assert list(map(_untimed_record, again.records)) == list(map(_untimed_record, trace.records))
         assert stats["revisits"] > 0 and stats["cross_key"] > 0
 
+    def test_one_generation_per_key_change(self, generic_catalog, monkeypatch):
+        """An engine asks for a set only when the event's key changes: on
+        keys A, B, A three times, on A alone once."""
+        import react_irs.engine as engine_module
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return generate_candidates(*args)
+
+        monkeypatch.setattr(engine_module, "generate_candidates", counted)
+        a = make_event(infected="cam", affected="ecu")
+        b = make_event(infected="ecu", affected="cam", result=IntrusionResult.SYSTEM_UNAVAILABILITY)
+        for keys, generations in (((a, b, a), 3), ((a, a, a), 1)):
+            calls.clear()
+            engine = Engine(generic_catalog.responses, make_selector("lp-max"))
+            engine.run(keys[0], replay([NewIntrusion(e) for e in keys[1:]]), len(keys))
+            assert len(calls) == generations
+
     def test_a_set_handed_to_the_selector_never_changes(self, generic_catalog):
         handed = []
 
@@ -455,21 +488,32 @@ class TestCandidateMemo:
         )
 
     def test_an_adaptation_is_one_instance_shared_by_every_kept_set(self, generic_catalog):
-        """One adapted instance per write, in every position of every kept
-        set that holds it, including sets generated after the write."""
+        """One adapted instance per write, in every position of each later
+        key's set that holds its (index, target), including the sets
+        generated after the run."""
         events = [make_event(infected="cam", affected="ecu", result=result) for result in KEY_RESULTS]
         verdicts = [NewIntrusion(events[1]), Failure(), NewIntrusion(events[2]),
                     NewIntrusion(events[0]), Failure(), Success()]
-        engine = Engine(generic_catalog.responses, make_selector("lp-max"))
+        lp_max = make_selector("lp-max")
+        handed = []
+
+        def selector(candidates, impact, event):
+            handed.append((_key(event), list(candidates), dict(engine._adapted)))
+            return lp_max(candidates, impact, event)
+
+        engine = Engine(generic_catalog.responses, selector)
         engine.run(events[0], replay(verdicts), len(verdicts))
+        assert [key for key, _, _ in handed] == [_key(events[i]) for i in (0, 1, 1, 2, 0, 0)]
+        handed += [(_key(e), engine._candidates_for(e), engine._adapted) for e in events]
         holders = {}
-        for candidates in engine._candidates.values():
+        for key, candidates, adapted in handed:
             for cand in candidates:
-                adapted = engine._adapted.get((cand.response.index, cand.target_asset))
-                if adapted is not None:
-                    assert cand is adapted
-                    holders[id(adapted)] = holders.get(id(adapted), 0) + 1
-        assert len(engine._candidates) == 3 and max(holders.values()) > 1
+                written = adapted.get((cand.response.index, cand.target_asset))
+                if written is not None:
+                    assert cand is written
+                    holders.setdefault(id(written), set()).add(key)
+        assert all(id(written) in holders for written in engine._adapted.values())
+        assert max(map(len, holders.values())) > 1
 
 
 class TestSharedCatalog:
@@ -550,8 +594,8 @@ class TestRecord:
 
     def _write(self, engine, events, position, event=0):
         """Adapt the instance at ``position`` of ``events[event]``'s set.
-        Returns every kept set before and after the write, and the written
-        instance."""
+        Returns every event's set before and after the write, and the
+        written instance."""
         before = [list(engine._candidates_for(e)) for e in events]
         chosen = before[event][position]
         engine._record(chosen, adapt_on_failure(chosen.response))
@@ -571,6 +615,8 @@ class TestRecord:
                 Engine(given, make_selector("lp-max"))
         with pytest.raises(CatalogError, match="response index 20 is repeated"):
             CatalogResponses(catalog)
+        with pytest.raises(CatalogError, match="response index 20 is repeated"):
+            generate_candidates(make_event(), catalog)
 
     def test_a_plain_list_shares_one_instance_per_index_and_target(self):
         catalog = [
@@ -615,15 +661,9 @@ class TestRecord:
             make_event(infected="cam", affected="gw"),
         ]
         engine = Engine(catalog, make_selector("lp-max"))
-        kept = [engine._candidates_for(e) for e in events]
         before, after, instance = self._write(engine, events, 0)  # (20, "cam")
-        assert len(engine._candidates) == 3
         for old, new in zip(before, after):
             assert _same_objects(new, _scan_swap(old, instance))
-        # The two sets that hold (20, "cam") are new lists; the one that
-        # holds only (20, "gw") is the same list as before.
-        assert after[0] is not kept[0] and after[2] is not kept[2]
-        assert after[1] is kept[1]
         before, after, instance = self._write(engine, events, 2, event=2)  # (21, "gw")
         for old, new in zip(before, after):
             assert _same_objects(new, _scan_swap(old, instance))

@@ -26,6 +26,8 @@ from _reference import static_series
 from _support import fixture_rows, load_expected, make_event, make_response, report_rows
 
 ALGOS = ("lp-max", "lp-min", "saw")
+# Impact levels that leave one non-zero term of scenario1's (S, F, O, P).
+ONE_TERM = {"s-only": {"s": 100, "o": 0}, "o-only": {"s": 0, "o": 100}}
 
 
 class TestStaticQuality:
@@ -61,22 +63,25 @@ class TestStaticQuality:
 
     @pytest.mark.parametrize(
         "fixture,algo",
-        [("scenario1", a) for a in ALGOS] + [("scenario2", a) for a in ALGOS],
+        [(name, a) for name in ("scenario1", "scenario2", *ONE_TERM) for a in ALGOS],
     )
     def test_series_agrees_with_independent_rederivation(
-        self, request, fixture, algo
+        self, data, tmp_path, fixture, algo
     ):
-        scenario = request.getfixturevalue(fixture)
+        path = data / f"{fixture}.json"
+        if fixture in ONE_TERM:
+            # scenario1 at 0 km/h with one non-zero impact term: a SAW
+            # bound of 1, the one case where the bound excludes candidates.
+            doc = json.loads((data / "scenario1.json").read_text(encoding="utf-8"))
+            doc.update(velocity_kmh=0.0, architecture_ref=str(data / doc["architecture_ref"]),
+                       catalog_ref=str(data / doc["catalog_ref"]),
+                       catalog_overrides={k: str(data / v) for k, v in doc["catalog_overrides"].items()})
+            doc["impact_params"].update(ONE_TERM[fixture])
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        scenario = load_scenario(path)
         report = run_static_quality(scenario, algo)
-        reference = static_series(
-            scenario.catalog_path("static", algo),
-            scenario.intrusion_result.value,
-            scenario.infected_asset,
-            scenario.affected_asset,
-            report.selections[0].impact,
-            algo,
-        )
-        assert report_rows(report) == reference
+        assert report_rows(report) == static_series(path, scenario.catalog_path("static", algo), algo)
 
     def test_report_metadata(self, scenario1):
         report = run_static_quality(scenario1, "lp-max")

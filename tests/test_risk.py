@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from react_irs.model import DomainError, ImpactVector, VehicleState
+from react_irs.model import DomainError, EnvironmentTerm, ImpactVector, VehicleState
 from react_irs.risk import environment_from_velocity, event_impact
 from _reference import legacy_impact
 from _support import make_event
@@ -72,6 +72,13 @@ class TestImpact:
         event = make_event(velocity=0)
         assert event.env.e == 0
         assert event_impact(event) == 200.0
+
+    def test_an_overflowing_impact_is_rejected(self):
+        # A finite weight whose term overflows: the loader bounds the impact
+        # at E = 100, and an event built in code meets the check here.
+        event = replace(make_event(velocity=80), env=EnvironmentTerm(e=100, w_e=1.7e308))
+        with pytest.raises(DomainError, match="event impact must be finite, got inf"):
+            event_impact(event)
 
     def test_stationary_scenario(self):
         event = make_event(s=0, f=10, o=10, p=100, velocity=0)
