@@ -6,79 +6,17 @@ generates the applicable countermeasures from a JSON catalog, picks the
 optimal one by a pluggable strategy, and adapts response parameters from
 execution feedback.  The ``react`` CLI drives scenario files through
 static-quality, dynamic-feedback, and velocity-sweep evaluations.
+
+The modules are the API; this package re-exports nothing, so importing
+one module loads only what it needs.  Import each name from its module:
+
+- ``react_irs.engine``: ``Engine`` and the verdicts ``Success``,
+  ``Failure`` and ``NewIntrusion``;
+- ``react_irs.files``: the loaders (``load_catalog``, ``load_scenario``,
+  ...) and ``data_dir``;
+- ``react_irs.selection``: ``make_selector`` and the strategies;
+- ``react_irs.harness``: the run modes and ``emit_series``;
+- ``react_irs.model``: the types.
 """
-from .engine import (
-    AdaptationConfig,
-    Attempt,
-    Engine,
-    EngineTrace,
-    Failure,
-    FeedbackVerdict,
-    IterationRecord,
-    LoopOrder,
-    NewIntrusion,
-    Success,
-    adapt_on_failure,
-    adapt_on_success,
-    estimate_loop_time,
-    inner_loop,
-)
-from .files import (
-    Catalog,
-    Scenario,
-    SchemaError,
-    data_dir,
-    load_architecture,
-    load_catalog,
-    load_scenario,
-    validate_file,
-)
-from .harness import (
-    RunReport,
-    SelectionRow,
-    emit_series,
-    run_dynamic,
-    run_static_quality,
-    run_velocity_sweep,
-)
-from .model import (
-    Asset,
-    AssetKind,
-    CandidateInstance,
-    CostVector,
-    DomainError,
-    EnvironmentTerm,
-    ImpactVector,
-    IntrusionEvent,
-    IntrusionResult,
-    Place,
-    ResponseSpec,
-    StopCondition,
-    StopKind,
-    VehicleState,
-)
-from .preconditions import Precondition, PreconditionError
-from .responses import (
-    CatalogError,
-    effective_cost,
-    generate_candidates,
-    response_benefit,
-    response_cost,
-)
-from .risk import (
-    environment_from_velocity,
-    event_impact,
-)
-from .selection import (
-    ALGORITHMS,
-    SawConfig,
-    SelectionOutcome,
-    brute_force_oracle,
-    compute_impact_alphas,
-    lp_select_max_benefit,
-    lp_select_min_cost,
-    make_selector,
-    saw_select,
-)
 
 __version__ = "0.1.0"

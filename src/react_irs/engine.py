@@ -312,8 +312,8 @@ class Engine:
         feedback: FeedbackSource,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
     ) -> EngineTrace:
-        if max_iterations < 1:
-            raise DomainError(f"max_iterations must be >= 1, got {max_iterations!r}")
+        if type(max_iterations) is not int or max_iterations < 1:
+            raise DomainError(f"max_iterations must be an int >= 1, got {max_iterations!r}")
         trace = EngineTrace()
         event = initial_event
         for iteration in range(1, max_iterations + 1):

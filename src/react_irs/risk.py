@@ -11,6 +11,8 @@ higher stakes.
 """
 from __future__ import annotations
 
+from math import inf
+
 from .model import DomainError, IntrusionEvent, check_total
 
 
@@ -18,10 +20,10 @@ def environment_from_velocity(velocity_kmh: float) -> int:
     """Map velocity (km/h) onto the discrete environment level.
 
     Bands are half-open: [0, 30) -> 0, [30, 50) -> 1, [50, 75) -> 10,
-    [75, inf) -> 100.
+    [75, inf) -> 100.  A negative, infinite or NaN velocity is rejected.
     """
-    if velocity_kmh < 0:
-        raise DomainError(f"velocity must be >= 0, got {velocity_kmh!r}")
+    if not 0 <= velocity_kmh < inf:
+        raise DomainError(f"velocity must be finite and >= 0, got {velocity_kmh!r}")
     if velocity_kmh >= 75:
         return 100
     if velocity_kmh >= 50:

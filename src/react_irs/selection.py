@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .model import CandidateInstance, DomainError, IntrusionEvent
+from .model import CandidateInstance, DomainError, IntrusionEvent, check_weight
 # Read by bench/tracing.py, which patches these names; the hot path reads .total.
 from .responses import effective_cost, response_benefit
 from .risk import environment_term
@@ -63,7 +63,7 @@ class SawConfig:
     w_benefit: float = 0.6
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.w_benefit <= 1.0:
+        if check_weight(self.w_benefit, "w_benefit") > 1.0:
             raise DomainError(f"w_benefit must lie in [0, 1], got {self.w_benefit!r}")
 
     @property

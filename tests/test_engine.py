@@ -339,11 +339,12 @@ class TestEngineRuns:
         assert picks[0] == 17
         assert 29 in picks[1:]
 
-    def test_rejects_nonpositive_iterations(self):
+    @pytest.mark.parametrize("iterations", [0, True, 2.5])
+    def test_rejects_nonpositive_iterations(self, iterations):
         event = make_event()
         engine = Engine(self._catalog(), make_selector("lp-max"))
         with pytest.raises(DomainError):
-            engine.run(event, replay([Success()]), 0)
+            engine.run(event, replay([Success()]), iterations)
 
     @pytest.mark.parametrize("algo", ["lp-max", "lp-min", "saw"])
     def test_a_follow_up_with_an_infinite_impact_is_rejected(self, algo):

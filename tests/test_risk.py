@@ -28,9 +28,10 @@ class TestVelocityBands:
     def test_band_boundaries(self, velocity, level):
         assert environment_from_velocity(velocity) == level
 
-    def test_negative_velocity_rejected(self):
+    @pytest.mark.parametrize("velocity", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_negative_velocity_rejected(self, velocity):
         with pytest.raises(DomainError):
-            environment_from_velocity(-0.1)
+            environment_from_velocity(velocity)
 
     @pytest.mark.parametrize("velocity", [float("nan"), float("inf"), -5.0, -0.0, True, "fast"])
     def test_vehicle_state_rejects_bad_velocity(self, velocity):

@@ -41,6 +41,9 @@ class TestSawConfig:
             {"w_benefit": 1.1},
             {"w_benefit": float("nan")},
             {"w_benefit": float("inf")},
+            {"w_benefit": True},
+            {"w_benefit": "0.5"},
+            {"w_benefit": -0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
