@@ -9,144 +9,144 @@ failures.  REACT_SEED sets the seed when --seed is not given.
 """
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from pathlib import Path
 
-import click
-
 from .files import SchemaError, data_dir, load_catalog, load_scenario, resolve_scenario_ref, validate_file
 from .harness import emit_series, run_dynamic, run_static_quality, run_velocity_sweep
-from .model import DomainError, check_weight
+from .model import check_weight
 from .responses import response_benefit, response_cost
 from .selection import ALGORITHMS, SawConfig
 
 MODES = ("static", "dynamic-success", "dynamic-fail", "velocity-sweep")
-
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-def _parse_velocities(ctx, param, text: str) -> list[float]:
-    try:
-        velocities = [check_weight(float(v), "velocity") for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
+def _checked(parse):
+    """``parse`` as an option type whose ValueError text is the usage error's."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _iterations(text: str) -> int:
+    if (count := int(text)) < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
+def _velocities(text: str) -> list[float]:
+    velocities = [check_weight(float(v), "velocity") for v in text.split(",") if v.strip() != ""]
     if not velocities:
-        raise click.BadParameter("needs at least one velocity")
+        raise ValueError("needs at least one velocity")
     return velocities
 
 
-def _saw_config(ctx, param, value: float | None) -> SawConfig | None:
-    try:
-        return None if value is None else SawConfig(w_benefit=value)
-    except DomainError as exc:
-        raise click.BadParameter(str(exc)) from None
+def _out_path(text: str) -> Path:
+    if os.path.isdir(text):
+        raise ValueError(f"{text!r} is a directory")
+    return Path(text)
 
 
-@click.group()
-def main() -> None:
-    """Intrusion-response decision engine harness."""
-
-
-@main.command("run")
-@click.option("--scenario", "scenario_ref", required=True,
-              help="Scenario file path, or the name of a packaged scenario "
-                   "(scenario1, scenario2, demo).")
-@click.option("--algo", "algorithm", type=click.Choice(ALGORITHMS), required=True,
-              help="Selection strategy.")
-@click.option("--mode", type=click.Choice(MODES), default="static", show_default=True,
-              help="Evaluation mode.")
-@click.option("--iterations", type=click.IntRange(min=1), default=5, show_default=True,
-              help="Outer-loop iterations for the dynamic modes.")
-@click.option("--seed", type=int, default=7, show_default=True, envvar="REACT_SEED",
-              help="Adaptation RNG seed (REACT_SEED, if --seed is not given).")
-@click.option("--velocities", default="0,50,100", show_default=True,
-              callback=_parse_velocities,
-              help="Comma-separated velocities for velocity-sweep mode (km/h).")
-@click.option("--saw-benefit-weight", "saw_cfg", type=float, default=None,
-              callback=_saw_config, help="Override the SAW benefit criterion weight (cost weight "
-                   "becomes its complement).")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
-              default=None, help="Output file (stdout when omitted).")
-@click.option("--format", "fmt", type=click.Choice(("csv", "jsonl")), default="csv",
-              show_default=True, help="Output format.")
-@click.option("--no-timings", is_flag=True,
-              help="Zero the timing column for byte-reproducible output.")
-def run(scenario_ref, algorithm, mode, iterations, seed, velocities,
-        saw_cfg, out_path, fmt, no_timings) -> None:
+def run(args: argparse.Namespace) -> None:
     """Run a scenario in one evaluation mode and emit the selection series."""
     try:
-        scenario = load_scenario(resolve_scenario_ref(scenario_ref))
-        if mode == "static":
-            result = run_static_quality(scenario, algorithm, saw_cfg=saw_cfg)
-        elif mode == "velocity-sweep":
-            result = run_velocity_sweep(scenario, algorithm, velocities, saw_cfg=saw_cfg)
+        scenario = load_scenario(resolve_scenario_ref(args.scenario))
+        if args.mode == "static":
+            result = run_static_quality(scenario, args.algo, saw_cfg=args.saw_cfg)
+        elif args.mode == "velocity-sweep":
+            result = run_velocity_sweep(scenario, args.algo, args.velocities, saw_cfg=args.saw_cfg)
         else:
-            verdict = "success" if mode == "dynamic-success" else "failure"
-            result = run_dynamic(scenario, algorithm, verdict, iterations=iterations,
-                                 seed=seed, saw_cfg=saw_cfg)
+            verdict = "success" if args.mode == "dynamic-success" else "failure"
+            result = run_dynamic(scenario, args.algo, verdict, iterations=args.iterations,
+                                 seed=args.seed, saw_cfg=args.saw_cfg)
     except SchemaError as exc:
-        click.echo(f"validation error: {exc}", err=True)
+        print(f"validation error: {exc}", file=sys.stderr)
         sys.exit(EXIT_VALIDATION)
-    except (DomainError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_RUNTIME)
-
     try:
-        if out_path is None:
-            emit_series(result, fmt, sys.stdout, include_timings=not no_timings)
-        else:
-            emit_series(result, fmt, out_path, include_timings=not no_timings)
+        emit_series(result, args.format, args.out or sys.stdout, include_timings=not args.no_timings)
     except OSError as exc:
-        click.echo(f"cannot write output: {exc}", err=True)
+        print(f"cannot write output: {exc}", file=sys.stderr)
         sys.exit(EXIT_RUNTIME)
 
 
-@main.command("validate")
-@click.argument("file", type=click.Path(path_type=Path))
-def validate(file: Path) -> None:
+def validate(args: argparse.Namespace) -> None:
     """Validate an architecture, catalog, or scenario file."""
-    try:
-        kind = validate_file(file)
-    except SchemaError as exc:
-        click.echo(f"invalid: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    click.echo(f"OK: {file} is a valid {kind} file")
+    print(f"OK: {args.file} is a valid {validate_file(args.file)} file")
 
 
-@main.group("catalog")
-def catalog_group() -> None:
-    """Catalog inspection."""
-
-
-@catalog_group.command("list")
-@click.option("--catalog", "catalog_path", type=click.Path(path_type=Path),
-              default=None, help="Catalog file (defaults to the packaged generic one).")
-def catalog_list(catalog_path: Path | None) -> None:
+def catalog_list(args: argparse.Namespace) -> None:
     """Print the catalog as a table."""
-    path = catalog_path if catalog_path is not None else data_dir() / "catalog_generic.json"
-    try:
-        catalog = load_catalog(path)
-    except SchemaError as exc:
-        click.echo(f"invalid: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-
-    click.echo(f"catalog: {catalog.name or path}")
+    path = args.catalog or data_dir() / "catalog_generic.json"
+    catalog = load_catalog(path)
     header = f"{'idx':>3}  {'action':<44} {'applies to':<28} {'cost':>6} {'benefit':>7}"
-    click.echo(header)
-    click.echo("-" * len(header))
+    print(f"catalog: {catalog.name or path}", header, "-" * len(header), sep="\n")
     for spec in sorted(catalog.responses, key=lambda s: s.index):
-        if spec.is_general:
-            applies = "general"
-        else:
-            applies = ",".join(sorted(r.value for r in spec.applicable_results))
-        if len(applies) > 28:
-            applies = applies[:25] + "..."
+        applies = ("general" if spec.is_general
+                   else ",".join(sorted(r.value for r in spec.applicable_results)))
+        applies = applies if len(applies) <= 28 else applies[:25] + "..."
         cost = "impact" if spec.terminal else f"{response_cost(spec.cost):g}"
-        click.echo(
-            f"{spec.index:>3}  {spec.action:<44} {applies:<28} {cost:>6} "
-            f"{response_benefit(spec.benefit):>7g}"
-        )
+        benefit = response_benefit(spec.benefit)
+        print(f"{spec.index:>3}  {spec.action:<44} {applies:<28} {cost:>6} {benefit:>7g}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """Built per call, so the ``--seed`` default reads REACT_SEED at that moment."""
+    parser = argparse.ArgumentParser(
+        prog="react", description="Intrusion-response decision engine harness.", allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    option = commands.add_parser("run", help=run.__doc__, allow_abbrev=False).add_argument
+    option("--scenario", required=True, help="Scenario file path, or the name of a packaged "
+                                              "scenario (scenario1, scenario2, demo).")
+    option("--algo", choices=ALGORITHMS, required=True, help="Selection strategy.")
+    option("--mode", choices=MODES, default="static", help="Evaluation mode (default: %(default)s).")
+    option("--iterations", type=_checked(_iterations), default=5,
+           help="Outer-loop iterations for the dynamic modes (default: %(default)s).")
+    # A string default goes through ``type`` only when --seed is absent; "" counts as unset.
+    option("--seed", type=int, default=os.environ.get("REACT_SEED") or 7,
+           help="Adaptation RNG seed (REACT_SEED, if --seed is not given; default: 7).")
+    option("--velocities", type=_checked(_velocities), default="0,50,100",
+           help="Comma-separated velocities in km/h for velocity-sweep mode (default: 0,50,100).")
+    option("--saw-benefit-weight", dest="saw_cfg", type=_checked(lambda v: SawConfig(float(v))),
+           help="Override the SAW benefit criterion weight (cost weight becomes its complement).")
+    option("--out", type=_checked(_out_path), help="Output file (stdout when omitted).")
+    option("--format", choices=("csv", "jsonl"), default="csv", help="Output format (default: csv).")
+    option("--no-timings", action="store_true",
+           help="Zero the timing column for byte-reproducible output.")
+    commands.add_parser("validate", help=validate.__doc__, allow_abbrev=False).add_argument(
+        "file", type=Path)
+    catalog = commands.add_parser("catalog", help="Catalog inspection.", allow_abbrev=False)
+    option = catalog.add_subparsers(dest="command", required=True).add_parser(
+        "list", help=catalog_list.__doc__, allow_abbrev=False).add_argument
+    option("--catalog", type=Path, help="Catalog file (defaults to the packaged generic one).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Entry point of ``react``.  When the reader of standard output leaves
+    early, exit 1 without a traceback, as the ``signal`` docs' SIGPIPE note advises."""
+    try:
+        try:
+            args = _parser().parse_args(argv)
+            # ``catalog list`` leaves "list" in ``command``: the nested parser writes last.
+            {"run": run, "validate": validate, "list": catalog_list}[args.command](args)
+        except SchemaError as exc:  # from ``validate`` and ``catalog list``
+            print(f"invalid: {exc}", file=sys.stderr)
+            sys.exit(EXIT_VALIDATION)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -20,17 +20,22 @@ def environment_from_velocity(velocity_kmh: float) -> int:
     """Map velocity (km/h) onto the discrete environment level.
 
     Bands are half-open: [0, 30) -> 0, [30, 50) -> 1, [50, 75) -> 10,
-    [75, inf) -> 100.  A negative, infinite or NaN velocity is rejected.
+    [75, inf) -> 100.  A negative, infinite or NaN velocity is rejected,
+    and so are a bool, which passes the range test (``True == 1``), and a
+    non-number, which fails it with a ``TypeError``.
     """
-    if not 0 <= velocity_kmh < inf:
-        raise DomainError(f"velocity must be finite and >= 0, got {velocity_kmh!r}")
-    if velocity_kmh >= 75:
-        return 100
-    if velocity_kmh >= 50:
-        return 10
-    if velocity_kmh >= 30:
-        return 1
-    return 0
+    try:
+        if 0 <= velocity_kmh < inf and velocity_kmh.__class__ is not bool:
+            if velocity_kmh >= 75:
+                return 100
+            if velocity_kmh >= 50:
+                return 10
+            if velocity_kmh >= 30:
+                return 1
+            return 0
+    except TypeError:
+        pass
+    raise DomainError(f"velocity must be finite and >= 0, got {velocity_kmh!r}")
 
 
 def environment_term(event: IntrusionEvent) -> float:

@@ -1,8 +1,13 @@
 """Shared builders for the test suite (not collected by pytest)."""
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
+from unittest.mock import patch
 
 from react_irs.engine import FeedbackSource, Success
 from react_irs.files import data_dir
@@ -232,3 +237,39 @@ def write_bad_file(tmp_path, case):
     else:
         path.write_bytes(BAD_FILES[case])
     return path
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    #: The ``SystemExit`` of a non-zero exit, or what escaped ``main``.
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs a CLI ``main(args)`` in this process with its streams captured
+    and ``env`` set in ``os.environ`` for the call (a ``None`` value unsets
+    the variable)."""
+
+    def invoke(self, main, args, env=None) -> CliResult:
+        out, err = io.StringIO(), io.StringIO()
+        code, exception = 0, None
+        try:
+            with patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+                for name, value in (env or {}).items():
+                    if value is None:
+                        os.environ.pop(name, None)
+                    else:
+                        os.environ[name] = value
+                main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+        return CliResult(code, out.getvalue(), err.getvalue(), exception)

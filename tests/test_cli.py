@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from react_irs.cli import MODES, main
 from react_irs.files import (
@@ -16,7 +19,7 @@ from react_irs.files import (
 from react_irs.harness import CSV_COLUMNS
 from react_irs.selection import ALGORITHMS
 from _reference import _entries, _instances
-from _support import BAD_FILES, fixture_rows, load_expected, write_bad_file
+from _support import BAD_FILES, CliRunner, fixture_rows, load_expected, write_bad_file
 
 
 @pytest.fixture()
@@ -94,6 +97,9 @@ class TestRun:
             ("env", None, {"REACT_SEED": "11"}),
             ("cli-8", "8", None),
             ("both", "8", {"REACT_SEED": "11"}),
+            ("default", None, {"REACT_SEED": None}),
+            ("env-empty", None, {"REACT_SEED": ""}),
+            ("cli-8-env-bad", "8", {"REACT_SEED": "x"}),
         ):
             out = tmp_path / f"{name}.csv"
             args = [
@@ -106,7 +112,11 @@ class TestRun:
             assert result.exit_code == 0
             outs[name] = out.read_bytes()
         assert outs["cli"] == outs["env"]
-        assert outs["both"] == outs["cli-8"] != outs["cli"]
+        assert outs["both"] == outs["cli-8"] == outs["cli-8-env-bad"] != outs["cli"]
+        assert outs["env-empty"] == outs["default"] != outs["cli"]
+        result = runner.invoke(main, ["run", "--scenario", "scenario1", "--algo", "lp-max",
+                                      "--mode", "dynamic-success"], env={"REACT_SEED": "x"})
+        assert result.exit_code == 2 and result.stdout == "", result.output
 
     def test_unknown_scenario_is_validation_error(self, runner):
         result = runner.invoke(main, ["run", "--scenario", "ghost", "--algo", "saw"])
@@ -157,6 +167,7 @@ class TestRun:
             ["--saw-benefit-weight", "-0.5"],
             ["--mode", "velocity-sweep", "--velocities", ","],
             ["--mode", "velocity-sweep", "--velocities", ""],
+            ["--scen", "scenario1"],
         ],
         ids=" ".join,
     )
@@ -165,7 +176,17 @@ class TestRun:
             main, ["run", "--scenario", "scenario1", "--algo", "saw"] + option
         )
         assert result.exit_code == 2, result.output
-        assert "Invalid value" in result.output
+        assert option[-2] in result.stderr
+        assert BAD_VALUE_TEXT.get(option[-2], "") in result.stderr
+
+    def test_out_directory_is_usage_error(self, runner, tmp_path):
+        """Rejected while the options are parsed, before the scenario loads."""
+        result = runner.invoke(
+            main, ["run", "--scenario", "ghost", "--algo", "saw", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--out" in result.stderr and "ghost" not in result.stderr
+        assert result.stdout == "" and list(tmp_path.iterdir()) == []
 
     def test_bad_velocities_string(self, runner):
         result = runner.invoke(
@@ -188,6 +209,7 @@ class TestRun:
         )
         assert result.exit_code == 2, result.output
         assert "step," not in result.output
+        assert "velocity must be a finite non-negative number" in result.stderr
 
     def test_saw_weight_override_changes_choice(self, runner):
         base = runner.invoke(
@@ -205,6 +227,10 @@ class TestRun:
         first = lambda res: res.output.strip().splitlines()[1].split(",")[1]
         assert first(base) == "17"
         assert first(cost_led) == "30"  # zero-cost notification wins under cost focus
+
+
+#: The text a rejected option value keeps in its usage error.
+BAD_VALUE_TEXT = {"--saw-benefit-weight": "w_benefit", "--velocities": "needs at least one velocity"}
 
 
 def _projection(records: list[dict]) -> str:
@@ -469,3 +495,28 @@ class TestCatalogList:
             line for line in result.output.splitlines() if "No action" in line
         )
         assert "impact" in terminal_line
+
+
+@pytest.mark.parametrize("args", [[], ["catalog"], ["bogus"], ["catalog", "bogus"]], ids=repr)
+def test_a_missing_or_unknown_command_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+
+
+def test_a_reader_that_leaves_early_ends_the_listing_quietly(tmp_path):
+    """``react catalog list | head -1`` exits 1 with nothing on stderr.  The
+    table is longer than a pipe holds, so the listing is still writing when
+    its reader leaves after the first line."""
+    doc = json.loads((data_dir() / "catalog_scenario1.json").read_text())
+    doc["responses"] += [dict(doc["responses"][0], index=i) for i in range(100, 2100)]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    command = [sys.executable, "-m", "react_irs.cli", "catalog", "list", "--catalog", str(path)]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+        assert proc.stdout.readline().startswith(b"catalog: ")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1

@@ -1,6 +1,7 @@
 """Every demo script and the README's Library example run to completion
-against the package in ``src/``, and the engine imports without the
-loaders, the harness or the CLI."""
+against the package in ``src/``, the engine imports without the loaders,
+the harness or the CLI, and the CLI imports nothing outside the standard
+library."""
 import os
 import re
 import subprocess
@@ -40,6 +41,18 @@ def test_importing_the_engine_loads_no_loader_harness_or_cli():
         "import sys, react_irs.engine\n"
         "print(*sorted(m for m in ('react_irs.files', 'react_irs.harness', 'react_irs.cli')"
         " if m in sys.modules))"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+
+def test_the_cli_imports_only_the_standard_library():
+    result = run_python("-c", (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import react_irs.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(added - {'react_irs'} - sys.stdlib_module_names))"
     ))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""

@@ -3,10 +3,10 @@ the mutated document or raises ``SchemaError``, never anything else."""
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from react_irs.cli import main
 from react_irs.files import SchemaError, data_dir, parse_architecture, parse_catalog, parse_scenario
+from _support import CliRunner
 
 #: null, a bool, a string, a list, an object, a negative number, a
 #: non-integer and an integer too large for a float.

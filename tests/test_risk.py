@@ -28,7 +28,8 @@ class TestVelocityBands:
     def test_band_boundaries(self, velocity, level):
         assert environment_from_velocity(velocity) == level
 
-    @pytest.mark.parametrize("velocity", [-0.1, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "velocity", [-0.1, float("nan"), float("inf"), float("-inf"), True, "fast", None])
     def test_negative_velocity_rejected(self, velocity):
         with pytest.raises(DomainError):
             environment_from_velocity(velocity)
