@@ -77,7 +77,7 @@ def _require(doc: Mapping[str, Any], key: str, context: str) -> Any:
 def _check_header(doc: Any, kind: str, context: str) -> None:
     doc = _object(doc, context)
     version = _require(doc, "schema_version", context)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(
             f"{context}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )

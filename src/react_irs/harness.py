@@ -13,14 +13,17 @@ Every run returns one ``RunReport`` whose rows are numbered 1..n: the
 attempts of a static drain, the iterations of a dynamic run, or the
 velocities of a sweep.  A report emits as JSONL (one record per row) or
 as CSV, the fixed projection of those records onto ``CSV_COLUMNS``; with
-timings suppressed the output is byte-stable for a fixed seed.
+timings suppressed the output is byte-stable for a fixed seed.  Each JSONL
+line equals ``json.dumps(record, sort_keys=True)``, but no record dict is
+built: a per-report template holds the encoded constants (algorithm, mode,
+scenario, seed) and each line formats only its row's fields into it.
 """
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
@@ -37,9 +40,6 @@ try:
     import resource
 except ImportError:  # Windows
     resource = None
-
-#: One encoder for every JSONL row; ``json.dumps(sort_keys=True)`` builds a new one per call.
-_JSONL = json.JSONEncoder(sort_keys=True)
 
 CSV_COLUMNS = (
     "step",
@@ -192,28 +192,6 @@ def run_velocity_sweep(
     )
 
 
-def _records(report: RunReport, include_timings: bool):
-    """One record per selection row, numbered by the row's own step."""
-    for row in report.selections:
-        record = {
-            "mode": report.mode,
-            "algorithm": report.algorithm,
-            "scenario": report.scenario,
-            "step": row.step,
-            "response_index": row.response_index,
-            "target_asset": row.target_asset,
-            "cost": row.cost,
-            "benefit": row.benefit,
-            "impact": row.impact,
-            "selection_time_ms": row.selection_time_ms if include_timings else 0.0,
-        }
-        if row.velocity_kmh is not None:
-            record["velocity_kmh"] = row.velocity_kmh
-        if report.seed is not None:
-            record["seed"] = report.seed
-        yield record
-
-
 def emit_series(
     report: RunReport,
     fmt: str,
@@ -230,12 +208,39 @@ def emit_series(
         _emit(report, fmt, out, include_timings)
 
 
+#: How ``json`` spells the non-finite floats.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value) -> str:
+    """An int or float as ``json.dumps`` spells it."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    return int.__repr__(value)
+
+
 def _emit(report, fmt, fh, include_timings):
-    records = _records(report, include_timings)
+    rows = report.selections
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows([record[c] for c in CSV_COLUMNS] for record in records)
+        # ``CSV_COLUMNS`` are a row's first seven fields.
+        if include_timings:
+            writer.writerows(row[:7] for row in rows)
+        else:
+            writer.writerows((*row[:6], 0.0) for row in rows)
         return
-    for record in records:
-        fh.write(_JSONL.encode(record) + "\n")
+    # The record's keys in sorted order, with the report's constants encoded
+    # once: each line formats only its row's own fields.
+    text, num = encode_basestring_ascii, _number
+    head = f'{{"algorithm": {text(report.algorithm)}, "benefit": '
+    mode = f', "mode": {text(report.mode)}, "response_index": '
+    seed = "" if report.seed is None else f'"seed": {num(report.seed)}, '
+    scenario = f', "scenario": {text(report.scenario)}, {seed}"selection_time_ms": '
+    write = fh.write
+    for step, index, target, cost, benefit, impact, ms, velocity in rows:
+        ms = num(ms) if include_timings else "0.0"
+        velocity = "" if velocity is None else f', "velocity_kmh": {num(velocity)}'
+        write(f'{head}{num(benefit)}, "cost": {num(cost)}, "impact": {num(impact)}{mode}{index}'
+              f'{scenario}{ms}, "step": {step}, "target_asset": {text(target)}{velocity}}}\n')

@@ -1,6 +1,7 @@
 """Shared builders for the test suite (not collected by pytest)."""
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from unittest.mock import patch
 
 from react_irs.engine import FeedbackSource, Success
 from react_irs.files import data_dir
+from react_irs.harness import CSV_COLUMNS
 from react_irs.model import (
     CandidateInstance,
     CostVector,
@@ -56,6 +58,45 @@ def report_rows(report) -> list[tuple]:
         (r.step, r.response_index, r.target_asset, r.cost, r.benefit)
         for r in report.selections
     ]
+
+
+def reference_records(report, include_timings: bool = True) -> list[dict]:
+    """The JSONL records of a report, one dict per row: with
+    ``reference_jsonl`` and ``reference_csv``, the plain emitter that
+    ``harness.emit_series`` must match byte for byte."""
+    records = []
+    for row in report.selections:
+        record = {
+            "mode": report.mode,
+            "algorithm": report.algorithm,
+            "scenario": report.scenario,
+            "step": row.step,
+            "response_index": row.response_index,
+            "target_asset": row.target_asset,
+            "cost": row.cost,
+            "benefit": row.benefit,
+            "impact": row.impact,
+            "selection_time_ms": row.selection_time_ms if include_timings else 0.0,
+        }
+        if row.velocity_kmh is not None:
+            record["velocity_kmh"] = row.velocity_kmh
+        if report.seed is not None:
+            record["seed"] = report.seed
+        records.append(record)
+    return records
+
+
+def reference_jsonl(records: list[dict]) -> str:
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+def reference_csv(records: list[dict]) -> str:
+    """The records projected onto ``CSV_COLUMNS``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([record[c] for c in CSV_COLUMNS] for record in records)
+    return buf.getvalue()
 
 
 def fixture_rows(doc: dict) -> list[tuple]:

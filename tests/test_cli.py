@@ -1,5 +1,4 @@
-import csv
-import io
+import hashlib
 import json
 import os
 import subprocess
@@ -16,10 +15,16 @@ from react_irs.files import (
     parse_scenario,
     validate_file,
 )
-from react_irs.harness import CSV_COLUMNS
 from react_irs.selection import ALGORITHMS
 from _reference import _entries, _instances
-from _support import BAD_FILES, CliRunner, fixture_rows, load_expected, write_bad_file
+from _support import (
+    BAD_FILES,
+    CliRunner,
+    fixture_rows,
+    load_expected,
+    reference_csv,
+    write_bad_file,
+)
 
 
 @pytest.fixture()
@@ -233,14 +238,6 @@ class TestRun:
 BAD_VALUE_TEXT = {"--saw-benefit-weight": "w_benefit", "--velocities": "needs at least one velocity"}
 
 
-def _projection(records: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([record[c] for c in CSV_COLUMNS] for record in records)
-    return buf.getvalue()
-
-
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
@@ -261,7 +258,7 @@ def test_run_output_matches_frozen_series(runner, name, mode, algo):
         assert result.exit_code == 0, result.output
         out[fmt] = result.output
     records = [json.loads(line) for line in out["jsonl"].splitlines()]
-    assert out["csv"] == _projection(records)
+    assert out["csv"] == reference_csv(records)
     assert all(r["selection_time_ms"] == 0.0 for r in records)
     if mode == "velocity-sweep":
         assert [(r["step"], r["velocity_kmh"], r["impact"], r["response_index"]) for r in records] == [
@@ -286,6 +283,23 @@ def test_run_output_matches_frozen_series(runner, name, mode, algo):
                for r in records]
         assert got == fixture_rows(doc)
         assert all(r["impact"] == doc["impact"] for r in records)
+
+
+def test_no_timings_outputs_keep_their_digest(runner):
+    """The 48 default ``react run --no-timings`` outputs (2 scenarios x 4
+    modes x 3 strategies x CSV/JSONL), concatenated in this loop order, keep
+    one digest: a change to any byte of any of them is a behaviour change."""
+    stdout = []
+    for name in ("scenario1", "scenario2"):
+        for mode in ("static", "dynamic-success", "dynamic-fail", "velocity-sweep"):
+            for algo in ("lp-max", "lp-min", "saw"):
+                for fmt in ("csv", "jsonl"):
+                    result = runner.invoke(main, ["run", "--scenario", name, "--algo", algo, "--mode",
+                                                  mode, "--format", fmt, "--no-timings"])
+                    assert result.exit_code == 0, result.output
+                    stdout.append(result.stdout)
+    digest = hashlib.md5("".join(stdout).encode("utf-8")).hexdigest()
+    assert digest == "9ee849f16da4bce8081b6671a5eccdd2"
 
 
 class TestValidate:
@@ -443,6 +457,9 @@ class TestBadNumbers:
             ("catalog_scenario1.json", "responses", 5),
             ("catalog_scenario1.json", "responses", [5]),
             ("architecture.json", "assets", [{"id": "cam", "name": [1], "kind": "sensor"}]),
+            ("catalog_generic.json", "schema_version", True),
+            ("catalog_generic.json", "schema_version", 1.0),
+            ("architecture.json", "schema_version", True),
         ],
     )
     def test_document_lists_reject(self, runner, tmp_path, name, field, value):

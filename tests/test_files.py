@@ -129,8 +129,10 @@ class TestCatalog:
             parse_catalog(minimal_catalog_doc(kind="scenario"))
 
     def test_wrong_schema_version_rejected(self):
-        with pytest.raises(SchemaError):
-            parse_catalog(minimal_catalog_doc(schema_version=99))
+        # ``True == 1.0 == 1``, but only the int 1 is version 1.
+        for version in (99, True, 1.0, "1"):
+            with pytest.raises(SchemaError, match="schema_version"):
+                parse_catalog(minimal_catalog_doc(schema_version=version))
 
     def test_missing_terminal_rejected(self):
         doc = minimal_catalog_doc()

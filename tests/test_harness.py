@@ -8,12 +8,15 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import react_irs.engine as engine
 import react_irs.harness as harness
 from react_irs.files import data_dir, load_catalog, load_scenario
 from react_irs.harness import (
     CSV_COLUMNS,
+    RunReport,
+    SelectionRow,
     emit_series,
     run_dynamic,
     run_static_quality,
@@ -23,7 +26,16 @@ from react_irs.model import DomainError, Place
 from react_irs.responses import generate_candidates
 from react_irs.selection import make_selector
 from _reference import static_series
-from _support import fixture_rows, load_expected, make_event, make_response, report_rows
+from _support import (
+    fixture_rows,
+    load_expected,
+    make_event,
+    make_response,
+    reference_csv,
+    reference_jsonl,
+    reference_records,
+    report_rows,
+)
 
 ALGOS = ("lp-max", "lp-min", "saw")
 # Impact levels that leave one non-zero term of scenario1's (S, F, O, P).
@@ -215,7 +227,38 @@ class TestVelocitySweep:
             run_velocity_sweep(scenario1, "lp-max", velocities=())
 
 
+# Numbers as a row may carry them: ints, and floats with the values whose
+# JSON spelling differs from ``repr`` or is easy to get wrong.
+_numbers = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1e16, 0.1,
+                     math.nan, math.inf, -math.inf]),
+)
+# Names and targets with what JSON or CSV must escape or quote.
+_texts = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f é€\U0001f697\ud800'),
+                           st.characters()), max_size=12)
+_rows = st.builds(SelectionRow, st.integers(min_value=0, max_value=10**6),
+                  st.integers(min_value=0, max_value=10**6), _texts, _numbers, _numbers,
+                  _numbers, _numbers, st.none() | _numbers)
+_reports = st.builds(RunReport, _texts, _texts, _texts, st.lists(_rows, max_size=6),
+                     seed=st.none() | st.integers(min_value=-2**63, max_value=2**63))
+
+
 class TestEmission:
+    @given(_reports, st.booleans())
+    @example(RunReport("static", "saw", "empty"), True)
+    @example(RunReport("dynamic-fail", "lp-max", "empty", seed=7), False)
+    def test_matches_the_record_dict_reference(self, report, include_timings):
+        """Byte for byte what a dict per row, ``json.dumps(record,
+        sort_keys=True)`` and the records' projection onto ``CSV_COLUMNS``
+        write."""
+        records = reference_records(report, include_timings)
+        for fmt, expected in (("csv", reference_csv(records)), ("jsonl", reference_jsonl(records))):
+            buf = io.StringIO()
+            emit_series(report, fmt, buf, include_timings=include_timings)
+            assert buf.getvalue() == expected, fmt
+
     def test_csv_layout(self, scenario1):
         report = run_static_quality(scenario1, "lp-max")
         buf = io.StringIO()
