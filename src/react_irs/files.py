@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .model import (
     Asset,
@@ -127,6 +127,14 @@ def _weight(value: Any, context: str) -> float:
         ) from None
 
 
+def _build(context: str, make: Callable[..., Any], *args: Any) -> Any:
+    """``make(*args)``, with a ``DomainError`` raised as a ``SchemaError``."""
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise SchemaError(f"{context}: {exc}") from None
+
+
 def _flags(doc: Any, context: str) -> dict[str, bool]:
     return {str(k): _bool(v, f"{context}.{k}") for k, v in _object(doc, context).items()}
 
@@ -176,34 +184,20 @@ class Catalog:
 def _parse_impact_vector(doc: Any, context: str) -> ImpactVector:
     doc = _object(doc, context)
     levels = [_require(doc, key, context) for key in ("s", "f", "o", "p")]
-    try:
-        return ImpactVector(
-            *levels,
-            w_s=doc.get("w_s", 1.0),
-            w_f=doc.get("w_f", 1.0),
-            w_o=doc.get("w_o", 1.0),
-            w_p=doc.get("w_p", 1.0),
-        )
-    except DomainError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
+    weights = doc.get("w_s", 1.0), doc.get("w_f", 1.0), doc.get("w_o", 1.0), doc.get("w_p", 1.0)
+    return _build(context, ImpactVector, *levels, *weights)
 
 
 def _parse_cost_vector(doc: Any, context: str) -> CostVector:
     doc = _object(doc, context)
     a, perf = _require(doc, "a", context), _require(doc, "perf", context)
-    try:
-        return CostVector(a, perf, w_a=doc.get("w_a", 1.0), w_perf=doc.get("w_perf", 1.0))
-    except DomainError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
+    return _build(context, CostVector, a, perf, doc.get("w_a", 1.0), doc.get("w_perf", 1.0))
 
 
 def _parse_stop(doc: Any, context: str) -> StopCondition:
     doc = _object(doc, context)
     kind = _enum(StopKind, _require(doc, "kind", context), f"{context}.kind")
-    try:
-        return StopCondition(kind=kind, seconds=doc.get("seconds"))
-    except DomainError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
+    return _build(context, StopCondition, kind, doc.get("seconds"))
 
 
 def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseSpec:

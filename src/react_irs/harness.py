@@ -137,8 +137,6 @@ def run_dynamic(
     being re-reported until the final iteration) or "failure" (nothing
     works; benefits decay).
     """
-    if iterations < 1:
-        raise DomainError(f"iterations must be >= 1, got {iterations!r}")
     mode = f"dynamic-{'fail' if verdict == 'failure' else verdict}"
     event = scenario.event()
     engine = _engine(scenario, mode, algorithm, saw_cfg, seed)

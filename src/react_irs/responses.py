@@ -24,8 +24,6 @@ in a new ``CatalogResponses`` first.
 """
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .model import (
@@ -42,9 +40,6 @@ from .model import (
 
 class CatalogError(DomainError):
     """The catalog violates a structural requirement (e.g. no terminal entry)."""
-
-
-_INDEX = attrgetter("index")
 
 
 def response_cost(cost: CostVector) -> float:
@@ -114,48 +109,24 @@ def generate_candidates(
     key = (event.result, event.infected_asset, event.affected_asset)
     kept = catalog.sets.get(key)
     if kept is None:
+        result, infected, affected = key
+        specs = sorted(
+            (spec for spec in catalog if spec.applies_to(result)),
+            key=lambda spec: (spec.is_general, spec.index),
+        )
+        if not any(spec.terminal for spec in specs):
+            terminal = next((spec for spec in catalog if spec.terminal), None)
+            if terminal is None:
+                raise CatalogError("catalog is missing the terminal 'No Action' entry")
+            specs.append(terminal)
         shared = catalog.instances.setdefault
         kept = catalog.sets[key] = tuple(
-            shared((cand.response.index, cand.target_asset), cand)
-            for cand in _generate(*key, catalog)
+            shared((spec.index, target), CandidateInstance(spec, target))
+            for spec in specs
+            for target in (
+                (affected,) if infected == affected or spec.place is Place.DESTINATION
+                else (infected,) if spec.place is Place.SOURCE
+                else (infected, affected)
+            )
         )
     return list(kept)
-
-
-def _generate(
-    result: IntrusionResult, infected: str, affected: str, catalog: Sequence[ResponseSpec]
-) -> list[CandidateInstance]:
-    """``generate_candidates`` from scratch, for one key."""
-    specific: list[ResponseSpec] = []
-    general: list[ResponseSpec] = []
-    terminal: ResponseSpec | None = None
-    for spec in catalog:
-        if spec.is_general:
-            general.append(spec)
-        elif result in spec.applicable_results:
-            specific.append(spec)
-        if terminal is None and spec.terminal:
-            terminal = spec
-    if terminal is None:
-        raise CatalogError("catalog is missing the terminal 'No Action' entry")
-    specific.sort(key=_INDEX)
-    general.sort(key=_INDEX)
-    if not terminal.applies_to(result) and not any(
-        spec.terminal for spec in chain(specific, general)
-    ):
-        general.append(terminal)
-
-    same = infected == affected
-    candidates: list[CandidateInstance] = []
-    append = candidates.append
-    for spec in chain(specific, general):
-        # Destination first: most entries take this branch with a single
-        # enum member lookup, which is slow on Python 3.11.
-        if spec.place is Place.DESTINATION or same:
-            append(CandidateInstance(spec, affected))
-        elif spec.place is Place.SOURCE:
-            append(CandidateInstance(spec, infected))
-        else:
-            append(CandidateInstance(spec, infected))
-            append(CandidateInstance(spec, affected))
-    return candidates

@@ -358,6 +358,8 @@ ALGORITHMS = ("saw", "lp-max", "lp-min")
 def make_selector(algorithm: str, saw_cfg: SawConfig | None = None):
     """Adapt a named strategy to the uniform (candidates, impact, event)
     call shape the engine and harness use."""
+    if saw_cfg is not None and not isinstance(saw_cfg, SawConfig):
+        raise DomainError(f"saw_cfg must be a SawConfig, got {saw_cfg!r}")
     if algorithm == "lp-max":
         return lambda candidates, impact, event: lp_select_max_benefit(candidates, impact)
     if algorithm == "lp-min":

@@ -142,9 +142,10 @@ class TestDynamic:
         with pytest.raises(DomainError):
             run_dynamic(scenario1, "lp-max", "maybe")
 
-    def test_iterations_must_be_positive(self, scenario1):
+    @pytest.mark.parametrize("iterations", [0, "3", True, 2.5])
+    def test_iterations_must_be_positive(self, scenario1, iterations):
         with pytest.raises(DomainError):
-            run_dynamic(scenario1, "lp-max", "success", iterations=0)
+            run_dynamic(scenario1, "lp-max", "success", iterations=iterations)
 
 
 class TestVelocitySweep:

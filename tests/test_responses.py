@@ -139,9 +139,10 @@ class TestGeneration:
             make_response(31, terminal=True),
             make_response(22, is_general=True),
             make_response(3, is_general=False, applicable=frozenset({event.result})),
+            make_response(1, is_general=True),
         ]
         cands = generate_candidates(event, catalog)
-        assert [c.response.index for c in cands] == [3, 22, 31]
+        assert [c.response.index for c in cands] == [3, 1, 22, 31]
 
     def test_inapplicable_specific_entries_dropped(self):
         from react_irs.model import IntrusionResult

@@ -286,6 +286,12 @@ class TestMakeSelector:
         with pytest.raises(DomainError):
             make_selector("greedy")
 
+    @pytest.mark.parametrize("algo", ["saw", "lp-max"])
+    @pytest.mark.parametrize("saw_cfg", [0.5, {"w_benefit": 0.5}], ids=["float", "dict"])
+    def test_saw_config_of_another_type_rejected(self, algo, saw_cfg):
+        with pytest.raises(DomainError, match="saw_cfg must be a SawConfig"):
+            make_selector(algo, saw_cfg)
+
     def test_uniform_signature(self):
         cands = instances(
             make_response(1, s=100, a=10),
