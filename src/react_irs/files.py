@@ -3,9 +3,12 @@
 Every document carries ``schema_version`` and a ``kind`` discriminator.
 Parsing is strict: unknown enum values, bad levels, non-boolean flags,
 duplicate indices and unresolvable references all raise
-:class:`SchemaError`, and so do a file that cannot be read or is not
-UTF-8 and a top level that is not a JSON object: a loader lets no other
-error escape.  Keys the schema does not name are ignored.
+:class:`SchemaError`, and so do a path the file system cannot take (a
+NUL, a lone surrogate), a file that cannot be read or is not UTF-8, JSON
+nested too deep or with an int of too many digits, and a top level that
+is not a JSON object: a loader lets no other error escape.  Keys the
+schema does not name are ignored.  An architecture loads as the set of
+its asset ids.
 
 A catalog may be an overlay: it ``extends`` a full catalog, drops the
 base indices it lists in ``remove``, and its ``responses`` replace base
@@ -38,7 +41,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .model import (
-    Asset,
     AssetKind,
     CostVector,
     DomainError,
@@ -55,6 +57,7 @@ from .model import (
 )
 from .preconditions import Precondition, PreconditionError
 from .responses import CatalogResponses
+from .risk import environment_from_velocity
 
 SCHEMA_VERSION = 1
 
@@ -143,25 +146,24 @@ def _flags(doc: Any, context: str) -> dict[str, bool]:
 # architecture
 
 
-def parse_architecture(doc: Mapping[str, Any]) -> dict[str, Asset]:
+def parse_architecture(doc: Mapping[str, Any]) -> frozenset[str]:
+    """The declared asset ids; each asset's ``name`` and ``kind`` are checked, not kept."""
     _check_header(doc, "architecture", "architecture")
-    assets: dict[str, Asset] = {}
+    ids: set[str] = set()
     entries = _list(_require(doc, "assets", "architecture"), "architecture.assets")
     for i, entry in enumerate(entries):
         context = f"architecture.assets[{i}]"
         entry = _object(entry, context)
-        asset = Asset(
-            id=_str(_require(entry, "id", context), f"{context}.id"),
-            name=_str(entry.get("name", entry["id"]), f"{context}.name"),
-            kind=_enum(AssetKind, _require(entry, "kind", context), f"{context}.kind"),
-        )
-        if asset.id in assets:
-            raise SchemaError(f"{context}.id: duplicate asset id {asset.id!r}")
-        assets[asset.id] = asset
-    return assets
+        asset_id = _str(_require(entry, "id", context), f"{context}.id")
+        _str(entry.get("name", asset_id), f"{context}.name")
+        _enum(AssetKind, _require(entry, "kind", context), f"{context}.kind")
+        if asset_id in ids:
+            raise SchemaError(f"{context}.id: duplicate asset id {asset_id!r}")
+        ids.add(asset_id)
+    return frozenset(ids)
 
 
-def load_architecture(path: str | Path) -> dict[str, Asset]:
+def load_architecture(path: str | Path) -> frozenset[str]:
     return parse_architecture(_read_json(path))
 
 
@@ -173,12 +175,6 @@ def load_architecture(path: str | Path) -> dict[str, Asset]:
 class Catalog:
     name: str
     responses: tuple[ResponseSpec, ...]
-
-    def by_index(self, index: int) -> ResponseSpec:
-        for spec in self.responses:
-            if spec.index == index:
-                return spec
-        raise KeyError(index)
 
 
 def _parse_impact_vector(doc: Any, context: str) -> ImpactVector:
@@ -338,8 +334,6 @@ class Scenario:
     base_dir: Path = field(default=Path("."), compare=False)
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
-        from .risk import environment_from_velocity
-
         velocity = self.velocity_kmh if velocity_kmh is None else velocity_kmh
         return IntrusionEvent(
             infected_asset=self.infected_asset,
@@ -434,6 +428,8 @@ def _read_bytes(path: str | Path) -> bytes:
         raise SchemaError(f"no such file: {path}") from None
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except ValueError as exc:  # a NUL, or a lone surrogate the file system cannot encode
+        raise SchemaError(f"{str(path)!r}: not a usable path ({exc})") from None
 
 
 def _decode_json(data: bytes, path: str | Path) -> Any:
@@ -443,6 +439,8 @@ def _decode_json(data: bytes, path: str | Path) -> Any:
         raise SchemaError(f"{path}: not UTF-8 ({exc})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:  # too many int digits, or nested too deep
+        raise SchemaError(f"{path}: beyond the JSON parser's limits ({exc})") from None
 
 
 def _read_json(path: str | Path) -> Any:
@@ -450,7 +448,11 @@ def _read_json(path: str | Path) -> Any:
 
 
 def validate_file(path: str | Path) -> str:
-    """Validate any known document kind; returns the kind on success."""
+    """Validate any known document kind; returns the kind on success.
+
+    A scenario is loaded as ``load_scenario`` loads it, and then so is every
+    catalog it names, its ``catalog_ref`` and each ``catalog_overrides``
+    value, relative to the scenario's directory."""
     doc = _object(_read_json(path), str(path))
     kind = doc.get("kind")
     if kind == "architecture":
@@ -458,7 +460,15 @@ def validate_file(path: str | Path) -> str:
     elif kind == "catalog":
         parse_catalog(doc, base_dir=Path(path).parent)
     elif kind == "scenario":
-        load_scenario(path)
+        scenario = load_scenario(path)
+        refs = {"catalog_ref": scenario.catalog_ref}
+        refs.update((f"catalog_overrides.{key}", ref)
+                    for key, ref in scenario.catalog_overrides.items())
+        for name, ref in refs.items():
+            try:
+                load_catalog(scenario.base_dir / ref)
+            except SchemaError as exc:
+                raise SchemaError(f"scenario.{name}: {ref}: {exc}") from None
     else:
         raise SchemaError(f"{path}: unknown document kind {kind!r}")
     return str(kind)

@@ -1,5 +1,6 @@
-"""Domain types shared by every layer: assets, intrusion events, the
-four-level impact bundles, and response catalog entries.
+"""Domain types shared by every layer: the asset kinds an architecture
+may declare, intrusion events, the four-level impact bundles, and
+response catalog entries.
 
 Impact-style values live on the discrete level scale {0, 1, 10, 100};
 weights are non-negative reals.  All types are immutable values, safe to
@@ -97,13 +98,6 @@ class StopKind(str, Enum):
     AFTER_DURATION = "after_duration"
     POLICY_REESTABLISHED = "policy_reestablished"
     PERSISTENT = "persistent"
-
-
-@dataclass(frozen=True)
-class Asset:
-    id: str
-    name: str
-    kind: AssetKind
 
 
 @dataclass(frozen=True, slots=True)

@@ -260,15 +260,40 @@ def assert_selectors_match_oracle(n_sets: int, seed: int = 20240) -> None:
             assert fast.score == slow.score
 
 
-# A directory, bytes that are not UTF-8, and top levels that are not objects.
+def by_index(catalog, index: int) -> ResponseSpec:
+    """The entry of ``catalog`` with response index ``index``."""
+    return next(spec for spec in catalog.responses if spec.index == index)
+
+
+# A directory, bytes that are not UTF-8, JSON beyond the parser's limits
+# (arrays nested 200,000 deep, an int of 5,000 digits), and top levels
+# that are not objects.
 BAD_FILES = {
     "directory": None,
     "non-utf8": b'{"schema_version": 1, "name": "\xff"}',
+    "deep-array": b"[" * 200_000 + b"]" * 200_000,
+    "long-number": b'{"schema_version": ' + b"9" * 5_000 + b"}",
     "number": b"5",
     "null": b"null",
     "array": b"[]",
     "string": b'"x"',
 }
+
+
+#: Paths no file can have: one with a NUL, and a lone surrogate, which the
+#: file system's encoding cannot encode.
+BAD_PATHS = {"nul": "a\u0000b", "surrogate": "\ud800"}
+
+
+def write_scenario(tmp_path, **changes):
+    """``scenario1.json`` with ``changes``, written to ``tmp_path`` beside a
+    copy of every shipped document, so its references resolve there."""
+    for path in data_dir().glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    path = tmp_path / "scenario.json"
+    doc = json.loads((data_dir() / "scenario1.json").read_text())
+    path.write_text(json.dumps({**doc, **changes}))
+    return path
 
 
 def write_bad_file(tmp_path, case):

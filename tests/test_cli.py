@@ -19,11 +19,13 @@ from react_irs.selection import ALGORITHMS
 from _reference import _entries, _instances
 from _support import (
     BAD_FILES,
+    BAD_PATHS,
     CliRunner,
     fixture_rows,
     load_expected,
     reference_csv,
     write_bad_file,
+    write_scenario,
 )
 
 
@@ -333,6 +335,31 @@ def test_unreadable_or_non_object_file_is_validation_error(runner, tmp_path, com
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "field, ref",
+    [*(pytest.param(field, ref, id=f"{field}-{case}")
+       for field in ("extends", "architecture_ref", "catalog_ref")
+       for case, ref in BAD_PATHS.items()),
+     pytest.param("catalog_ref", "missing.json", id="catalog_ref-missing")],
+)
+def test_an_unusable_reference_is_validation_error(runner, tmp_path, field, ref):
+    """Through ``validate``, and through the command that reads the
+    reference: ``catalog list`` for an overlay, ``run`` for a scenario."""
+    if field == "extends":
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps(
+            {"schema_version": 1, "kind": "catalog", "extends": ref, "responses": []}))
+        reader = ["catalog", "list", "--catalog", str(path)]
+    else:
+        path = write_scenario(tmp_path, catalog_overrides={}, **{field: ref})
+        reader = ["run", "--scenario", str(path), "--algo", "saw"]
+    for args in (["validate", str(path)], reader):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
 
 # A JSON integer too large for a float: it passes a weight's range test,

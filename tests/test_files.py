@@ -17,7 +17,7 @@ from react_irs.files import (
 )
 from react_irs.model import IntrusionResult, StopKind
 from react_irs.preconditions import Precondition
-from _support import BAD_FILES, write_bad_file
+from _support import BAD_FILES, BAD_PATHS, by_index, write_bad_file, write_scenario
 
 
 def scenario1_doc(data):
@@ -66,10 +66,9 @@ def overlay_doc(extends="base.json", **fields):
 
 class TestArchitecture:
     def test_shipped_assets(self, data):
-        assets = load_architecture(data / "architecture.json")
-        assert assets["front_camera"].kind.value == "sensor"
-        assert assets["infotainment_gateway"].kind.value == "gateway"
-        assert len(assets) == 8
+        assert load_architecture(data / "architecture.json") == frozenset({
+            "front_camera", "rear_lidar", "acceleration_control", "brake_control",
+            "telematics_unit", "infotainment_gateway", "central_gateway", "powertrain_bus"})
 
     def test_duplicate_id_rejected(self):
         doc = {
@@ -121,8 +120,8 @@ class TestArchitecture:
 class TestCatalog:
     def test_minimal_doc_parses(self):
         catalog = parse_catalog(minimal_catalog_doc())
-        assert catalog.by_index(31).terminal
-        assert not catalog.by_index(5).is_general
+        assert by_index(catalog, 31).terminal
+        assert not by_index(catalog, 5).is_general
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):
@@ -211,10 +210,6 @@ class TestCatalog:
         with pytest.raises(SchemaError):
             parse_catalog(doc)
 
-    def test_by_index_missing_raises(self, generic_catalog):
-        with pytest.raises(KeyError):
-            generic_catalog.by_index(99)
-
 
 class TestCatalogOverlay:
     """A catalog that ``extends`` a full catalog: ``remove`` drops base
@@ -296,10 +291,10 @@ class TestCatalogOverlay:
             overlays += 1
             base = json.loads((data / doc["extends"]).read_text())
             assert "extends" not in base, path.name
-            by_index = {entry["index"]: entry for entry in base["responses"]}
-            assert set(doc["remove"]) <= set(by_index), path.name
+            base_entries = {entry["index"]: entry for entry in base["responses"]}
+            assert set(doc["remove"]) <= set(base_entries), path.name
             for entry in doc["responses"]:
-                assert entry != by_index.get(entry["index"]), (path.name, entry["index"])
+                assert entry != base_entries.get(entry["index"]), (path.name, entry["index"])
         assert overlays == 5
 
 
@@ -441,6 +436,51 @@ class TestValidateAndResolve:
             resolve_scenario_ref("no_such_scenario")
 
 
+class TestReferences:
+    """A reference to a path no file can have is a ``SchemaError``, and
+    ``validate_file`` loads every catalog a scenario names."""
+
+    @pytest.mark.parametrize("case", BAD_PATHS)
+    def test_an_unusable_extends_is_rejected(self, tmp_path, case):
+        path = tmp_path / "overlay.json"
+        path.write_text(json.dumps(overlay_doc(BAD_PATHS[case])))
+        for load in (load_catalog, validate_file):
+            with pytest.raises(SchemaError) as info:
+                load(path)
+            assert str(info.value).startswith(f"catalog.extends: {BAD_PATHS[case]}: ")
+            assert "not a usable path" in str(info.value)
+
+    @pytest.mark.parametrize("case", BAD_PATHS)
+    def test_an_unusable_architecture_ref_is_rejected(self, tmp_path, case):
+        path = write_scenario(tmp_path, architecture_ref=BAD_PATHS[case])
+        for load in (load_scenario, validate_file):
+            with pytest.raises(SchemaError, match="not a usable path"):
+                load(path)
+
+    @pytest.mark.parametrize(
+        "field, ref, error",
+        [
+            ("catalog_ref", "missing.json", "no such file"),
+            ("catalog_ref", BAD_PATHS["nul"], "not a usable path"),
+            ("catalog_ref", BAD_PATHS["surrogate"], "not a usable path"),
+            ("catalog_ref", "architecture.json", "expected kind 'catalog', got 'architecture'"),
+            ("catalog_overrides.static:saw", "missing.json", "no such file"),
+            ("catalog_overrides.static:saw", BAD_PATHS["nul"], "not a usable path"),
+        ],
+        ids=["missing", "nul", "surrogate", "not-a-catalog", "override-missing", "override-nul"],
+    )
+    def test_validate_loads_every_catalog_a_scenario_names(self, tmp_path, field, ref, error):
+        if field == "catalog_ref":
+            path = write_scenario(tmp_path, catalog_ref=ref)
+        else:
+            path = write_scenario(tmp_path, catalog_overrides={"static:saw": ref})
+        load_scenario(path)  # the scenario itself is well formed
+        with pytest.raises(SchemaError) as info:
+            validate_file(path)
+        assert str(info.value).startswith(f"scenario.{field}: {ref}: ")
+        assert error in str(info.value)
+
+
 @pytest.mark.parametrize(
     "loader", [load_architecture, load_catalog, load_scenario, validate_file],
     ids=lambda loader: loader.__name__,
@@ -450,7 +490,7 @@ def test_loaders_raise_only_schema_errors(tmp_path, loader, case):
     path = write_bad_file(tmp_path, case)
     with pytest.raises(SchemaError) as info:
         loader(path)
-    if case in ("directory", "non-utf8"):
+    if case in ("directory", "non-utf8", "deep-array", "long-number"):
         assert str(path) in str(info.value)
 
 
@@ -484,14 +524,14 @@ class TestCatalogCache:
         path = tmp_path / "catalog.json"
         doc = minimal_catalog_doc()
         path.write_text(json.dumps(doc))
-        assert load_catalog(path).by_index(5).cost.w_a == 1.0
+        assert by_index(load_catalog(path), 5).cost.w_a == 1.0
         before = path.stat()
         doc["responses"][0]["cost"]["w_a"] = 1.5
         path.write_text(json.dumps(doc))
         # Same size, and the same mtime as a rewrite within one tick.
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert path.stat().st_size == before.st_size
-        assert load_catalog(path).by_index(5).cost.w_a == 1.5
+        assert by_index(load_catalog(path), 5).cost.w_a == 1.5
 
     def test_same_size_base_rewrite_reparses_the_overlay(self, tmp_path):
         doc = minimal_catalog_doc()
@@ -501,13 +541,13 @@ class TestCatalogCache:
         path.write_text(json.dumps(overlay_doc()))
         first = load_catalog(path)
         assert load_catalog(path) is first
-        assert first.by_index(5).cost.w_a == 1.0
+        assert by_index(first, 5).cost.w_a == 1.0
         before = base.stat()
         doc["responses"][0]["cost"]["w_a"] = 1.5
         base.write_text(json.dumps(doc))
         os.utime(base, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert base.stat().st_size == before.st_size
-        assert load_catalog(path).by_index(5).cost.w_a == 1.5
+        assert by_index(load_catalog(path), 5).cost.w_a == 1.5
 
     def test_malformed_rewrite_fails_and_restoring_loads_again(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -555,12 +595,12 @@ class TestSharedValues:
             _entry(8, "driving", applies_to=["system_unavailability"]),
         ]
         catalog = parse_catalog(doc)
-        five, six, seven, eight = (catalog.by_index(i) for i in (5, 6, 7, 8))
-        assert five.precondition is six.precondition is catalog.by_index(31).precondition
+        five, six, seven, eight = (by_index(catalog, i) for i in (5, 6, 7, 8))
+        assert five.precondition is six.precondition is by_index(catalog, 31).precondition
         assert seven.precondition is eight.precondition is not five.precondition
         assert five.applicable_results is six.applicable_results
         assert seven.applicable_results is eight.applicable_results
-        assert five.stop is eight.stop is catalog.by_index(31).stop
+        assert five.stop is eight.stop is by_index(catalog, 31).stop
         assert six.stop is seven.stop is not five.stop
 
     def test_two_parses_share_nothing(self):
@@ -590,8 +630,8 @@ class TestSharedValues:
         (tmp_path / "overlay.json").write_text(json.dumps(overlay_doc(responses=[_entry(6)])))
         overlay = load_catalog(tmp_path / "overlay.json")
         base = load_catalog(tmp_path / "base.json")
-        assert overlay.by_index(5) is base.by_index(5)
-        added, kept = overlay.by_index(6), base.by_index(5)
+        assert by_index(overlay, 5) is by_index(base, 5)
+        added, kept = by_index(overlay, 6), by_index(base, 5)
         assert _values(added) == _values(kept)
         assert all(x is not y for x, y in zip(_values(added), _values(kept)))
 
