@@ -14,13 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-from .files import SchemaError, data_dir, load_catalog, load_scenario, resolve_scenario_ref, validate_file
+from .files import (
+    MODES, SchemaError, data_dir, load_catalog, load_scenario, resolve_scenario_ref, validate_file,
+)
 from .harness import emit_series, run_dynamic, run_static_quality, run_velocity_sweep
 from .model import check_weight
 from .responses import response_benefit, response_cost
 from .selection import ALGORITHMS, SawConfig
 
-MODES = ("static", "dynamic-success", "dynamic-fail", "velocity-sweep")
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 

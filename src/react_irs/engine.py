@@ -11,8 +11,9 @@ a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 (response index, target asset) instance for the lifetime of the engine.
 
 ``Engine.decide`` is the one decision step (impact, candidate set, inner
-loop) and returns a plain tuple, which ``Engine.run`` unpacks and extends
-with the effects, the verdict and adaptation.
+loop) and returns a plain tuple.  ``Engine.run`` is the outer loop in one
+body: decide, apply the effects, ask for the verdict, adapt and record,
+then stop, keep the event or take the new intrusion's.
 An engine keeps one candidate set, the current intrusion's.  On a new
 (intrusion result, infected asset, affected asset) key it copies the set
 from its ``CatalogResponses``, which generates each set once for all its
@@ -318,55 +319,35 @@ class Engine:
         event = initial_event
         for iteration in range(1, max_iterations + 1):
             chosen, impact, count, attempts, _, selection_ms = self.decide(event)
-
-            event = self._apply_effects(event, chosen)
+            updates = self._effects.get(chosen.response.index)
+            if updates:
+                facts = {**event.vehicle.facts, **updates}
+                vehicle = VehicleState(velocity_kmh=event.vehicle.velocity_kmh, facts=facts)
+                event = replace(event, vehicle=vehicle)
             verdict = feedback(iteration, chosen)
-            adapted_spec, verdict_name, next_event, stop = self._adapt(
-                chosen, verdict, event
-            )
+            match verdict:
+                case Success():
+                    spec = adapt_on_success(chosen.response, self._rng)
+                    verdict_name = "success"
+                case Failure():
+                    spec = adapt_on_failure(chosen.response)
+                    verdict_name, next_event = "failure", event
+                case NewIntrusion(event=next_event):
+                    spec = adapt_on_success(chosen.response, self._rng)
+                    verdict_name = "new_intrusion"
+                case _:
+                    raise DomainError(f"unknown feedback verdict: {verdict!r}")
+            self._record(chosen, spec)
 
             trace.records.append(IterationRecord(
                 iteration, event.vehicle.velocity_kmh, impact, count,
                 attempts, attempts[-1], verdict_name,
-                adapted_spec.benefit.weights(), adapted_spec.benefit.levels(),
-                selection_ms,
+                spec.benefit.weights(), spec.benefit.levels(), selection_ms,
             ))
-            if stop:
+            if verdict_name == "success":
                 break
             event = next_event
         return trace
-
-    def _apply_effects(
-        self, event: IntrusionEvent, chosen: CandidateInstance
-    ) -> IntrusionEvent:
-        updates = self._effects.get(chosen.response.index)
-        if not updates:
-            return event
-        facts = dict(event.vehicle.facts)
-        facts.update(updates)
-        vehicle = VehicleState(velocity_kmh=event.vehicle.velocity_kmh, facts=facts)
-        return replace(event, vehicle=vehicle)
-
-    def _adapt(
-        self,
-        chosen: CandidateInstance,
-        verdict: FeedbackVerdict,
-        event: IntrusionEvent,
-    ) -> tuple[ResponseSpec, str, IntrusionEvent, bool]:
-        match verdict:
-            case Failure():
-                spec = adapt_on_failure(chosen.response)
-                outcome = "failure", event, False
-            case Success():
-                spec = adapt_on_success(chosen.response, self._rng)
-                outcome = "success", event, True
-            case NewIntrusion(event=next_event):
-                spec = adapt_on_success(chosen.response, self._rng)
-                outcome = "new_intrusion", next_event, False
-            case _:
-                raise DomainError(f"unknown feedback verdict: {verdict!r}")
-        self._record(chosen, spec)
-        return (spec, *outcome)
 
 
 class LoopOrder(Enum):

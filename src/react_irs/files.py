@@ -8,7 +8,10 @@ NUL, a lone surrogate), a file that cannot be read or is not UTF-8, JSON
 nested too deep or with an int of too many digits, and a top level that
 is not a JSON object: a loader lets no other error escape.  Keys the
 schema does not name are ignored.  An architecture loads as the set of
-its asset ids.
+its asset ids.  A scenario's fact and effect-flag names are names a
+precondition can read, its ``effects`` keys are response indices spelt as
+``str`` spells them, and its ``catalog_overrides`` keys are
+``<mode>:<algorithm>`` or ``<mode>:*``.
 
 A catalog may be an overlay: it ``extends`` a full catalog, drops the
 base indices it lists in ``remove``, and its ``responses`` replace base
@@ -34,6 +37,7 @@ objects throughout.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -55,9 +59,10 @@ from .model import (
     VehicleState,
     check_weight,
 )
-from .preconditions import Precondition, PreconditionError
+from .preconditions import FACT_NAME, Precondition, PreconditionError, is_fact_name
 from .responses import CatalogResponses
 from .risk import environment_from_velocity
+from .selection import ALGORITHMS
 
 SCHEMA_VERSION = 1
 
@@ -131,7 +136,8 @@ def _weight(value: Any, context: str) -> float:
 
 
 def _build(context: str, make: Callable[..., Any], *args: Any) -> Any:
-    """``make(*args)``, with a ``DomainError`` raised as a ``SchemaError``."""
+    """``make(*args)``, with a ``DomainError`` (a ``SchemaError`` too)
+    raised as a ``SchemaError`` that ``context`` prefixes."""
     try:
         return make(*args)
     except DomainError as exc:
@@ -139,7 +145,13 @@ def _build(context: str, make: Callable[..., Any], *args: Any) -> Any:
 
 
 def _flags(doc: Any, context: str) -> dict[str, bool]:
-    return {str(k): _bool(v, f"{context}.{k}") for k, v in _object(doc, context).items()}
+    """Facts or effect flags: each name one a precondition can read, each value a bool."""
+    flags = {}
+    for name, value in _object(doc, context).items():
+        if not is_fact_name(name):
+            raise SchemaError(f"{context}.{name}: not a fact name ({FACT_NAME}, not true or false)")
+        flags[name] = _bool(value, f"{context}.{name}")
+    return flags
 
 
 # --------------------------------------------------------------------------
@@ -260,10 +272,7 @@ def _parse_catalog(
     if "extends" in doc:
         ref = _str(doc["extends"], "catalog.extends")
         path = str(Path(base_dir) / ref)
-        try:
-            data, catalog, _ = _load(path, as_base=True)
-        except SchemaError as exc:
-            raise SchemaError(f"catalog.extends: {ref}: {exc}") from None
+        data, catalog, _ = _build(f"catalog.extends: {ref}", _load, path, True)
         kept = {spec.index: spec for spec in catalog.responses}
         for i, index in enumerate(_list(doc.get("remove", []), "catalog.remove")):
             if type(index) is not int or kept.pop(index, None) is None:
@@ -315,6 +324,13 @@ def _load(path: str, as_base: bool = False) -> tuple[bytes, Catalog, tuple[str, 
 
 # --------------------------------------------------------------------------
 # scenario
+
+#: The run modes; a scenario's ``catalog_overrides`` keys name one of them.
+MODES = ("static", "dynamic-success", "dynamic-fail", "velocity-sweep")
+
+#: An ``effects`` key: a response index as ``str(index)`` spells it, within
+#: the 4,300 digits ``int`` converts (a JSON index cannot have more either).
+_INDEX_KEY = re.compile("0|[1-9][0-9]{0,4299}")
 
 
 @dataclass(frozen=True)
@@ -368,11 +384,19 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     context = "scenario"
     effects: dict[int, dict[str, bool]] = {}
     for index, updates in _object(doc.get("effects", {}), f"{context}.effects").items():
-        if not (isinstance(index, str) and index.isascii() and index.isdigit()):
+        if not (isinstance(index, str) and _INDEX_KEY.fullmatch(index)):
             raise SchemaError(f"{context}.effects.{index}: key is not a response index")
         effects[int(index)] = _flags(updates, f"{context}.effects.{index}")
-    overrides = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
-    overrides = {k: _str(v, f"{context}.catalog_overrides.{k}") for k, v in overrides.items()}
+    overrides: dict[str, str] = {}
+    declared = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
+    for key, ref in declared.items():
+        mode, _, algorithm = str(key).partition(":")
+        if mode not in MODES or algorithm != "*" and algorithm not in ALGORITHMS:
+            raise SchemaError(
+                f"{context}.catalog_overrides.{key}: not <mode>:<algorithm> or <mode>:* "
+                f"(modes: {', '.join(MODES)}; algorithms: {', '.join(ALGORITHMS)})"
+            )
+        overrides[key] = _str(ref, f"{context}.catalog_overrides.{key}")
     scenario = Scenario(
         name=_str(_require(doc, "name", context), f"{context}.name"),
         architecture_ref=_str(doc.get("architecture_ref", "architecture.json"),
@@ -406,7 +430,8 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     scenario = parse_scenario(_read_json(path), base_dir=path.parent)
-    architecture = load_architecture(scenario.architecture_path())
+    architecture = _build(f"scenario.architecture_ref: {scenario.architecture_ref}",
+                          load_architecture, scenario.architecture_path())
     for role, asset_id in (
         ("infected_asset", scenario.infected_asset),
         ("affected_asset", scenario.affected_asset),
@@ -465,10 +490,7 @@ def validate_file(path: str | Path) -> str:
         refs.update((f"catalog_overrides.{key}", ref)
                     for key, ref in scenario.catalog_overrides.items())
         for name, ref in refs.items():
-            try:
-                load_catalog(scenario.base_dir / ref)
-            except SchemaError as exc:
-                raise SchemaError(f"scenario.{name}: {ref}: {exc}") from None
+            _build(f"scenario.{name}: {ref}", load_catalog, scenario.base_dir / ref)
     else:
         raise SchemaError(f"{path}: unknown document kind {kind!r}")
     return str(kind)

@@ -76,7 +76,20 @@ class Or:
 
 Expr = Union[Lit, Fact, Not, And, Or]
 
-_TOKEN = re.compile(r"\s*(?:([a-z_][a-z0-9_]*)|(&&|\|\||!|\(|\)))")
+#: The IDENT of the grammar: a fact name.  ``true`` and ``false`` match it
+#: but are literals, so no precondition reads a fact of either name.
+FACT_NAME = "[a-z_][a-z0-9_]*"
+
+_TOKEN = re.compile(rf"\s*(?:({FACT_NAME})|(&&|\|\||!|\(|\)))")
+_FACT_NAME = re.compile(FACT_NAME)
+
+
+def is_fact_name(name: object) -> bool:
+    """Whether a precondition can read a fact called ``name``."""
+    return (
+        isinstance(name, str) and _FACT_NAME.fullmatch(name) is not None
+        and name not in ("true", "false")
+    )
 
 
 def tokenize(text: str) -> list[str]:

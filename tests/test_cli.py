@@ -460,6 +460,17 @@ class TestBadNumbers:
             pytest.param("effects", {"2_0": {}}, id="effects-key-underscore"),
             pytest.param("effects", {" -3 ": {}}, id="effects-key-signed"),
             pytest.param("effects", {"\u0662": {}}, id="effects-key-arabic-indic"),
+            pytest.param("effects", {"020": {}}, id="effects-key-leading-zero"),
+            pytest.param("effects", {"00": {}}, id="effects-key-double-zero"),
+            pytest.param("catalog_overrides", {"static:lpmax": "catalog_scenario1.json"},
+                         id="override-key-algorithm"),
+            pytest.param("catalog_overrides", {"statc:saw": "catalog_scenario1.json"},
+                         id="override-key-mode"),
+            pytest.param("catalog_overrides", {"static": "catalog_scenario1.json"},
+                         id="override-key-no-algorithm"),
+            pytest.param("facts", {"Driving": True}, id="fact-name-upper"),
+            pytest.param("facts", {"driver-notified": True}, id="fact-name-hyphen"),
+            pytest.param("facts", {"true": True}, id="fact-name-literal"),
         ],
     )
     def test_scenario_rejects(self, runner, tmp_path, field, value):

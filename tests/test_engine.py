@@ -293,8 +293,11 @@ class TestEngineRuns:
         assert trace.records[1].velocity_kmh == 0
 
     def test_unknown_verdict_rejected(self):
+        engine = Engine(self._catalog(), make_selector("lp-max"))
         with pytest.raises(DomainError, match="unknown feedback verdict: 'maybe'"):
-            self._run(make_event(), ["maybe"])
+            engine.run(make_event(), replay(["maybe"]))
+        # Raised before the chosen response is adapted or recorded.
+        assert engine._adapted == {}
 
     def test_iteration_cap_respected(self):
         event = make_event()

@@ -19,6 +19,12 @@ from react_irs.model import IntrusionResult, StopKind
 from react_irs.preconditions import Precondition
 from _support import BAD_FILES, BAD_PATHS, by_index, write_bad_file, write_scenario
 
+OVERRIDE_KEY = (
+    "not <mode>:<algorithm> or <mode>:* (modes: static, dynamic-success, dynamic-fail, "
+    "velocity-sweep; algorithms: saw, lp-max, lp-min)"
+)
+FACT_NAME_RULE = "not a fact name ([a-z_][a-z0-9_]*, not true or false)"
+
 
 def scenario1_doc(data):
     return json.loads((data / "scenario1.json").read_text())
@@ -370,11 +376,31 @@ class TestScenario:
              "scenario.impact_params: weighted total must be finite, got inf"),
             ({"environment_weight": 1e307},
              "scenario.environment_weight: impact at E = 100 must be finite"),
+            ({"catalog_overrides": {"static:lpmax": "catalog_scenario1.json"}},
+             f"scenario.catalog_overrides.static:lpmax: {OVERRIDE_KEY}"),
+            ({"catalog_overrides": {"statc:saw": "catalog_scenario1.json"}},
+             f"scenario.catalog_overrides.statc:saw: {OVERRIDE_KEY}"),
+            ({"catalog_overrides": {"static": "catalog_scenario1.json"}},
+             f"scenario.catalog_overrides.static: {OVERRIDE_KEY}"),
+            ({"effects": {"20": {"a": True}, "020": {"b": True}}},
+             "scenario.effects.020: key is not a response index"),
+            ({"effects": {"00": {}}}, "scenario.effects.00: key is not a response index"),
+            ({"effects": {"1" * 5000: {}}},
+             f"scenario.effects.{'1' * 5000}: key is not a response index"),
+            ({"facts": {"Driving": True}}, f"scenario.facts.Driving: {FACT_NAME_RULE}"),
+            ({"facts": {"driver-notified": True}},
+             f"scenario.facts.driver-notified: {FACT_NAME_RULE}"),
+            ({"facts": {"true": True}}, f"scenario.facts.true: {FACT_NAME_RULE}"),
+            ({"effects": {"20": {"Isolated": True}}},
+             f"scenario.effects.20.Isolated: {FACT_NAME_RULE}"),
         ],
         ids=["facts", "velocity", "environment-weight", "unknown-asset", "asset-type",
              "effects-key", "effects-flag", "override", "impact-params", "result",
              "effects-key-underscore", "effects-key-signed", "effects-key-arabic-indic",
-             "impact-params-missing-level", "impact-params-overflow", "environment-overflow"],
+             "impact-params-missing-level", "impact-params-overflow", "environment-overflow",
+             "override-key-algorithm", "override-key-mode", "override-key-no-algorithm",
+             "effects-key-leading-zero", "effects-key-double-zero", "effects-key-long",
+             "fact-name-upper", "fact-name-hyphen", "fact-name-literal", "effects-flag-name"],
     )
     def test_errors_name_the_json_path(self, data, tmp_path, change, message):
         path = tmp_path / "scenario.json"
@@ -450,12 +476,19 @@ class TestReferences:
             assert str(info.value).startswith(f"catalog.extends: {BAD_PATHS[case]}: ")
             assert "not a usable path" in str(info.value)
 
-    @pytest.mark.parametrize("case", BAD_PATHS)
-    def test_an_unusable_architecture_ref_is_rejected(self, tmp_path, case):
-        path = write_scenario(tmp_path, architecture_ref=BAD_PATHS[case])
+    @pytest.mark.parametrize(
+        "ref, error",
+        [*((BAD_PATHS[case], "not a usable path") for case in BAD_PATHS),
+         ("absent.json", "no such file")],
+        ids=[*BAD_PATHS, "missing"],
+    )
+    def test_an_unusable_architecture_ref_is_rejected(self, tmp_path, ref, error):
+        path = write_scenario(tmp_path, architecture_ref=ref)
         for load in (load_scenario, validate_file):
-            with pytest.raises(SchemaError, match="not a usable path"):
+            with pytest.raises(SchemaError) as info:
                 load(path)
+            assert str(info.value).startswith(f"scenario.architecture_ref: {ref}: ")
+            assert error in str(info.value)
 
     @pytest.mark.parametrize(
         "field, ref, error",
