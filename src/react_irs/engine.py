@@ -44,6 +44,7 @@ from .model import (
     check_total,
     check_weight,
 )
+from .preconditions import FACT_NAME, is_fact_name
 from .responses import CatalogResponses, generate_candidates
 # Read by bench/tracing.py, which patches these names; the hot path reads .total.
 from .responses import effective_cost, response_benefit
@@ -214,15 +215,21 @@ def inner_loop(
 
 
 def _flags(index: int, updates: Mapping[str, bool]) -> dict[str, bool]:
-    """One ``effects`` entry, checked: an ``int`` key (not a ``bool``) and
-    ``bool`` flags, never coerced."""
+    """One ``effects`` entry, checked and never coerced: an ``int`` key (not
+    a ``bool``) and a mapping from names a precondition can read to
+    ``bool`` flags."""
     if type(index) is not int:
         raise DomainError(f"effects key {index!r} is not a response index (an int)")
-    flags = dict(updates)
-    for name, value in flags.items():
+    if not isinstance(updates, Mapping):
+        raise DomainError(f"effects[{index}]: expected a mapping of facts to flags, got {updates!r}")
+    for name, value in updates.items():
+        if not is_fact_name(name):
+            raise DomainError(
+                f"effects[{index}]: {name!r} is not a fact name ({FACT_NAME}, not true or false)"
+            )
         if type(value) is not bool:
             raise DomainError(f"effects[{index}].{name}: expected True or False, got {value!r}")
-    return flags
+    return dict(updates)
 
 
 class Engine:
@@ -238,8 +245,9 @@ class Engine:
     catalog are generated once for every engine on it; any other sequence
     is copied into a new one, which raises ``CatalogError`` on a repeated
     response index.  ``effects`` maps a response index to the facts its
-    application sets: each key must be an ``int`` and each flag a
-    ``bool``, or a ``DomainError`` names it.
+    application sets: both levels must be mappings, each key an ``int``,
+    each fact name one a precondition can read and each flag a ``bool``,
+    or a ``DomainError`` names what is wrong.
     """
 
     def __init__(
@@ -254,7 +262,11 @@ class Engine:
         self._catalog = catalog
         self._selector = selector
         self._rng = random.Random(adaptation.rng_seed)
-        self._effects = {index: _flags(index, flags) for index, flags in (effects or {}).items()}
+        if effects is None:
+            effects = {}
+        elif not isinstance(effects, Mapping):
+            raise DomainError(f"effects: expected a mapping of response indices, got {effects!r}")
+        self._effects = {index: _flags(index, flags) for index, flags in effects.items()}
         self._adapted: dict[tuple[int, str], CandidateInstance] = {}
         self._key: tuple[IntrusionResult, str, str] | None = None
         self._candidates: list[CandidateInstance] = []

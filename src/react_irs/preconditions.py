@@ -1,19 +1,20 @@
 """Tiny boolean language for response preconditions.
 
-Grammar (precedence NOT > AND > OR)::
+Grammar (precedence NOT > AND > OR; ``||`` and ``&&`` nest to the left)::
 
-    expr  := or
-    or    := and ( "||" and )*
-    and   := not ( "&&" not )*
-    not   := "!" not | atom
-    atom  := "true" | "false" | IDENT | "(" expr ")"
+    expr  := and ( "||" and )*
+    and   := unary ( "&&" unary )*
+    unary := "!" unary | "(" expr ")" | "true" | "false" | IDENT
     IDENT := [a-z_][a-z0-9_]*
 
-A precondition holds at most ``MAX_TOKENS`` tokens, which bounds both the
-parser's recursion and the height of the tree.  Each node of the tree
-evaluates itself against a fact map.  Fact names that are missing from
-the fact map evaluate to ``false`` (fail-closed): a response whose
-prerequisites cannot be verified must not be applied.
+``tokenize`` reads the text in one regular-expression pass, and
+``parse_expr`` parses both binary operators with one rule over a table
+of them, loosest first.  A precondition holds at most ``MAX_TOKENS``
+tokens, which bounds both the parser's recursion and the height of the
+tree.  Each node of the tree evaluates itself against a fact map.  Fact
+names that are missing from the fact map evaluate to ``false``
+(fail-closed): a response whose prerequisites cannot be verified must not
+be applied.
 """
 from __future__ import annotations
 
@@ -80,8 +81,12 @@ Expr = Union[Lit, Fact, Not, And, Or]
 #: but are literals, so no precondition reads a fact of either name.
 FACT_NAME = "[a-z_][a-z0-9_]*"
 
-_TOKEN = re.compile(rf"\s*(?:({FACT_NAME})|(&&|\|\||!|\(|\)))")
+#: A fact name, an operator, or any other non-space character (an error).
+_TOKEN = re.compile(rf"\s*(?:({FACT_NAME})|(&&|\|\||!|\(|\))|(\S))")
 _FACT_NAME = re.compile(FACT_NAME)
+
+#: The binary operators, loosest first, with the node each one builds.
+_BINARY = (("||", Or), ("&&", And))
 
 
 def is_fact_name(name: object) -> bool:
@@ -94,81 +99,53 @@ def is_fact_name(name: object) -> bool:
 
 def tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise PreconditionError(
-                f"unexpected character {rest[0]!r} at offset {len(text) - len(rest)}"
-            )
-        tokens.append(m.group(1) or m.group(2))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        name, operator, unknown = m.groups()
+        if unknown is not None:
+            raise PreconditionError(f"unexpected character {unknown!r} at offset {m.start(3)}")
+        tokens.append(name or operator)
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise PreconditionError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse_or(self) -> Expr:
-        node = self.parse_and()
-        while self.peek() == "||":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Expr:
-        node = self.parse_not()
-        while self.peek() == "&&":
-            self.take()
-            node = And(node, self.parse_not())
-        return node
-
-    def parse_not(self) -> Expr:
-        if self.peek() == "!":
-            self.take()
-            return Not(self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        tok = self.take()
-        if tok == "(":
-            node = self.parse_or()
-            if self.take() != ")":
-                raise PreconditionError("expected ')'")
-            return node
-        if tok == "true":
-            return Lit(True)
-        if tok == "false":
-            return Lit(False)
-        if tok in ("&&", "||", ")", "!"):
-            raise PreconditionError(f"unexpected token {tok!r}")
-        return Fact(tok)
 
 
 def parse_expr(text: str) -> Expr:
     tokens = tokenize(text)
     if len(tokens) > MAX_TOKENS:
         raise PreconditionError(f"{len(tokens)} tokens, more than the {MAX_TOKENS} allowed")
-    parser = _Parser(tokens)
-    node = parser.parse_or()
-    if parser.peek() is not None:
-        raise PreconditionError(f"trailing input starting at {parser.peek()!r}")
-    return node
+    stack = [None, *reversed(tokens)]  # the next token on top, None for the end
+
+    def take() -> str:
+        if stack[-1] is None:
+            raise PreconditionError("unexpected end of expression")
+        return stack.pop()
+
+    def binary(level: int) -> Expr:
+        """One left-nested chain of ``_BINARY[level]``'s operator."""
+        if level == len(_BINARY):
+            return unary()
+        operator, node = _BINARY[level]
+        tree = binary(level + 1)
+        while stack[-1] == operator:
+            stack.pop()
+            tree = node(tree, binary(level + 1))
+        return tree
+
+    def unary() -> Expr:
+        tok = take()
+        if tok == "!":
+            return Not(unary())
+        if tok == "(":
+            tree = binary(0)
+            if take() != ")":
+                raise PreconditionError("expected ')'")
+            return tree
+        if tok in ("&&", "||", ")"):
+            raise PreconditionError(f"unexpected token {tok!r}")
+        return Lit(tok == "true") if tok in ("true", "false") else Fact(tok)
+
+    tree = binary(0)
+    if stack[-1] is not None:
+        raise PreconditionError(f"trailing input starting at {stack[-1]!r}")
+    return tree
 
 
 @dataclass(frozen=True)

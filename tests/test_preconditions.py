@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,17 +42,37 @@ class TestParsing:
         assert parse_expr("a && b && c") == And(And(Fact("a"), Fact("b")), Fact("c"))
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad,message",
         [
-            "", "   ", "a &&", "&& a", "(a", "a)", "a b", "A", "a-b", "a || || b", "!",
-            pytest.param("!" * 5000 + "a", id="deep-not"),
-            pytest.param("(" * 5000 + "a" + ")" * 5000, id="deep-parens"),
-            pytest.param(" && ".join(["a"] * 3000), id="long-and"),
-            pytest.param(" && ".join(["a"] * 65), id="129-tokens"),
+            pytest.param(bad, message, id=bad)
+            for bad, message in [
+                ("", "unexpected end of expression"),
+                ("   ", "unexpected end of expression"),
+                ("a &&", "unexpected end of expression"),
+                ("&& a", "unexpected token '&&'"),
+                ("(a", "unexpected end of expression"),
+                ("(a b", "expected ')'"),
+                (")", "unexpected token ')'"),
+                ("a)", "trailing input starting at ')'"),
+                ("a b", "trailing input starting at 'b'"),
+                ("A", "unexpected character 'A' at offset 0"),
+                ("a-b", "unexpected character '-' at offset 1"),
+                ("a & b", "unexpected character '&' at offset 2"),
+                ("a || || b", "unexpected token '||'"),
+                ("!", "unexpected end of expression"),
+            ]
+        ] + [
+            pytest.param("!" * 5000 + "a", "5001 tokens, more than the 128 allowed", id="deep-not"),
+            pytest.param("(" * 5000 + "a" + ")" * 5000, "10001 tokens, more than the 128 allowed",
+                         id="deep-parens"),
+            pytest.param(" && ".join(["a"] * 3000), "5999 tokens, more than the 128 allowed",
+                         id="long-and"),
+            pytest.param(" && ".join(["a"] * 65), "129 tokens, more than the 128 allowed",
+                         id="129-tokens"),
         ],
     )
-    def test_malformed_input_rejected(self, bad):
-        with pytest.raises(PreconditionError):
+    def test_malformed_input_rejected(self, bad, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             parse_expr(bad)
 
     def test_inputs_of_max_tokens_parse(self):
@@ -139,3 +162,52 @@ def test_matches_python_boolean_semantics(source, facts):
 @given(expressions(), st.dictionaries(names, st.booleans()))
 def test_negation_flips_result(source, facts):
     assert parse_expr(f"!({source})").evaluate(facts) is not parse_expr(source).evaluate(facts)
+
+
+FACT_NAMES = ["a", "b", "x1", "_", "not", "and", "or", "if", "lambda", "none"]
+OPERANDS = FACT_NAMES + ["true", "false", "!", "("]
+OPERATORS = ["&&", "||", ")"]
+PYTHON = {"!": "not", "&&": "and", "||": "or", "(": "(", ")": ")", "true": "True", "false": "False"}
+
+
+def _draw_tokens(rng):
+    """A token sequence that mostly follows the grammar: an operand where
+    one is due, an operator otherwise, with one token in 20 drawn from all
+    of them; open parentheses are closed at the end."""
+    tokens, depth, operand_due = [], 0, True
+    for _ in range(rng.randint(1, 16)):
+        if rng.random() < 0.05:
+            pool = OPERANDS + OPERATORS
+        elif operand_due:
+            pool = OPERANDS
+        else:
+            pool = OPERATORS if depth > 0 else ["&&", "||"]
+        token = rng.choice(pool)
+        depth += {"(": 1, ")": -1}.get(token, 0)
+        operand_due = token in ("!", "(", "&&", "||")
+        tokens.append(token)
+    if operand_due:
+        tokens.append(rng.choice(FACT_NAMES))
+    return tokens + [")"] * max(depth, 0)
+
+
+def test_evaluation_matches_python_on_random_token_mixes():
+    """Every accepted string evaluates as Python's ``not``/``and``/``or``
+    on a token-by-token translation, each fact a dict lookup (so fact names
+    that are Python keywords translate too)."""
+    rng = random.Random(28)
+    accepted = 0
+    for _ in range(2000):
+        tokens = _draw_tokens(rng)
+        text = "".join(token + rng.choice([" ", "  ", "\t"]) for token in tokens)
+        try:
+            tree = parse_expr(text)
+        except PreconditionError:
+            continue
+        accepted += 1
+        python = " ".join(PYTHON.get(token, f"facts.get({token!r}, False)") for token in tokens)
+        code = compile(python, "<precondition>", "eval")
+        for _ in range(4):
+            facts = {name: rng.random() < 0.5 for name in FACT_NAMES if rng.random() < 0.8}
+            assert tree.evaluate(facts) is eval(code, {"__builtins__": {}}, {"facts": facts}), text
+    assert accepted >= 1000
