@@ -106,6 +106,9 @@ class Attempt(NamedTuple):
     selection_time_ms: float = 0.0
 
 
+_new = tuple.__new__
+
+
 class IterationRecord(NamedTuple):
     iteration: int
     velocity_kmh: float
@@ -188,11 +191,11 @@ def inner_loop(
     # The terminal entry's cost is pegged to the impact (``effective_cost``).
     pegged = float(impact)
     attempts: list[Attempt] = []
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     head = selector(candidates, impact, event)
-    for outcome in chain((head,), head.rest):
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        cand = outcome.chosen
+    for cand, score, _, _, _ in chain((head,), head.rest):
+        elapsed_ms = (clock() - t0) * 1000.0
         spec = cand.response
         if spec.terminal:
             passed = True
@@ -203,14 +206,17 @@ def inner_loop(
             else:
                 passed = spec.precondition.evaluate(facts)
             cost = spec.cost.total
-        # Positional: a NamedTuple builds faster from positions than keywords.
-        attempts.append(Attempt(
-            spec.index, cand.target_asset, outcome.score, cost, spec.benefit.total,
+        # Positional, through ``tuple.__new__`` as the rankers build their
+        # outcomes: a NamedTuple's own ``__new__`` is a Python function that
+        # makes this same call after an arity check, so this spares a frame
+        # per attempt.  ``tests/test_records.py`` pins the arity.
+        attempts.append(_new(Attempt, (
+            spec.index, cand.target_asset, score, cost, spec.benefit.total,
             passed, elapsed_ms,
-        ))
+        )))
         if passed:
             return cand, attempts
-        t0 = time.perf_counter()
+        t0 = clock()
     raise DomainError("candidate set exhausted without an applicable response")
 
 

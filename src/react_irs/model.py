@@ -11,11 +11,17 @@ attempt, iteration and emitted row (``CandidateInstance`` here,
 ``selection.SelectionOutcome``, ``engine.Attempt``,
 ``engine.IterationRecord``, ``harness.SelectionRow``) are
 ``typing.NamedTuple``s: cheaper to build than frozen dataclasses, whose
-``__init__`` calls ``object.__setattr__`` per field.  They are immutable
-and hashable, and also equal to a plain tuple of their fields.  The input
-types stay frozen dataclasses.  ``ImpactVector`` and ``CostVector`` are
-slotted, with no instance ``__dict__``, and compute their ``total`` once,
-when they are built; it is left out of ``==``, ``hash`` and ``repr``.
+``__init__`` calls ``object.__setattr__`` per field.  The two built per
+ranking step, every ``SelectionOutcome`` a selection ranker yields and
+every ``Attempt`` of ``engine.inner_loop``, are built with
+``tuple.__new__`` directly: a NamedTuple's own ``__new__`` is a Python
+function that makes the same call after checking the arity, so this
+spares a frame per step, and ``tests/test_records.py`` pins the arity
+instead.  The records are immutable and hashable, and also equal to a
+plain tuple of their fields.  The input types stay frozen dataclasses.
+``ImpactVector`` and ``CostVector`` are slotted, with no instance
+``__dict__``, and compute their ``total`` once, when they are built; it
+is left out of ``==``, ``hash`` and ``repr``.
 Adaptation builds its benefit vectors with ``ImpactVector._unchecked``,
 which skips the checks its derived values cannot fail, and swaps the
 benefit of a ``ResponseSpec`` with ``ResponseSpec.with_benefit``, which

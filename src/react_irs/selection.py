@@ -93,11 +93,19 @@ class SelectionOutcome(NamedTuple):
     rest: Iterator[SelectionOutcome] = iter(())
 
 
+# The rankers build every outcome as ``_new(SelectionOutcome, (...))``: the
+# NamedTuple's own ``__new__`` is a Python function that makes this same
+# call after an arity check, so calling it directly spares a frame per
+# ranking step.  ``tests/test_records.py`` pins the arity instead.
+_new = tuple.__new__
+_NO_REST = SelectionOutcome._field_defaults["rest"]
+
+
 def _head(steps: Iterator[SelectionOutcome]) -> SelectionOutcome:
     """The first outcome of a ranking, with the rest of ``steps`` as its
     ``rest``."""
     chosen, score, feasible_count, fallback, _ = next(steps)
-    return SelectionOutcome(chosen, score, feasible_count, fallback, steps)
+    return _new(SelectionOutcome, (chosen, score, feasible_count, fallback, steps))
 
 
 def compute_impact_alphas(event: IntrusionEvent) -> list[float]:
@@ -192,10 +200,11 @@ def _saw_scan(
                 if p > fallback_p or (p == fallback_p and _precedes(k, fallback, candidates)):
                     fallback, fallback_p = k, p
         if best >= 0:
-            yield SelectionOutcome(candidates[best], best_p, len(order) - ineligible, False)
+            feasible_count = len(order) - ineligible
+            yield _new(SelectionOutcome, (candidates[best], best_p, feasible_count, False, _NO_REST))
         else:
             best = fallback
-            yield SelectionOutcome(candidates[best], fallback_p, 0, True)
+            yield _new(SelectionOutcome, (candidates[best], fallback_p, 0, True, _NO_REST))
         order.remove(best)
         if costs[best] == min_c and order:
             min_c = min(map(costs.__getitem__, order))
@@ -316,13 +325,13 @@ def _saw_forest(
                     if _precedes(c, best, candidates):
                         best = c
         if unbounded:
-            yield SelectionOutcome(candidates[best], best_p, 0, True)
+            yield _new(SelectionOutcome, (candidates[best], best_p, 0, True, _NO_REST))
         elif best >= 0:
             feasible_count = len(candidates) - step - ineligible
-            yield SelectionOutcome(candidates[best], best_p, feasible_count, False)
+            yield _new(SelectionOutcome, (candidates[best], best_p, feasible_count, False, _NO_REST))
         else:
             best = fallback
-            yield SelectionOutcome(candidates[best], fallback_p, 0, True)
+            yield _new(SelectionOutcome, (candidates[best], fallback_p, 0, True, _NO_REST))
         kids, children[best] = children[best], None
         parent = parent_of.get(best, -1)
         if parent >= 0:
@@ -423,9 +432,10 @@ def _lp_steps(
     score: Callable[[CandidateInstance], float],
     fallback_score: float,
 ) -> Iterator[SelectionOutcome]:
+    count = len(ranked)
     for step, chosen in enumerate(ranked):
-        yield SelectionOutcome(chosen, score(chosen), len(ranked) - step, False)
-    yield SelectionOutcome(_terminal(candidates), fallback_score, 0, True)
+        yield _new(SelectionOutcome, (chosen, score(chosen), count - step, False, _NO_REST))
+    yield _new(SelectionOutcome, (_terminal(candidates), fallback_score, 0, True, _NO_REST))
 
 
 def lp_select_max_benefit(

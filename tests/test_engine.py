@@ -2,11 +2,13 @@ import json
 import random
 import re
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import react_irs.engine as engine_module
 from react_irs.engine import (
     DEFAULT_MAX_ITERATIONS,
     AdaptationConfig,
@@ -248,12 +250,20 @@ class TestInnerLoop:
                 precondition_policy=lambda cand: False,
             )
 
-    def test_attempts_capture_timing(self):
+    def test_attempts_capture_timing(self, monkeypatch):
+        # A clock that advances one second per read.  The policy reads it
+        # too, as a precondition check takes time; an attempt's selection
+        # time must cover its ranking step and nothing of the check.
+        ticks = count(0.0)
+        monkeypatch.setattr(engine_module, "time", SimpleNamespace(perf_counter=ticks.__next__))
         event = make_event()
-        _, attempts = inner_loop(
-            event, self._candidates(event), make_selector("lp-max"), event.vehicle.facts
-        )
-        assert all(a.selection_time_ms >= 0.0 for a in attempts)
+        for algorithm in ("lp-max", "lp-min", "saw"):
+            _, attempts = inner_loop(
+                event, self._candidates(event), make_selector(algorithm), event.vehicle.facts,
+                precondition_policy=lambda cand: next(ticks) is None,
+            )
+            assert len(attempts) == 3
+            assert [a.selection_time_ms for a in attempts] == [1000.0] * 3
 
 
 class TestEngineRuns:
@@ -458,8 +468,6 @@ class TestCandidateMemo:
     def test_one_generation_per_key_change(self, generic_catalog, monkeypatch):
         """An engine asks for a set only when the event's key changes: on
         keys A, B, A three times, on A alone once."""
-        import react_irs.engine as engine_module
-
         calls = []
 
         def counted(*args):
