@@ -206,10 +206,8 @@ def inner_loop(
             else:
                 passed = spec.precondition.evaluate(facts)
             cost = spec.cost.total
-        # Positional, through ``tuple.__new__`` as the rankers build their
-        # outcomes: a NamedTuple's own ``__new__`` is a Python function that
-        # makes this same call after an arity check, so this spares a frame
-        # per attempt.  ``tests/test_records.py`` pins the arity.
+        # Positional, through ``tuple.__new__``: the records paragraph of the
+        # ``model`` docstring says why.
         attempts.append(_new(Attempt, (
             spec.index, cand.target_asset, score, cost, spec.benefit.total,
             passed, elapsed_ms,
@@ -250,10 +248,11 @@ class Engine:
     A ``CatalogResponses`` is kept as given, so the sets of a loaded
     catalog are generated once for every engine on it; any other sequence
     is copied into a new one, which raises ``CatalogError`` on a repeated
-    response index.  ``effects`` maps a response index to the facts its
-    application sets: both levels must be mappings, each key an ``int``,
-    each fact name one a precondition can read and each flag a ``bool``,
-    or a ``DomainError`` names what is wrong.
+    response index.  The selector must be callable and ``adaptation`` an
+    ``AdaptationConfig`` with an ``int`` seed.  ``effects`` maps a response
+    index to the facts its application sets: both levels must be mappings,
+    each key an ``int``, each fact name one a precondition can read and
+    each flag a ``bool``; else a ``DomainError`` names what is wrong.
     """
 
     def __init__(
@@ -263,6 +262,12 @@ class Engine:
         adaptation: AdaptationConfig = AdaptationConfig(),
         effects: Mapping[int, Mapping[str, bool]] | None = None,
     ):
+        if not callable(selector):
+            raise DomainError(f"selector: expected a callable, got {selector!r}")
+        if not isinstance(adaptation, AdaptationConfig):
+            raise DomainError(f"adaptation: expected an AdaptationConfig, got {adaptation!r}")
+        if type(adaptation.rng_seed) is not int:
+            raise DomainError(f"adaptation.rng_seed: expected an int, got {adaptation.rng_seed!r}")
         if not isinstance(catalog, CatalogResponses):
             catalog = CatalogResponses(catalog)
         self._catalog = catalog
@@ -350,7 +355,7 @@ class Engine:
                 case Failure():
                     spec = adapt_on_failure(chosen.response)
                     verdict_name, next_event = "failure", event
-                case NewIntrusion(event=next_event):
+                case NewIntrusion(event=IntrusionEvent() as next_event):
                     spec = adapt_on_success(chosen.response, self._rng)
                     verdict_name = "new_intrusion"
                 case _:

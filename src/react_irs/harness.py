@@ -12,10 +12,11 @@ Three experiment shapes, each deciding through one ``Engine``:
 Every run returns one ``RunReport`` whose rows are numbered 1..n: the
 attempts of a static drain, the iterations of a dynamic run, or the
 velocities of a sweep.  A report emits as JSONL (one record per row) or
-as CSV, the fixed projection of those records onto ``CSV_COLUMNS``; with
-timings suppressed the output is byte-stable for a fixed seed.  Each JSONL
-line equals ``json.dumps(record, sort_keys=True)``, but no record dict is
-built: a per-report template holds the encoded constants (algorithm, mode,
+as CSV, the projection of those records onto ``CSV_COLUMNS``, which are
+``SelectionRow``'s fields without ``velocity_kmh``; with timings
+suppressed the output is byte-stable for a fixed seed.  Each JSONL line
+equals ``json.dumps(record, sort_keys=True)``, but no record dict is built:
+a per-report template holds the encoded constants (algorithm, mode,
 scenario, seed) and each line formats only its row's fields into it.
 """
 from __future__ import annotations
@@ -41,16 +42,6 @@ try:
 except ImportError:  # Windows
     resource = None
 
-CSV_COLUMNS = (
-    "step",
-    "response_index",
-    "target_asset",
-    "cost",
-    "benefit",
-    "impact",
-    "selection_time_ms",
-)
-
 
 class SelectionRow(NamedTuple):
     step: int
@@ -63,23 +54,7 @@ class SelectionRow(NamedTuple):
     velocity_kmh: float | None = None
 
 
-@dataclass
-class RunReport:
-    mode: str
-    algorithm: str
-    scenario: str
-    selections: list[SelectionRow] = field(default_factory=list)
-    list_generation_time_s: float | None = None
-    peak_memory_bytes: int | None = None
-    seed: int | None = None
-
-
-def _row(step: int, attempt: Attempt, impact: float, selection_time_ms: float,
-         velocity_kmh: float | None = None) -> SelectionRow:
-    return SelectionRow(
-        step, attempt.response_index, attempt.target_asset, attempt.cost,
-        attempt.benefit, impact, selection_time_ms, velocity_kmh,
-    )
+CSV_COLUMNS = SelectionRow._fields[:-1]
 
 
 def _peak_memory_bytes() -> int | None:
@@ -89,6 +64,25 @@ def _peak_memory_bytes() -> int | None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak if sys.platform == "darwin" else peak * 1024
+
+
+@dataclass
+class RunReport:
+    mode: str
+    algorithm: str
+    scenario: str
+    selections: list[SelectionRow] = field(default_factory=list)
+    list_generation_time_s: float | None = None
+    peak_memory_bytes: int | None = field(default_factory=_peak_memory_bytes)
+    seed: int | None = None
+
+
+def _row(step: int, attempt: Attempt, impact: float, selection_time_ms: float,
+         velocity_kmh: float | None = None) -> SelectionRow:
+    return SelectionRow(
+        step, attempt.response_index, attempt.target_asset, attempt.cost,
+        attempt.benefit, impact, selection_time_ms, velocity_kmh,
+    )
 
 
 def _engine(scenario: Scenario, mode: str, algorithm: str, saw_cfg: SawConfig | None,
@@ -119,7 +113,6 @@ def run_static_quality(
             for step, attempt in enumerate(attempts, start=1)
         ],
         list_generation_time_s=generation_s,
-        peak_memory_bytes=_peak_memory_bytes(),
     )
 
 
@@ -137,10 +130,7 @@ def run_dynamic(
     being re-reported until the final iteration) or "failure" (nothing
     works; benefits decay).
     """
-    mode = f"dynamic-{'fail' if verdict == 'failure' else verdict}"
     event = scenario.event()
-    engine = _engine(scenario, mode, algorithm, saw_cfg, seed)
-
     if verdict == "success":
         def feedback(iteration, applied):
             return Success() if iteration == iterations else NewIntrusion(event)
@@ -150,6 +140,8 @@ def run_dynamic(
     else:
         raise DomainError(f"unknown verdict {verdict!r} (expected success or failure)")
 
+    mode = "dynamic-success" if verdict == "success" else "dynamic-fail"
+    engine = _engine(scenario, mode, algorithm, saw_cfg, seed)
     trace = engine.run(event, feedback, max_iterations=iterations)
 
     return RunReport(
@@ -158,7 +150,6 @@ def run_dynamic(
             _row(r.iteration, r.applied, r.impact, r.selection_time_ms)
             for r in trace.records
         ],
-        peak_memory_bytes=_peak_memory_bytes(),
         seed=seed,
     )
 
@@ -173,8 +164,8 @@ def run_velocity_sweep(
     velocity.  The set does not depend on the velocity, so only the first
     decision asks for it, and the time its lookup or generation took is
     ``list_generation_time_s``."""
-    if not velocities:
-        raise DomainError("velocities must be non-empty")
+    if not isinstance(velocities, Sequence) or not velocities:
+        raise DomainError(f"velocities must be a non-empty sequence, got {velocities!r}")
     engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)
     rows = []
     for step, velocity in enumerate(velocities, start=1):
@@ -184,10 +175,8 @@ def run_velocity_sweep(
         if step == 1:
             first_generation_s = generation_s
         rows.append(_row(step, attempts[-1], impact, selection_ms, float(velocity)))
-    return RunReport(
-        mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name, selections=rows,
-        list_generation_time_s=first_generation_s, peak_memory_bytes=_peak_memory_bytes(),
-    )
+    return RunReport(mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name,
+                     selections=rows, list_generation_time_s=first_generation_s)
 
 
 def emit_series(
@@ -223,11 +212,11 @@ def _emit(report, fmt, fh, include_timings):
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        # ``CSV_COLUMNS`` are a row's first seven fields.
+        width = len(CSV_COLUMNS)
         if include_timings:
-            writer.writerows(row[:7] for row in rows)
+            writer.writerows(row[:width] for row in rows)
         else:
-            writer.writerows((*row[:6], 0.0) for row in rows)
+            writer.writerows((*row[:width - 1], 0.0) for row in rows)
         return
     # The record's keys in sorted order, with the report's constants encoded
     # once: each line formats only its row's own fields.

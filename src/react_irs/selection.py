@@ -94,9 +94,7 @@ class SelectionOutcome(NamedTuple):
 
 
 # The rankers build every outcome as ``_new(SelectionOutcome, (...))``: the
-# NamedTuple's own ``__new__`` is a Python function that makes this same
-# call after an arity check, so calling it directly spares a frame per
-# ranking step.  ``tests/test_records.py`` pins the arity instead.
+# records paragraph of the ``model`` docstring says why.
 _new = tuple.__new__
 _NO_REST = SelectionOutcome._field_defaults["rest"]
 

@@ -309,6 +309,12 @@ class TestEngineRuns:
         # Raised before the chosen response is adapted or recorded.
         assert engine._adapted == {}
 
+    def test_a_new_intrusion_needs_an_event(self):
+        engine = Engine(self._catalog(), make_selector("lp-max"))
+        with pytest.raises(DomainError, match=re.escape("unknown feedback verdict: NewIntrusion(event=5)")):
+            engine.run(make_event(), replay([NewIntrusion(5)]))
+        assert engine._adapted == {}
+
     def test_iteration_cap_respected(self):
         event = make_event()
         trace = self._run(event, [Failure()] * 50, max_iterations=3)
@@ -588,6 +594,27 @@ class TestSharedCatalog:
         catalog = [make_response(17), make_response(31, terminal=True)]
         with pytest.raises(DomainError, match=re.escape(named)):
             Engine(catalog, make_selector("lp-max"), effects=effects)
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            ((make_selector("lp-max"), 5), "adaptation: expected an AdaptationConfig, got 5"),
+            ((make_selector("lp-max"), AdaptationConfig(rng_seed=None)),
+             "adaptation.rng_seed: expected an int, got None"),
+            ((make_selector("lp-max"), AdaptationConfig(rng_seed="7")),
+             "adaptation.rng_seed: expected an int, got '7'"),
+            ((make_selector("lp-max"), AdaptationConfig(rng_seed=1.5)),
+             "adaptation.rng_seed: expected an int, got 1.5"),
+            ((make_selector("lp-max"), AdaptationConfig(rng_seed=True)),
+             "adaptation.rng_seed: expected an int, got True"),
+            ((5,), "selector: expected a callable, got 5"),
+        ],
+        ids=["int-adaptation", "none-seed", "str-seed", "float-seed", "bool-seed", "int-selector"],
+    )
+    def test_seed_adaptation_and_selector_are_checked(self, args, named):
+        catalog = [make_response(17), make_response(31, terminal=True)]
+        with pytest.raises(DomainError, match=re.escape(named)):
+            Engine(catalog, *args)
 
     def test_effects_are_copied(self):
         catalog = [make_response(17), make_response(31, terminal=True)]

@@ -42,6 +42,13 @@ ALGOS = ("lp-max", "lp-min", "saw")
 ONE_TERM = {"s-only": {"s": 100, "o": 0}, "o-only": {"s": 0, "o": 100}}
 
 
+def _count_loads(monkeypatch):
+    """The paths ``harness`` loads catalogs from, from now on."""
+    loads, load = [], harness.load_catalog
+    monkeypatch.setattr(harness, "load_catalog", lambda path: loads.append(path) or load(path))
+    return loads
+
+
 class TestStaticQuality:
     @pytest.mark.parametrize("algo", ALGOS)
     def test_scenario1_matches_shipped_series(self, scenario1, algo):
@@ -138,9 +145,16 @@ class TestDynamic:
         assert report_rows(a) == report_rows(b)
         assert a.seed == 7
 
-    def test_unknown_verdict_rejected(self, scenario1):
-        with pytest.raises(DomainError):
+    def test_unknown_verdict_rejected(self, scenario1, monkeypatch):
+        loads = _count_loads(monkeypatch)
+        with pytest.raises(DomainError, match="unknown verdict 'maybe'"):
             run_dynamic(scenario1, "lp-max", "maybe")
+        assert loads == []
+
+    @pytest.mark.parametrize("seed", [None, "7", 1.5, True], ids=["none", "str", "float", "bool"])
+    def test_seed_must_be_an_int(self, scenario1, seed):
+        with pytest.raises(DomainError, match="adaptation.rng_seed: expected an int"):
+            run_dynamic(scenario1, "lp-max", "success", seed=seed)
 
     @pytest.mark.parametrize("iterations", [0, "3", True, 2.5])
     def test_iterations_must_be_positive(self, scenario1, iterations):
@@ -227,6 +241,14 @@ class TestVelocitySweep:
         with pytest.raises(DomainError):
             run_velocity_sweep(scenario1, "lp-max", velocities=())
 
+    @pytest.mark.parametrize("velocities", [5, 2.5, iter(()), iter([0.0])],
+                             ids=["int", "float", "empty-iterator", "iterator"])
+    def test_velocities_must_be_a_sequence(self, scenario1, monkeypatch, velocities):
+        loads = _count_loads(monkeypatch)
+        with pytest.raises(DomainError, match="velocities must be a non-empty sequence"):
+            run_velocity_sweep(scenario1, "lp-max", velocities=velocities)
+        assert loads == []
+
 
 # Numbers as a row may carry them: ints, and floats with the values whose
 # JSON spelling differs from ``repr`` or is easy to get wrong.
@@ -259,6 +281,9 @@ class TestEmission:
             buf = io.StringIO()
             emit_series(report, fmt, buf, include_timings=include_timings)
             assert buf.getvalue() == expected, fmt
+
+    def test_csv_columns_are_the_row_fields_but_velocity(self):
+        assert CSV_COLUMNS == tuple(f for f in SelectionRow._fields if f != "velocity_kmh")
 
     def test_csv_layout(self, scenario1):
         report = run_static_quality(scenario1, "lp-max")
@@ -378,6 +403,10 @@ class TestPeakMemory:
     def test_none_without_the_resource_module(self, monkeypatch):
         monkeypatch.setattr(harness, "resource", None)
         assert harness._peak_memory_bytes() is None
+
+    def test_a_report_built_directly_reads_the_mark(self, monkeypatch, maxrss):
+        monkeypatch.setattr(sys, "platform", "linux")
+        assert RunReport("static", "saw", "scenario1").peak_memory_bytes == maxrss * 1024
 
     def test_a_run_reports_bytes(self, scenario1):
         peak = run_static_quality(scenario1, "lp-max").peak_memory_bytes
