@@ -8,7 +8,7 @@ from react_irs.files import data_dir, load_scenario
 from react_irs.risk import environment_from_velocity, event_impact
 
 scenario = load_scenario(data_dir() / "scenario1.json")
-params = scenario.impact_params
+params = scenario.initial_event.impact_params
 
 print(f"scenario: {scenario.name}")
 print(f"impact parameters: S={params.s} F={params.f} O={params.o} P={params.p}")

@@ -75,6 +75,8 @@ def run(args: argparse.Namespace) -> None:
         sys.exit(EXIT_RUNTIME)
     try:
         emit_series(result, args.format, args.out or sys.stdout, include_timings=not args.no_timings)
+    except BrokenPipeError:  # the reader left early: ``main`` ends the run quietly
+        raise
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         sys.exit(EXIT_RUNTIME)

@@ -11,7 +11,9 @@ schema does not name are ignored.  An architecture loads as the set of
 its asset ids.  A scenario's fact and effect-flag names are names a
 precondition can read, its ``effects`` keys are response indices spelt as
 ``str`` spells them, and its ``catalog_overrides`` keys are
-``<mode>:<algorithm>`` or ``<mode>:*``.
+``<mode>:<algorithm>`` or ``<mode>:*``.  A scenario loads its event as
+the model's ``IntrusionEvent``, built once: ``Scenario.initial_event``,
+which ``Scenario.event`` hands out with facts of the caller's own.
 
 A catalog may be an overlay: it ``extends`` a full catalog, drops the
 base indices it lists in ``remove``, and its ``responses`` replace base
@@ -39,7 +41,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -337,30 +339,20 @@ _INDEX_KEY = re.compile("0|[1-9][0-9]{0,4299}")
 class Scenario:
     name: str
     architecture_ref: str
-    infected_asset: str
-    affected_asset: str
-    intrusion_result: IntrusionResult
-    velocity_kmh: float
-    impact_params: ImpactVector
-    environment_weight: float
-    facts: Mapping[str, bool]
+    initial_event: IntrusionEvent
     catalog_ref: str
     catalog_overrides: Mapping[str, str]
     effects: Mapping[int, Mapping[str, bool]]
     base_dir: Path = field(default=Path("."), compare=False)
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
-        velocity = self.velocity_kmh if velocity_kmh is None else velocity_kmh
-        return IntrusionEvent(
-            infected_asset=self.infected_asset,
-            affected_asset=self.affected_asset,
-            result=self.intrusion_result,
-            impact_params=self.impact_params,
-            env=EnvironmentTerm(
-                e=environment_from_velocity(velocity), w_e=self.environment_weight
-            ),
-            vehicle=VehicleState(velocity_kmh=velocity, facts=dict(self.facts)),
-        )
+        """``initial_event`` with a facts dict of its own, so a run that
+        changes its facts leaves the scenario's as they were; at
+        ``velocity_kmh``, if given, with E derived from it and ``w_e`` kept."""
+        event = self.initial_event
+        velocity = event.vehicle.velocity_kmh if velocity_kmh is None else velocity_kmh
+        env = EnvironmentTerm(environment_from_velocity(velocity), event.env.w_e)
+        return replace(event, env=env, vehicle=VehicleState(velocity, dict(event.vehicle.facts)))
 
     def catalog_path(self, mode: str, algorithm: str) -> Path:
         """The catalog for a run mode/algorithm combination, under ``base_dir``.
@@ -397,34 +389,25 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
                 f"(modes: {', '.join(MODES)}; algorithms: {', '.join(ALGORITHMS)})"
             )
         overrides[key] = _str(ref, f"{context}.catalog_overrides.{key}")
-    scenario = Scenario(
-        name=_str(_require(doc, "name", context), f"{context}.name"),
-        architecture_ref=_str(doc.get("architecture_ref", "architecture.json"),
-                              f"{context}.architecture_ref"),
-        infected_asset=_str(_require(doc, "infected_asset", context), f"{context}.infected_asset"),
-        affected_asset=_str(_require(doc, "affected_asset", context), f"{context}.affected_asset"),
-        intrusion_result=_enum(
-            IntrusionResult,
-            _require(doc, "intrusion_result", context),
-            f"{context}.intrusion_result",
-        ),
-        velocity_kmh=_weight(_require(doc, "velocity_kmh", context), f"{context}.velocity_kmh"),
-        impact_params=_parse_impact_vector(
-            _require(doc, "impact_params", context), f"{context}.impact_params"
-        ),
-        environment_weight=_weight(doc.get("environment_weight", 1.0),
-                                   f"{context}.environment_weight"),
-        facts=_flags(doc.get("facts", {}), f"{context}.facts"),
-        catalog_ref=_str(_require(doc, "catalog_ref", context), f"{context}.catalog_ref"),
-        catalog_overrides=overrides,
-        effects=effects,
-        base_dir=Path(base_dir),
-    )
+    name = _str(_require(doc, "name", context), f"{context}.name")
+    architecture_ref = _str(doc.get("architecture_ref", "architecture.json"),
+                            f"{context}.architecture_ref")
+    infected = _str(_require(doc, "infected_asset", context), f"{context}.infected_asset")
+    affected = _str(_require(doc, "affected_asset", context), f"{context}.affected_asset")
+    result = _enum(IntrusionResult, _require(doc, "intrusion_result", context),
+                   f"{context}.intrusion_result")
+    velocity = _weight(_require(doc, "velocity_kmh", context), f"{context}.velocity_kmh")
+    params = _parse_impact_vector(_require(doc, "impact_params", context),
+                                  f"{context}.impact_params")
+    w_e = _weight(doc.get("environment_weight", 1.0), f"{context}.environment_weight")
+    vehicle = VehicleState(velocity, _flags(doc.get("facts", {}), f"{context}.facts"))
+    catalog_ref = _str(_require(doc, "catalog_ref", context), f"{context}.catalog_ref")
     # E is at most 100, so no velocity gives a larger impact than this.
-    impact = scenario.impact_params.total + scenario.environment_weight * 100
-    if not impact <= sys.float_info.max:
+    if not params.total + w_e * 100 <= sys.float_info.max:
         raise SchemaError(f"{context}.environment_weight: impact at E = 100 must be finite")
-    return scenario
+    event = IntrusionEvent(infected, affected, result, params,
+                           EnvironmentTerm(environment_from_velocity(velocity), w_e), vehicle)
+    return Scenario(name, architecture_ref, event, catalog_ref, overrides, effects, Path(base_dir))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -432,9 +415,10 @@ def load_scenario(path: str | Path) -> Scenario:
     scenario = parse_scenario(_read_json(path), base_dir=path.parent)
     architecture = _build(f"scenario.architecture_ref: {scenario.architecture_ref}",
                           load_architecture, scenario.architecture_path())
+    event = scenario.initial_event
     for role, asset_id in (
-        ("infected_asset", scenario.infected_asset),
-        ("affected_asset", scenario.affected_asset),
+        ("infected_asset", event.infected_asset),
+        ("affected_asset", event.affected_asset),
     ):
         if asset_id not in architecture:
             raise SchemaError(f"scenario.{role}: {asset_id!r} not in architecture")

@@ -188,6 +188,8 @@ def emit_series(
     """Write the report's selection rows as CSV or JSONL, one record per row."""
     if fmt not in ("csv", "jsonl"):
         raise DomainError(f"unknown format {fmt!r} (expected csv or jsonl)")
+    if report.seed is not None and type(report.seed) is not int:
+        raise DomainError(f"seed: expected an int or None, got {report.seed!r}")
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _emit(report, fmt, fh, include_timings)

@@ -559,19 +559,30 @@ def test_a_missing_or_unknown_command_is_usage_error(runner, args):
     assert result.stdout == ""
 
 
-def test_a_reader_that_leaves_early_ends_the_listing_quietly(tmp_path):
-    """``react catalog list | head -1`` exits 1 with nothing on stderr.  The
-    table is longer than a pipe holds, so the listing is still writing when
-    its reader leaves after the first line."""
+@pytest.mark.parametrize(
+    "args, first",
+    [
+        (["catalog", "list", "--catalog", "{catalog}"], b"catalog: "),
+        (["run", "--scenario", "scenario1", "--algo", "lp-max", "--mode", "velocity-sweep",
+          "--format", "jsonl", "--velocities", ",".join(map(str, range(5000)))],
+         b'{"algorithm": '),
+    ],
+    ids=["catalog-list", "run"],
+)
+def test_a_reader_that_leaves_early_ends_the_listing_quietly(tmp_path, args, first):
+    """``react catalog list | head -1`` and ``react run ... | head -1`` exit 1
+    with nothing on stderr.  The output is longer than a pipe holds, so the
+    command is still writing when its reader leaves after the first line."""
     doc = json.loads((data_dir() / "catalog_scenario1.json").read_text())
     doc["responses"] += [dict(doc["responses"][0], index=i) for i in range(100, 2100)]
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
     src = Path(__file__).resolve().parent.parent / "src"
-    command = [sys.executable, "-m", "react_irs.cli", "catalog", "list", "--catalog", str(path)]
+    command = [sys.executable, "-m", "react_irs.cli",
+               *(arg.format(catalog=path) for arg in args)]
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=dict(os.environ, PYTHONPATH=str(src))) as proc:
-        assert proc.stdout.readline().startswith(b"catalog: ")
+        assert proc.stdout.readline().startswith(first)
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 1

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from react_irs.files import (
     resolve_scenario_ref,
     validate_file,
 )
-from react_irs.model import IntrusionResult, StopKind
+from react_irs.model import EnvironmentTerm, IntrusionResult, StopKind, VehicleState
 from react_irs.preconditions import Precondition
 from _support import BAD_FILES, BAD_PATHS, by_index, write_bad_file, write_scenario
 
@@ -315,6 +316,25 @@ class TestScenario:
     def test_event_velocity_override(self, scenario1):
         assert scenario1.event(velocity_kmh=100.0).vehicle.velocity_kmh == 100.0
         assert scenario1.event().vehicle.velocity_kmh == 70.0
+
+    def test_event_is_the_initial_event(self, scenario1):
+        assert scenario1.event() == scenario1.initial_event
+
+    def test_each_event_has_facts_of_its_own(self, data):
+        scenario = parse_scenario(scenario1_doc(data), base_dir=data)
+        facts = dict(scenario.initial_event.vehicle.facts)
+        event = scenario.event()
+        event.vehicle.facts["intruder_seen"] = True
+        assert scenario.event().vehicle.facts == facts
+        assert scenario.initial_event.vehicle.facts == facts
+
+    def test_event_at_a_velocity_derives_e_and_keeps_the_rest(self, data):
+        scenario = parse_scenario({**scenario1_doc(data), "environment_weight": 0.5},
+                                  base_dir=data)
+        initial, fast = scenario.initial_event, scenario.event(velocity_kmh=100.0)
+        assert initial.env == EnvironmentTerm(e=10, w_e=0.5)
+        assert fast == replace(initial, env=EnvironmentTerm(e=100, w_e=0.5),
+                               vehicle=VehicleState(100.0, initial.vehicle.facts))
 
     def test_catalog_override_resolution(self, scenario1):
         assert scenario1.catalog_path("static", "saw").name == "catalog_scenario1_saw.json"

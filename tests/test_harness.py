@@ -347,6 +347,16 @@ class TestEmission:
         with pytest.raises(DomainError):
             emit_series(run_static_quality(scenario1, "lp-max"), "yaml", io.StringIO())
 
+    @pytest.mark.parametrize("seed", ["7", True, 7.0], ids=["str", "bool", "float"])
+    def test_a_seed_that_is_not_an_int_is_rejected_before_writing(self, tmp_path, seed):
+        report = RunReport("dynamic-fail", "lp-max", "s", [SelectionRow(1, 1, "a", 1, 1, 1, 0.1)],
+                           seed=seed)
+        out = tmp_path / "series.jsonl"
+        for fmt in ("csv", "jsonl"):
+            with pytest.raises(DomainError, match=f"seed: expected an int or None, got {seed!r}"):
+                emit_series(report, fmt, out)
+            assert not out.exists()
+
 
 class TestGenerationScaling:
     def _synthetic_catalog(self, n):
