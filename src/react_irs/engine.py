@@ -46,7 +46,8 @@ from .model import (
 )
 from .preconditions import FACT_NAME, is_fact_name
 from .responses import CatalogResponses, generate_candidates
-# Read by bench/tracing.py, which patches these names; the hot path reads .total.
+# Read by bench/tracing.py, which patches these names; the hot path reads
+# the totals that each candidate holds.
 from .responses import effective_cost, response_benefit
 from .risk import event_impact
 from .selection import SelectionOutcome
@@ -155,12 +156,13 @@ def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
     validating constructor raises.
     """
     orig, cur = spec.original_benefit, spec.benefit
-    uniform = rng.uniform
+    # ``random.Random.uniform``'s own formula, bit for bit, without its frame.
+    draw, span = rng.random, R_MAX - R_MIN
     weights = (
-        cur.w_s * uniform(R_MIN, R_MAX),
-        cur.w_f * uniform(R_MIN, R_MAX),
-        cur.w_o * uniform(R_MIN, R_MAX),
-        cur.w_p * uniform(R_MIN, R_MAX),
+        cur.w_s * (R_MIN + span * draw()),
+        cur.w_f * (R_MIN + span * draw()),
+        cur.w_o * (R_MIN + span * draw()),
+        cur.w_p * (R_MIN + span * draw()),
     )
     adapted = ImpactVector._unchecked(orig.s, orig.f, orig.o, orig.p, *weights)
     # An infinite weight makes the total infinite, or NaN at a level of 0.
@@ -196,21 +198,18 @@ def inner_loop(
     head = selector(candidates, impact, event)
     for cand, score, _, _, _ in chain((head,), head.rest):
         elapsed_ms = (clock() - t0) * 1000.0
-        spec = cand.response
-        if spec.terminal:
+        spec, target, index, cost, benefit, terminal = cand
+        if terminal:
             passed = True
             cost = pegged
+        elif precondition_policy is not None:
+            passed = precondition_policy(cand)
         else:
-            if precondition_policy is not None:
-                passed = precondition_policy(cand)
-            else:
-                passed = spec.precondition.evaluate(facts)
-            cost = spec.cost.total
+            passed = spec.precondition.evaluate(facts)
         # Positional, through ``tuple.__new__``: the records paragraph of the
         # ``model`` docstring says why.
         attempts.append(_new(Attempt, (
-            spec.index, cand.target_asset, score, cost, spec.benefit.total,
-            passed, elapsed_ms,
+            index, target, score, cost, benefit, passed, elapsed_ms,
         )))
         if passed:
             return cand, attempts
@@ -290,7 +289,7 @@ class Engine:
             candidates = generate_candidates(event, self._catalog)
             if self._adapted:
                 for pos, cand in enumerate(candidates):
-                    adapted = self._adapted.get((cand.response.index, cand.target_asset))
+                    adapted = self._adapted.get((cand.response_index, cand.target_asset))
                     if adapted is not None:
                         candidates[pos] = adapted
             self._key, self._candidates = key, candidates
@@ -342,7 +341,7 @@ class Engine:
         event = initial_event
         for iteration in range(1, max_iterations + 1):
             chosen, impact, count, attempts, _, selection_ms = self.decide(event)
-            updates = self._effects.get(chosen.response.index)
+            updates = self._effects.get(chosen.response_index)
             if updates:
                 facts = {**event.vehicle.facts, **updates}
                 vehicle = VehicleState(velocity_kmh=event.vehicle.velocity_kmh, facts=facts)
@@ -362,11 +361,12 @@ class Engine:
                     raise DomainError(f"unknown feedback verdict: {verdict!r}")
             self._record(chosen, spec)
 
-            trace.records.append(IterationRecord(
+            b = spec.benefit
+            trace.records.append(_new(IterationRecord, (
                 iteration, event.vehicle.velocity_kmh, impact, count,
                 attempts, attempts[-1], verdict_name,
-                spec.benefit.weights(), spec.benefit.levels(), selection_ms,
-            ))
+                (b.w_s, b.w_f, b.w_o, b.w_p), (b.s, b.f, b.o, b.p), selection_ms,
+            )))
             if verdict_name == "success":
                 break
             event = next_event

@@ -44,6 +44,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .model import (
@@ -337,6 +338,11 @@ _INDEX_KEY = re.compile("0|[1-9][0-9]{0,4299}")
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario document.  It stores copies of the initial facts,
+    of both levels of ``effects`` and of ``catalog_overrides`` as read-only
+    ``MappingProxyType`` views, so no caller can change what a later
+    ``event()`` or run reads."""
+
     name: str
     architecture_ref: str
     initial_event: IntrusionEvent
@@ -344,6 +350,16 @@ class Scenario:
     catalog_overrides: Mapping[str, str]
     effects: Mapping[int, Mapping[str, bool]]
     base_dir: Path = field(default=Path("."), compare=False)
+
+    def __post_init__(self) -> None:
+        event, put = self.initial_event, object.__setattr__
+        facts = MappingProxyType(dict(event.vehicle.facts))
+        put(self, "initial_event",
+            replace(event, vehicle=VehicleState(event.vehicle.velocity_kmh, facts)))
+        put(self, "catalog_overrides", MappingProxyType(dict(self.catalog_overrides)))
+        put(self, "effects", MappingProxyType(
+            {index: MappingProxyType(dict(flags)) for index, flags in self.effects.items()}
+        ))
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
         """``initial_event`` with a facts dict of its own, so a run that
@@ -369,6 +385,15 @@ class Scenario:
 
     def architecture_path(self) -> Path:
         return self.base_dir / self.architecture_ref
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor, with plain dicts: a
+        ``MappingProxyType`` cannot be pickled."""
+        event = self.initial_event
+        vehicle = VehicleState(event.vehicle.velocity_kmh, dict(event.vehicle.facts))
+        effects = {index: dict(flags) for index, flags in self.effects.items()}
+        return Scenario, (self.name, self.architecture_ref, replace(event, vehicle=vehicle),
+                          self.catalog_ref, dict(self.catalog_overrides), effects, self.base_dir)
 
 
 def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenario:

@@ -11,14 +11,19 @@ attempt, iteration and emitted row (``CandidateInstance`` here,
 ``selection.SelectionOutcome``, ``engine.Attempt``,
 ``engine.IterationRecord``, ``harness.SelectionRow``) are
 ``typing.NamedTuple``s: cheaper to build than frozen dataclasses, whose
-``__init__`` calls ``object.__setattr__`` per field.  The two built per
-ranking step, every ``SelectionOutcome`` a selection ranker yields and
-every ``Attempt`` of ``engine.inner_loop``, are built with
+``__init__`` calls ``object.__setattr__`` per field.  Those built per
+ranking step or decision, every ``SelectionOutcome`` a selection ranker
+yields, every ``Attempt`` of ``engine.inner_loop`` and every
+``IterationRecord`` of ``engine.Engine.run``, are built with
 ``tuple.__new__`` directly: a NamedTuple's own ``__new__`` is a Python
 function that makes the same call after checking the arity, so this
-spares a frame per step, and ``tests/test_records.py`` pins the arity
+spares a frame per record, and ``tests/test_records.py`` pins the arity
 instead.  The records are immutable and hashable, and also equal to a
-plain tuple of their fields.  The input types stay frozen dataclasses.
+plain tuple of their fields.  A ``CandidateInstance`` is built from its
+spec and target alone and derives its other four fields, the catalog
+index, the static cost and benefit totals and the terminal flag, from
+the spec, so the hot path reads each in one field load.  The input types
+stay frozen dataclasses.
 ``ImpactVector`` and ``CostVector`` are slotted, with no instance
 ``__dict__``, and compute their ``total`` once, when they are built; it
 is left out of ``==``, ``hash`` and ``repr``.
@@ -270,13 +275,63 @@ class ResponseSpec:
         return new
 
 
-class CandidateInstance(NamedTuple):
+# ``typing.NamedTuple`` forbids a ``__new__`` in the class body, so the
+# fields live on this base and ``CandidateInstance`` defines the constructor.
+class _CandidateFields(NamedTuple):
+    response: ResponseSpec
+    target_asset: str
+    response_index: int
+    cost: float
+    benefit: float
+    terminal: bool
+
+
+class CandidateInstance(_CandidateFields):
     """A response bound to a concrete target asset.
 
     The same catalog entry can appear twice in a candidate set — once per
     involved asset — which is why selection operates on instances rather
     than on raw specs.
+
+    Built as ``CandidateInstance(response, target_asset)``; the other four
+    fields are derived from the spec when the instance is built: its
+    ``index``, the static ``cost.total`` and ``benefit.total``, and
+    ``terminal``.  The rankers and the inner loop read them in one field
+    load each, not a chain through the spec.  The spec is immutable, so
+    they never go stale: adaptation builds a new instance, ``_replace``
+    derives them again, ``_make`` checks them, and ``copy``, ``deepcopy``
+    and ``pickle`` rebuild the instance from the two arguments
+    ``__getnewargs__`` returns.
     """
 
-    response: ResponseSpec
-    target_asset: str
+    __slots__ = ()
+
+    def __new__(cls, response: ResponseSpec, target_asset: str) -> CandidateInstance:
+        return tuple.__new__(cls, (
+            response, target_asset, response.index, response.cost.total,
+            response.benefit.total, response.terminal,
+        ))
+
+    def __getnewargs__(self) -> tuple[ResponseSpec, str]:
+        return self[:2]
+
+    def _replace(self, **changes) -> CandidateInstance:
+        """A new instance with ``response`` or ``target_asset`` changed and
+        the derived fields derived again; changing a derived field is a
+        ``ValueError``."""
+        new = CandidateInstance(
+            changes.pop("response", self.response), changes.pop("target_asset", self.target_asset)
+        )
+        if changes:
+            raise ValueError(f"cannot replace derived or unknown fields {sorted(changes)!r}")
+        return new
+
+    @classmethod
+    def _make(cls, iterable) -> CandidateInstance:
+        """The instance whose six fields ``iterable`` yields, built from the
+        first two; derived fields that disagree are a ``ValueError``."""
+        fields = tuple(iterable)
+        new = cls(*fields[:2])
+        if new != fields:
+            raise ValueError(f"derived fields {fields[2:]!r} disagree with the spec's")
+        return new

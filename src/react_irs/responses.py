@@ -7,10 +7,12 @@ the same shape as the intrusion impact:
     benefit b = w_S*S + w_F*F + w_O*O + w_P*P
 
 Both sums are the vectors' ``total``s, computed once when each vector is
-built, however often a selection asks for them.  ``response_cost``,
+built, and each ``CandidateInstance`` copies them into its ``cost`` and
+``benefit`` fields when it is built.  ``response_cost``,
 ``response_benefit`` and ``effective_cost`` remain the public scoring
-API; the selectors and the inner loop read ``.total`` directly instead,
-one attribute read per score rather than a call.
+API; the selectors and the inner loop read the candidate's fields
+instead, one field load per score rather than a call or a chain of
+attribute reads through the spec.
 
 ``generate_candidates`` turns a catalog plus an intrusion event into the
 ordered list of concrete (response, target asset) instances the decision

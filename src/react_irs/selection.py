@@ -38,7 +38,8 @@ from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .model import CandidateInstance, DomainError, IntrusionEvent, check_weight
-# Read by bench/tracing.py, which patches these names; the hot path reads .total.
+# Read by bench/tracing.py, which patches these names; the hot path reads
+# the totals that each candidate holds.
 from .responses import effective_cost, response_benefit
 from .risk import environment_term
 
@@ -145,11 +146,8 @@ def _saw_criteria(
     """Each candidate's benefit and cost, the terminal entry's cost pegged
     to the impact, zeros replaced by ``EPSILON``."""
     pegged = float(impact)
-    benefits = [c.response.benefit.total or EPSILON for c in candidates]
-    costs = [
-        (pegged if c.response.terminal else c.response.cost.total) or EPSILON
-        for c in candidates
-    ]
+    benefits = [c.benefit or EPSILON for c in candidates]
+    costs = [(pegged if c.terminal else c.cost) or EPSILON for c in candidates]
     return benefits, costs
 
 
@@ -354,7 +352,7 @@ def _saw_forest(
 def _precedes(k: int, other: int, candidates: Sequence[CandidateInstance]) -> bool:
     """Tie-break between equal scores: lower catalog index, then earlier
     position."""
-    index, other_index = candidates[k].response.index, candidates[other].response.index
+    index, other_index = candidates[k].response_index, candidates[other].response_index
     return index < other_index or (index == other_index and k < other)
 
 
@@ -380,7 +378,7 @@ def make_selector(algorithm: str, saw_cfg: SawConfig | None = None):
 
 
 def _terminal(candidates: Sequence[CandidateInstance]) -> CandidateInstance:
-    terminal = next((c for c in candidates if c.response.terminal), None)
+    terminal = next((c for c in candidates if c.terminal), None)
     if terminal is None:
         raise DomainError("no feasible candidate and no terminal entry to fall back to")
     return terminal
@@ -389,17 +387,13 @@ def _terminal(candidates: Sequence[CandidateInstance]) -> CandidateInstance:
 def _feasible(
     candidates: Sequence[CandidateInstance], impact: float
 ) -> list[CandidateInstance]:
-    return [
-        c
-        for c in candidates
-        if not c.response.terminal and c.response.cost.total < impact
-    ]
+    return [c for c in candidates if not c.terminal and c.cost < impact]
 
 
-# C-level sort keys over the candidates' catalog index and precomputed totals.
-_INDEX = attrgetter("response.index")
-_BENEFIT = attrgetter("response.benefit.total")
-_COST = attrgetter("response.cost.total")
+# C-level sort keys, each one field of the candidate.
+_INDEX = attrgetter("response_index")
+_BENEFIT = attrgetter("benefit")
+_COST = attrgetter("cost")
 
 
 def _lp_select(

@@ -1,6 +1,9 @@
+import copy
 import json
 import os
+import pickle
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
@@ -16,9 +19,12 @@ from react_irs.files import (
     resolve_scenario_ref,
     validate_file,
 )
+from react_irs.harness import run_dynamic
 from react_irs.model import EnvironmentTerm, IntrusionResult, StopKind, VehicleState
 from react_irs.preconditions import Precondition
-from _support import BAD_FILES, BAD_PATHS, by_index, write_bad_file, write_scenario
+from _support import (
+    BAD_FILES, BAD_PATHS, by_index, report_rows, write_bad_file, write_scenario,
+)
 
 OVERRIDE_KEY = (
     "not <mode>:<algorithm> or <mode>:* (modes: static, dynamic-success, dynamic-fail, "
@@ -438,6 +444,41 @@ class TestScenario:
 
     def test_effects_keys_are_indices(self, demo_scenario):
         assert demo_scenario.effects == {20: {"attacker_isolated": True}}
+
+    def test_its_mappings_are_read_only(self, data):
+        """A write to the facts, either level of the effects or the
+        overrides raises, and a later event or run reads what was loaded."""
+        doc = {**json.loads((data / "demo.json").read_text()),
+               "catalog_overrides": {"dynamic-fail:*": "catalog_generic.json"}}
+        scenario = parse_scenario(doc, base_dir=data)
+        views = [scenario.initial_event.vehicle.facts, scenario.effects, scenario.effects[20],
+                 scenario.catalog_overrides]
+        for view in views:
+            key = next(iter(view))
+            with pytest.raises(TypeError):
+                view[key] = view[key]
+            with pytest.raises(TypeError):
+                del view[key]
+            with pytest.raises(TypeError):
+                view["intruder_seen"] = True
+        fresh = parse_scenario(doc, base_dir=data)
+        assert scenario == fresh
+        assert scenario.event().vehicle.facts == doc["facts"]
+        assert scenario.effects == {20: {"attacker_isolated": True}}
+        assert scenario.catalog_overrides == doc["catalog_overrides"]
+        report = run_dynamic(scenario, "lp-max", "failure")
+        assert report_rows(report) == report_rows(run_dynamic(fresh, "lp-max", "failure"))
+        assert 20 in {row.response_index for row in report.selections}
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda scenario: pickle.loads(pickle.dumps(scenario))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_keeps_its_values_and_read_only_views(self, demo_scenario, clone):
+        again = clone(demo_scenario)
+        assert again == demo_scenario and again.base_dir == demo_scenario.base_dir
+        for view in (again.initial_event.vehicle.facts, again.effects, again.effects[20],
+                     again.catalog_overrides):
+            assert type(view) is MappingProxyType
 
 
 class TestValidateAndResolve:

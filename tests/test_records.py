@@ -6,12 +6,15 @@ import random
 
 import pytest
 
-from react_irs.engine import Attempt, IterationRecord, inner_loop
+from react_irs.engine import (
+    Attempt, Engine, Failure, IterationRecord, NewIntrusion, inner_loop,
+)
+from react_irs.files import load_catalog
 from react_irs.harness import SelectionRow
 from react_irs.model import CandidateInstance
 from react_irs.risk import event_impact
 from react_irs.selection import ALGORITHMS, SAW_FOREST_MIN, SelectionOutcome, make_selector
-from _support import level_grid_set, make_event, make_response
+from _support import level_grid_set, make_event, make_response, replay
 
 CANDIDATE = CandidateInstance(make_response(1), "a")
 ATTEMPT = Attempt(1, "a", 1.0, 2.0, 3.0, True)
@@ -23,7 +26,9 @@ RECORDS = {
     SelectionRow: SelectionRow(1, 1, "a", 2.0, 3.0, 200.0, 0.5),
 }
 FIELDS = {
-    CandidateInstance: ("response", "target_asset"),
+    CandidateInstance: (
+        "response", "target_asset", "response_index", "cost", "benefit", "terminal",
+    ),
     SelectionOutcome: ("chosen", "score", "feasible_count", "fallback", "rest"),
     Attempt: (
         "response_index", "target_asset", "score", "cost", "benefit",
@@ -53,7 +58,9 @@ def test_records_are_immutable_and_hashable(kind):
     for name in kind._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
-    assert hash(record) == hash(kind(*record))
+    # A candidate is built from its spec and target; the rest is derived.
+    args = record[:2] if kind is CandidateInstance else record
+    assert hash(record) == hash(kind(*args))
 
 
 def test_defaults_hold():
@@ -71,7 +78,7 @@ def test_equal_candidates_hash_alike():
     assert first != CandidateInstance(spec, "b")
 
 
-# The rankers and the inner loop build their records with ``tuple.__new__``,
+# The rankers, the inner loop and ``Engine.run`` build their records with ``tuple.__new__``,
 # which skips the NamedTuple's arity check, so full drains check what they
 # build: at the SAW scan's size and the forest's, each under the default
 # event and under an impact of 0, where no LP candidate is feasible (the
@@ -113,3 +120,24 @@ def test_drains_build_full_records(algorithm, name):
         assert type(attempt) is Attempt
         assert len(attempt) == len(Attempt._fields)
         assert attempt == Attempt(*attempt)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_engine_run_builds_full_iteration_records(data, scenario1, algorithm):
+    """Two failures, a new intrusion and a success: each verdict's record,
+    with the adapted vector's weights and levels read field by field."""
+    engine = Engine(load_catalog(data / "catalog_scenario1_dynamic.json").responses,
+                    make_selector(algorithm))
+    event = scenario1.event()
+    trace = engine.run(event, replay([Failure(), Failure(), NewIntrusion(event)]))
+    assert [r.verdict for r in trace.records] == ["failure", "failure", "new_intrusion", "success"]
+    for record in trace.records:
+        assert type(record) is IterationRecord
+        assert len(record) == len(IterationRecord._fields)
+        assert record == IterationRecord(*record)
+    # The last record of each applied instance holds its current adaptation.
+    latest = {(r.applied.response_index, r.applied.target_asset): r for r in trace.records}
+    for key, record in latest.items():
+        benefit = engine._adapted[key].response.benefit
+        assert record.adapted_weights == benefit.weights()
+        assert record.adapted_levels == benefit.levels()
