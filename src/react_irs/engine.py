@@ -41,10 +41,10 @@ from .model import (
     IntrusionResult,
     ResponseSpec,
     VehicleState,
+    check_facts,
     check_total,
     check_weight,
 )
-from .preconditions import FACT_NAME, is_fact_name
 from .responses import CatalogResponses, generate_candidates
 # Read by bench/tracing.py, which patches these names; the hot path reads
 # the totals that each candidate holds.
@@ -217,24 +217,6 @@ def inner_loop(
     raise DomainError("candidate set exhausted without an applicable response")
 
 
-def _flags(index: int, updates: Mapping[str, bool]) -> dict[str, bool]:
-    """One ``effects`` entry, checked and never coerced: an ``int`` key (not
-    a ``bool``) and a mapping from names a precondition can read to
-    ``bool`` flags."""
-    if type(index) is not int:
-        raise DomainError(f"effects key {index!r} is not a response index (an int)")
-    if not isinstance(updates, Mapping):
-        raise DomainError(f"effects[{index}]: expected a mapping of facts to flags, got {updates!r}")
-    for name, value in updates.items():
-        if not is_fact_name(name):
-            raise DomainError(
-                f"effects[{index}]: {name!r} is not a fact name ({FACT_NAME}, not true or false)"
-            )
-        if type(value) is not bool:
-            raise DomainError(f"effects[{index}].{name}: expected True or False, got {value!r}")
-    return dict(updates)
-
-
 class Engine:
     """One engine instance handles one intrusion sequence or harness run.
 
@@ -249,9 +231,8 @@ class Engine:
     is copied into a new one, which raises ``CatalogError`` on a repeated
     response index.  The selector must be callable and ``adaptation`` an
     ``AdaptationConfig`` with an ``int`` seed.  ``effects`` maps a response
-    index to the facts its application sets: both levels must be mappings,
-    each key an ``int``, each fact name one a precondition can read and
-    each flag a ``bool``; else a ``DomainError`` names what is wrong.
+    index (an ``int``) to the fact map its application sets, copied once
+    ``model.check_facts`` accepts it; else a ``DomainError`` names the entry.
     """
 
     def __init__(
@@ -276,7 +257,11 @@ class Engine:
             effects = {}
         elif not isinstance(effects, Mapping):
             raise DomainError(f"effects: expected a mapping of response indices, got {effects!r}")
-        self._effects = {index: _flags(index, flags) for index, flags in effects.items()}
+        self._effects = {}
+        for index, flags in effects.items():
+            if type(index) is not int:
+                raise DomainError(f"effects key {index!r} is not a response index (an int)")
+            self._effects[index] = dict(check_facts(flags, f"effects[{index}]"))
         self._adapted: dict[tuple[int, str], CandidateInstance] = {}
         self._key: tuple[IntrusionResult, str, str] | None = None
         self._candidates: list[CandidateInstance] = []

@@ -7,13 +7,17 @@ duplicate indices and unresolvable references all raise
 NUL, a lone surrogate), a file that cannot be read or is not UTF-8, JSON
 nested too deep or with an int of too many digits, and a top level that
 is not a JSON object: a loader lets no other error escape.  Keys the
-schema does not name are ignored.  An architecture loads as the set of
-its asset ids.  A scenario's fact and effect-flag names are names a
-precondition can read, its ``effects`` keys are response indices spelt as
-``str`` spells them, and its ``catalog_overrides`` keys are
-``<mode>:<algorithm>`` or ``<mode>:*``.  A scenario loads its event as
-the model's ``IntrusionEvent``, built once: ``Scenario.initial_event``,
-which ``Scenario.event`` hands out with facts of the caller's own.
+schema does not name are ignored.  A rule the model states is applied
+here through it, its message given the JSON path: ``model.check_facts``
+for a scenario's facts and each ``effects`` entry, ``check_weight`` for
+its velocity and environment weight, ``check_total`` for its impact at
+E = 100, and ``CatalogResponses`` for a catalog's one terminal entry.
+An architecture loads as the set of its asset ids.  A scenario's
+``effects`` keys are response indices spelt as ``str`` spells them, and
+its ``catalog_overrides`` keys are ``<mode>:<algorithm>`` or
+``<mode>:*``.  A scenario loads its event as the model's
+``IntrusionEvent``, built once: ``Scenario.initial_event``, which
+``Scenario.event`` hands out with facts of the caller's own.
 
 A catalog may be an overlay: it ``extends`` a full catalog, drops the
 base indices it lists in ``remove``, and its ``responses`` replace base
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -60,9 +63,11 @@ from .model import (
     StopCondition,
     StopKind,
     VehicleState,
+    check_facts,
+    check_total,
     check_weight,
 )
-from .preconditions import FACT_NAME, Precondition, PreconditionError, is_fact_name
+from .preconditions import Precondition, PreconditionError
 from .responses import CatalogResponses
 from .risk import environment_from_velocity
 from .selection import ALGORITHMS
@@ -129,15 +134,6 @@ def _str(value: Any, context: str) -> str:
     return value
 
 
-def _weight(value: Any, context: str) -> float:
-    try:
-        return check_weight(value)
-    except DomainError:
-        raise SchemaError(
-            f"{context}: expected a finite non-negative number, got {value!r}"
-        ) from None
-
-
 def _build(context: str, make: Callable[..., Any], *args: Any) -> Any:
     """``make(*args)``, with a ``DomainError`` (a ``SchemaError`` too)
     raised as a ``SchemaError`` that ``context`` prefixes."""
@@ -147,14 +143,12 @@ def _build(context: str, make: Callable[..., Any], *args: Any) -> Any:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _flags(doc: Any, context: str) -> dict[str, bool]:
-    """Facts or effect flags: each name one a precondition can read, each value a bool."""
-    flags = {}
-    for name, value in _object(doc, context).items():
-        if not is_fact_name(name):
-            raise SchemaError(f"{context}.{name}: not a fact name ({FACT_NAME}, not true or false)")
-        flags[name] = _bool(value, f"{context}.{name}")
-    return flags
+def _checked(check: Callable[[Any, str], Any], value: Any, context: str) -> Any:
+    """``check(value, context)``, a model rule, raising its error as a ``SchemaError``."""
+    try:
+        return check(value, context)
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -283,11 +277,8 @@ def _parse_catalog(
         base, responses = (path, data), dict(sorted({**kept, **responses}.items()))
     elif "remove" in doc:
         raise SchemaError("catalog.remove: only an overlay (with extends) removes entries")
-    terminals = [spec for spec in responses.values() if spec.terminal]
-    if len(terminals) != 1:
-        raise SchemaError(f"catalog needs exactly one terminal entry, found {len(terminals)}")
-    name = _str(doc.get("name", ""), "catalog.name")
-    return Catalog(name, CatalogResponses(responses.values())), base
+    specs = _build("catalog", CatalogResponses, responses.values())
+    return Catalog(_str(doc.get("name", ""), "catalog.name"), specs), base
 
 
 #: Path as given -> (its bytes, their catalog, an overlay's base path and bytes or None).
@@ -403,7 +394,8 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     for index, updates in _object(doc.get("effects", {}), f"{context}.effects").items():
         if not (isinstance(index, str) and _INDEX_KEY.fullmatch(index)):
             raise SchemaError(f"{context}.effects.{index}: key is not a response index")
-        effects[int(index)] = _flags(updates, f"{context}.effects.{index}")
+        path = f"{context}.effects.{index}"
+        effects[int(index)] = _checked(check_facts, _object(updates, path), path)
     overrides: dict[str, str] = {}
     declared = _object(doc.get("catalog_overrides", {}), f"{context}.catalog_overrides")
     for key, ref in declared.items():
@@ -421,15 +413,17 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     affected = _str(_require(doc, "affected_asset", context), f"{context}.affected_asset")
     result = _enum(IntrusionResult, _require(doc, "intrusion_result", context),
                    f"{context}.intrusion_result")
-    velocity = _weight(_require(doc, "velocity_kmh", context), f"{context}.velocity_kmh")
+    velocity = _checked(check_weight, _require(doc, "velocity_kmh", context),
+                        f"{context}.velocity_kmh")
     params = _parse_impact_vector(_require(doc, "impact_params", context),
                                   f"{context}.impact_params")
-    w_e = _weight(doc.get("environment_weight", 1.0), f"{context}.environment_weight")
-    vehicle = VehicleState(velocity, _flags(doc.get("facts", {}), f"{context}.facts"))
+    w_e = _checked(check_weight, doc.get("environment_weight", 1.0), f"{context}.environment_weight")
+    facts = _object(doc.get("facts", {}), f"{context}.facts")
+    vehicle = VehicleState(velocity, _checked(check_facts, facts, f"{context}.facts"))
     catalog_ref = _str(_require(doc, "catalog_ref", context), f"{context}.catalog_ref")
     # E is at most 100, so no velocity gives a larger impact than this.
-    if not params.total + w_e * 100 <= sys.float_info.max:
-        raise SchemaError(f"{context}.environment_weight: impact at E = 100 must be finite")
+    _checked(check_total, params.total + w_e * 100,
+             f"{context}.environment_weight: impact at E = 100")
     event = IntrusionEvent(infected, affected, result, params,
                            EnvironmentTerm(environment_from_velocity(velocity), w_e), vehicle)
     return Scenario(name, architecture_ref, event, catalog_ref, overrides, effects, Path(base_dir))

@@ -3,8 +3,17 @@ may declare, intrusion events, the four-level impact bundles, and
 response catalog entries.
 
 Impact-style values live on the discrete level scale {0, 1, 10, 100};
-weights are non-negative reals.  All types are immutable values, safe to
-share between threads.
+weights are non-negative reals.  Every type here is frozen: no field can
+be reassigned.  Only one holds something that can change: a
+``VehicleState`` keeps its caller's facts mapping, not a copy, so it and
+its ``IntrusionEvent`` are unhashable and see any change to that mapping
+(``files.Scenario.event`` hands each caller a dict of its own).  The
+other types are immutable values, safe to share between threads; the
+tuple of a catalog's specs, ``responses.CatalogResponses``, is not, as
+it fills its memo of candidate sets lazily.  An event's fields are
+checked where it is built and never coerced: its ``VehicleState`` checks
+the velocity and, with ``check_facts``, the facts, and the
+``IntrusionEvent`` that its result is an ``IntrusionResult``.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -41,7 +50,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .preconditions import Precondition
+from .preconditions import FACT_NAME, Precondition, is_fact_name
 
 #: The only admissible discrete impact levels.
 LEVELS = (0, 1, 10, 100)
@@ -78,6 +87,18 @@ def check_total(total: float, what: str = "weighted total") -> float:
     if total <= sys.float_info.max:
         return total
     raise DomainError(f"{what} must be finite, got {total!r}")
+
+
+def check_facts(facts: Mapping[str, bool], what: str) -> Mapping[str, bool]:
+    """A fact map, as given: names a precondition can read, each to a ``bool``."""
+    if not isinstance(facts, Mapping):
+        raise DomainError(f"{what}: expected a mapping of facts to flags, got {facts!r}")
+    for name, value in facts.items():
+        if not is_fact_name(name):
+            raise DomainError(f"{what}.{name}: not a fact name ({FACT_NAME}, not true or false)")
+        if type(value) is not bool:
+            raise DomainError(f"{what}.{name}: expected true or false, got {value!r}")
+    return facts
 
 
 class AssetKind(str, Enum):
@@ -190,6 +211,7 @@ class VehicleState:
 
     def __post_init__(self) -> None:
         check_weight(self.velocity_kmh, "velocity_kmh")
+        check_facts(self.facts, "facts")
 
 
 @dataclass(frozen=True)
@@ -202,6 +224,10 @@ class IntrusionEvent:
     impact_params: ImpactVector
     env: EnvironmentTerm
     vehicle: VehicleState
+
+    def __post_init__(self) -> None:
+        if type(self.result) is not IntrusionResult:
+            raise DomainError(f"result must be an IntrusionResult, got {self.result!r}")
 
 
 @dataclass(frozen=True, slots=True)

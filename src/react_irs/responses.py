@@ -19,10 +19,10 @@ ordered list of concrete (response, target asset) instances the decision
 loop selects from.  The set depends only on the catalog and the event's
 (result, infected asset, affected asset) key.  Every catalog that
 ``files`` parses or an ``Engine`` decides on is a ``CatalogResponses``
-tuple of uniquely indexed entries, which keeps each set it has generated
-and one instance per (index, target) that all of them share: every later
-call copies the kept set into a new list.  Any other sequence is wrapped
-in a new ``CatalogResponses`` first.
+tuple of uniquely indexed entries with one terminal entry, which keeps
+each set it has generated and one instance per (index, target) that all
+of them share: every later call copies the kept set into a new list.
+Any other sequence is wrapped in a new ``CatalogResponses`` first.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .model import (
 
 
 class CatalogError(DomainError):
-    """The catalog violates a structural requirement (e.g. no terminal entry)."""
+    """A catalog with a repeated index, or without exactly one terminal entry."""
 
 
 def response_cost(cost: CostVector) -> float:
@@ -68,13 +68,13 @@ class CatalogResponses(tuple):
     """A parsed catalog's entries, with the candidate sets generated from
     them so far.
 
-    ``sets`` maps each (result, infected, affected) key that
-    ``generate_candidates`` has met to its set, kept as a tuple.  A
-    repeated index is a ``CatalogError``, so every set holds the one
-    instance per (index, target) that ``instances`` keeps, which keeps the
-    memo small: the generic catalog's 320 sets hold 8,480 positions but
-    264 instances.  Both fill lazily and live as long as this tuple: for a
-    loaded catalog, as long as its ``load_catalog`` cache entry.
+    A repeated index, or other than one terminal entry, is a
+    ``CatalogError``; ``terminal`` keeps the one.  ``sets`` maps each
+    (result, infected, affected) key that ``generate_candidates`` has met
+    to its set, a tuple of the one instance per (index, target) that
+    ``instances`` keeps: the generic catalog's 320 sets hold 8,480
+    positions but 264 instances.  Both fill lazily and live as long as
+    this tuple, for a loaded catalog as long as its ``load_catalog`` entry.
     """
 
     def __new__(cls, specs: Iterable[ResponseSpec]):
@@ -82,6 +82,10 @@ class CatalogResponses(tuple):
         indices = [spec.index for spec in self]
         if len(set(indices)) < len(indices):
             raise CatalogError(f"response index {max(indices, key=indices.count)} is repeated")
+        terminals = [spec for spec in self if spec.terminal]
+        if len(terminals) != 1:
+            raise CatalogError(f"needs exactly one terminal entry, found {len(terminals)}")
+        self.terminal = terminals[0]
         self.sets: dict[tuple[IntrusionResult, str, str], tuple[CandidateInstance, ...]] = {}
         self.instances: dict[tuple[int, str], CandidateInstance] = {}
         return self
@@ -96,15 +100,14 @@ def generate_candidates(
     entries first, then general ones, each group by ascending index; for
     duplicated entries the infected-asset instance precedes the
     affected-asset one.  An entry lies at its place; a ``both`` entry gets
-    one instance per involved asset when the two assets differ.  When no
-    applicable entry is terminal, the catalog's first terminal entry is
-    appended.
+    one instance per involved asset when the two assets differ.  The
+    terminal entry is appended when it does not apply to the result.
 
     Every call returns a new list, which the caller may change.  The set
     is generated once per key and copied from the kept tuple on every later
     call, with the same instances in the same order, and each (index,
     target) is one instance across all keys.  Any other sequence is
-    wrapped in a new ``CatalogResponses``, which rejects a repeated index.
+    wrapped in a new ``CatalogResponses``, which checks its indices and terminal.
     """
     if not isinstance(catalog, CatalogResponses):
         catalog = CatalogResponses(catalog)
@@ -116,11 +119,8 @@ def generate_candidates(
             (spec for spec in catalog if spec.applies_to(result)),
             key=lambda spec: (spec.is_general, spec.index),
         )
-        if not any(spec.terminal for spec in specs):
-            terminal = next((spec for spec in catalog if spec.terminal), None)
-            if terminal is None:
-                raise CatalogError("catalog is missing the terminal 'No Action' entry")
-            specs.append(terminal)
+        if not catalog.terminal.applies_to(result):
+            specs.append(catalog.terminal)
         shared = catalog.instances.setdefault
         kept = catalog.sets[key] = tuple(
             shared((spec.index, target), CandidateInstance(spec, target))

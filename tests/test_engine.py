@@ -580,9 +580,9 @@ class TestSharedCatalog:
             ({True: {}}, "True"),
             ({17: {"update_available": 1}}, "effects[17].update_available"),
             ({17: {"update_available": "yes"}}, "'yes'"),
-            ({17: {"Driving": True}}, "effects[17]: 'Driving' is not a fact name"),
-            ({17: {"true": True}}, "effects[17]: 'true' is not a fact name"),
-            ({17: {5: True}}, "effects[17]: 5 is not a fact name"),
+            ({17: {"Driving": True}}, "effects[17].Driving: not a fact name ("),
+            ({17: {"true": True}}, "effects[17].true: not a fact name ("),
+            ({17: {5: True}}, "effects[17].5: not a fact name ("),
             ({17: [("update_available", True)]}, "effects[17]: expected a mapping"),
             ({17: None}, "effects[17]: expected a mapping of facts to flags, got None"),
             ([(17, {})], "effects: expected a mapping of response indices, got [(17, {})]"),

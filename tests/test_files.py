@@ -377,9 +377,9 @@ class TestScenario:
             ({"facts": {"driving": "no"}},
              "scenario.facts.driving: expected true or false, got 'no'"),
             ({"velocity_kmh": -3.0},
-             "scenario.velocity_kmh: expected a finite non-negative number, got -3.0"),
+             "scenario.velocity_kmh must be a finite non-negative number, got -3.0"),
             ({"environment_weight": "x"},
-             "scenario.environment_weight: expected a finite non-negative number, got 'x'"),
+             "scenario.environment_weight must be a finite non-negative number, got 'x'"),
             ({"infected_asset": "flux_capacitor"},
              "scenario.infected_asset: 'flux_capacitor' not in architecture"),
             ({"affected_asset": 5}, "scenario.affected_asset: expected a string, got 5"),
@@ -401,7 +401,7 @@ class TestScenario:
             ({"impact_params": {"s": 100, "f": 0, "o": 0, "p": 0, "w_s": 1e307}},
              "scenario.impact_params: weighted total must be finite, got inf"),
             ({"environment_weight": 1e307},
-             "scenario.environment_weight: impact at E = 100 must be finite"),
+             "scenario.environment_weight: impact at E = 100 must be finite, got inf"),
             ({"catalog_overrides": {"static:lpmax": "catalog_scenario1.json"}},
              f"scenario.catalog_overrides.static:lpmax: {OVERRIDE_KEY}"),
             ({"catalog_overrides": {"statc:saw": "catalog_scenario1.json"}},

@@ -1,0 +1,193 @@
+"""Each input rule is stated once, and every place that applies it accepts
+and rejects alike: a fact map through the scenario loader (facts and
+effects), ``Engine(effects=...)`` and ``VehicleState``; a weight through
+the loader and the model; the terminal entry through the catalog loader,
+``CatalogResponses`` and ``Engine``.  The loader adds the JSON path in
+front of the model's message."""
+import dataclasses
+import json
+import math
+
+import pytest
+
+from react_irs.engine import Engine
+from react_irs.files import SchemaError, parse_catalog, parse_scenario
+from react_irs.model import (
+    DomainError,
+    EnvironmentTerm,
+    IntrusionResult,
+    VehicleState,
+    check_facts,
+)
+from react_irs.responses import CatalogError, CatalogResponses
+from react_irs.selection import make_selector
+from _support import make_event, make_response
+
+RULE = "not a fact name ([a-z_][a-z0-9_]*, not true or false)"
+NOT_A_MAP = ": expected a mapping of facts to flags, got "
+
+#: (facts, the message after the path or None if accepted, the loader's
+#: message after the path where it differs: it names a JSON object).
+FACT_MAPS = [
+    pytest.param(["x"], NOT_A_MAP + "['x']", ": expected a JSON object, got ['x']", id="list"),
+    pytest.param(None, NOT_A_MAP + "None", ": expected a JSON object, got None", id="none"),
+    pytest.param("no", NOT_A_MAP + "'no'", ": expected a JSON object, got 'no'", id="string"),
+    pytest.param({"redundant_source_available": "no"},
+                 ".redundant_source_available: expected true or false, got 'no'", None,
+                 id="string-flag"),
+    pytest.param({"driving": 1}, ".driving: expected true or false, got 1", None, id="int-flag"),
+    pytest.param({"driving": None}, ".driving: expected true or false, got None", None,
+                 id="none-flag"),
+    pytest.param({"Driving": True}, f".Driving: {RULE}", None, id="capital-name"),
+    pytest.param({"true": True}, f".true: {RULE}", None, id="literal-name"),
+    pytest.param({5: True}, f".5: {RULE}", None, id="int-name"),
+    pytest.param({"driving": True, "update_available": False}, None, None, id="valid"),
+]
+
+
+def _scenario_doc(data, **changes):
+    doc = json.loads((data / "scenario1.json").read_text(encoding="utf-8"))
+    return {**doc, **changes}
+
+
+def _message(raises, call):
+    """The message ``call`` raises as ``raises``, or None if it returns."""
+    try:
+        call()
+    except raises as exc:
+        return str(exc)
+    return None
+
+
+def _with(path, suffix):
+    return None if suffix is None else path + suffix
+
+
+@pytest.mark.parametrize("facts,suffix,loader_suffix", FACT_MAPS)
+class TestFactMaps:
+    def test_scenario_facts(self, data, facts, suffix, loader_suffix):
+        doc = _scenario_doc(data, facts=facts)
+        got = _message(SchemaError, lambda: parse_scenario(doc))
+        assert got == _with("scenario.facts", loader_suffix or suffix)
+
+    def test_scenario_effects(self, data, facts, suffix, loader_suffix):
+        doc = _scenario_doc(data, effects={"17": facts})
+        got = _message(SchemaError, lambda: parse_scenario(doc))
+        assert got == _with("scenario.effects.17", loader_suffix or suffix)
+
+    def test_engine_effects(self, facts, suffix, loader_suffix):
+        catalog = [make_response(17), make_response(31, terminal=True)]
+        selector = make_selector("lp-max")
+        got = _message(DomainError, lambda: Engine(catalog, selector, effects={17: facts}))
+        assert got == _with("effects[17]", suffix)
+
+    def test_vehicle_state(self, facts, suffix, loader_suffix):
+        got = _message(DomainError, lambda: VehicleState(70.0, facts))
+        assert got == _with("facts", suffix)
+
+    def test_the_rule_itself(self, facts, suffix, loader_suffix):
+        got = _message(DomainError, lambda: check_facts(facts, "here"))
+        assert got == _with("here", suffix)
+
+
+def test_accepted_facts_are_kept_as_given(data):
+    """Nothing coerces or filters a fact map it accepts."""
+    facts = {"driving": True, "update_available": False}
+    assert VehicleState(70.0, facts).facts is facts
+    scenario = parse_scenario(_scenario_doc(data, facts=facts, effects={"17": facts}))
+    assert scenario.initial_event.vehicle.facts == facts
+    assert scenario.effects == {17: facts}
+    engine = Engine([make_response(17), make_response(31, terminal=True)],
+                    make_selector("lp-max"), effects={17: facts})
+    assert engine._effects == {17: facts}
+
+
+WEIGHTS = [
+    pytest.param(-3.0, id="negative"),
+    pytest.param(-0.0, id="negative-zero"),
+    pytest.param("x", id="string"),
+    pytest.param(True, id="bool"),
+    pytest.param(math.inf, id="inf"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(10**400, id="huge-int"),
+]
+
+
+@pytest.mark.parametrize("value", WEIGHTS)
+def test_a_weight_is_rejected_alike(data, value):
+    suffix = f" must be a finite non-negative number, got {value!r}"
+    doc = _scenario_doc(data, velocity_kmh=value)
+    assert _message(SchemaError, lambda: parse_scenario(doc)) == "scenario.velocity_kmh" + suffix
+    assert _message(DomainError, lambda: VehicleState(value)) == "velocity_kmh" + suffix
+    doc = _scenario_doc(data, environment_weight=value)
+    assert (_message(SchemaError, lambda: parse_scenario(doc))
+            == "scenario.environment_weight" + suffix)
+    assert _message(DomainError, lambda: EnvironmentTerm(1, value)) == "w_e" + suffix
+
+
+class TestEventFields:
+    """An event's own fields are checked where it is built, never coerced."""
+
+    @pytest.mark.parametrize("result", ["bogus", 5, None, "falsify_alter_behavior"])
+    def test_a_result_must_be_an_intrusion_result(self, scenario1, result):
+        with pytest.raises(DomainError, match=r"^result must be an IntrusionResult, got "):
+            dataclasses.replace(scenario1.event(), result=result)
+
+    def test_every_result_is_accepted(self, scenario1):
+        for result in IntrusionResult:
+            assert dataclasses.replace(scenario1.event(), result=result).result is result
+
+
+TERMINAL_COUNTS = [0, 1, 2]
+
+
+def _catalog_doc(terminals):
+    def entry(index, **fields):
+        return {"index": index, "action": f"action {index}", "general": True,
+                "cost": {"a": 1, "perf": 1}, "benefit": {"s": 10, "f": 0, "o": 0, "p": 0},
+                **fields}
+    responses = [entry(5)] + [entry(31 + i, terminal=True) for i in range(terminals)]
+    return {"schema_version": 1, "kind": "catalog", "name": "terminals", "responses": responses}
+
+
+def _catalog_specs(terminals):
+    return [make_response(5, s=10, a=1)] + [
+        make_response(31 + i, terminal=True) for i in range(terminals)
+    ]
+
+
+@pytest.mark.parametrize("terminals", TERMINAL_COUNTS)
+class TestTerminalEntry:
+    """A catalog has exactly one terminal entry, however it is built."""
+
+    def test_parse_catalog(self, terminals):
+        doc = _catalog_doc(terminals)
+        if terminals == 1:
+            responses = parse_catalog(doc).responses
+            assert responses.terminal is responses[-1] and responses.terminal.index == 31
+        else:
+            with pytest.raises(SchemaError) as info:
+                parse_catalog(doc)
+            assert str(info.value) == (
+                f"catalog: needs exactly one terminal entry, found {terminals}"
+            )
+
+    def test_catalog_responses(self, terminals):
+        specs = _catalog_specs(terminals)
+        if terminals == 1:
+            assert CatalogResponses(specs).terminal is specs[-1]
+        else:
+            with pytest.raises(CatalogError) as info:
+                CatalogResponses(specs)
+            assert str(info.value) == f"needs exactly one terminal entry, found {terminals}"
+
+    def test_engine(self, terminals):
+        specs = _catalog_specs(terminals)
+        if terminals == 1:
+            engine = Engine(specs, make_selector("lp-max"))
+            chosen = engine.decide(make_event(), lambda cand: False)[0]
+            assert chosen.response is specs[-1]
+        else:
+            with pytest.raises(CatalogError) as info:
+                Engine(specs, make_selector("lp-max"))
+            assert str(info.value) == f"needs exactly one terminal entry, found {terminals}"

@@ -279,8 +279,9 @@ class TestGenerationMatchesReference:
         self._check(catalog[::-1], assets, ("specific terminal", "reversed"))
         unavailability = frozenset({IntrusionResult.SYSTEM_UNAVAILABILITY})
         second = dataclasses.replace(catalog[0], index=33, applicable_results=unavailability)
-        self._check([*catalog, second], assets, ("two terminals", "file order"))
-        self._check([second, *catalog], assets, ("two terminals", "second first"))
+        for two_terminals in ([*catalog, second], [second, *catalog]):
+            with pytest.raises(CatalogError, match="exactly one terminal entry, found 2"):
+                self._check(two_terminals, assets, ("two terminals",))
 
 
 class TestCatalogMemo:
