@@ -187,8 +187,11 @@ def inner_loop(
     applicable instance and the full attempt record (rejections included).
     ``precondition_policy`` overrides normal evaluation — static mode
     passes one through ``Engine.decide`` to force rejections; the terminal
-    entry is exempt and always passes.
+    entry is exempt and always passes.  ``facts`` other than the event's
+    own, which its ``VehicleState`` checked, must pass ``check_facts``.
     """
+    if facts is not event.vehicle.facts:
+        check_facts(facts, "facts")
     impact = event_impact(event)
     # The terminal entry's cost is pegged to the impact (``effective_cost``).
     pegged = float(impact)

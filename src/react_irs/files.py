@@ -11,7 +11,8 @@ schema does not name are ignored.  A rule the model states is applied
 here through it, its message given the JSON path: ``model.check_facts``
 for a scenario's facts and each ``effects`` entry, ``check_weight`` for
 its velocity and environment weight, ``check_total`` for its impact at
-E = 100, and ``CatalogResponses`` for a catalog's one terminal entry.
+E = 100, ``ResponseSpec`` for an entry's index, flags and applies rule,
+and ``CatalogResponses`` for a catalog's one terminal entry.
 An architecture loads as the set of its asset ids.  A scenario's
 ``effects`` keys are response indices spelt as ``str`` spells them, and
 its ``catalog_overrides`` keys are ``<mode>:<algorithm>`` or
@@ -110,12 +111,6 @@ def _enum(enum_cls, value: Any, context: str):
         raise SchemaError(f"{context}: {value!r} is not one of: {valid}") from None
 
 
-def _bool(value: Any, context: str) -> bool:
-    if type(value) is not bool:
-        raise SchemaError(f"{context}: expected true or false, got {value!r}")
-    return value
-
-
 def _object(value: Any, context: str) -> Mapping[str, Any]:
     if not isinstance(value, dict):
         raise SchemaError(f"{context}: expected a JSON object, got {value!r}")
@@ -134,11 +129,11 @@ def _str(value: Any, context: str) -> str:
     return value
 
 
-def _build(context: str, make: Callable[..., Any], *args: Any) -> Any:
-    """``make(*args)``, with a ``DomainError`` (a ``SchemaError`` too)
+def _build(context: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, with a ``DomainError`` (a ``SchemaError`` too)
     raised as a ``SchemaError`` that ``context`` prefixes."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except DomainError as exc:
         raise SchemaError(f"{context}: {exc}") from None
 
@@ -208,18 +203,14 @@ def _parse_stop(doc: Any, context: str) -> StopCondition:
 def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseSpec:
     """One entry, built from the values its catalog has already parsed:
     ``shared`` maps each precondition text to its parse, and each
-    ``applies_to`` set and stop rule to the first one equal to it."""
+    ``applies_to`` set and stop rule to the first one equal to it.  The
+    ``ResponseSpec`` checks the index, both flags and the applies rule."""
     doc = _object(doc, context)
     index = _require(doc, "index", context)
-    if type(index) is not int:
-        raise SchemaError(f"{context}.index: expected an integer, got {index!r}")
-    is_general = _bool(doc.get("general", False), f"{context}.general")
     applies = frozenset(
         _enum(IntrusionResult, value, f"{context}.applies_to")
         for value in _list(doc.get("applies_to", []), f"{context}.applies_to")
     )
-    if not is_general and not applies:
-        raise SchemaError(f"{context}: needs applies_to entries or general=true")
     text = _str(doc.get("precondition", "true"), f"{context}.precondition")
     precondition = shared.get(text)
     if precondition is None:
@@ -231,18 +222,19 @@ def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseS
     action = _str(_require(doc, "action", context), f"{context}.action")
     place = _enum(Place, doc.get("place", "destination"), f"{context}.place")
     stop = _parse_stop(doc.get("stop", {"kind": "persistent"}), f"{context}.stop")
-    return ResponseSpec(
+    return _build(
+        context, ResponseSpec,
         index=index,
         action=action,
         applicable_results=shared.setdefault(applies, applies),
-        is_general=is_general,
+        is_general=doc.get("general", False),
         precondition=precondition,
         place=place,
         stop=shared.setdefault(stop, stop),
         cost=_parse_cost_vector(_require(doc, "cost", context), f"{context}.cost"),
         benefit=benefit,
         original_benefit=benefit,
-        terminal=_bool(doc.get("terminal", False), f"{context}.terminal"),
+        terminal=doc.get("terminal", False),
     )
 
 

@@ -10,10 +10,14 @@ its ``IntrusionEvent`` are unhashable and see any change to that mapping
 (``files.Scenario.event`` hands each caller a dict of its own).  The
 other types are immutable values, safe to share between threads; the
 tuple of a catalog's specs, ``responses.CatalogResponses``, is not, as
-it fills its memo of candidate sets lazily.  An event's fields are
-checked where it is built and never coerced: its ``VehicleState`` checks
-the velocity and, with ``check_facts``, the facts, and the
-``IntrusionEvent`` that its result is an ``IntrusionResult``.
+it fills its memo of candidate sets lazily.  Each input rule is stated
+here once, in a ``check_*`` function or a ``__post_init__``, and the
+other modules apply it from here.  Each type checks its fields
+where it is built, never coercing them: a ``VehicleState`` its velocity
+and facts, an ``IntrusionEvent`` its result, a ``ResponseSpec`` its
+index, flags, place and applies rule.  Adaptation alone skips the
+checks, for values it derived from checked ones:
+``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -36,11 +40,6 @@ stay frozen dataclasses.
 ``ImpactVector`` and ``CostVector`` are slotted, with no instance
 ``__dict__``, and compute their ``total`` once, when they are built; it
 is left out of ``==``, ``hash`` and ``repr``.
-Adaptation builds its benefit vectors with ``ImpactVector._unchecked``,
-which skips the checks its derived values cannot fail, and swaps the
-benefit of a ``ResponseSpec`` with ``ResponseSpec.with_benefit``, which
-copies the spec's ``__dict__`` instead of re-running the constructor as
-``dataclasses.replace`` would.
 """
 from __future__ import annotations
 
@@ -89,15 +88,21 @@ def check_total(total: float, what: str = "weighted total") -> float:
     raise DomainError(f"{what} must be finite, got {total!r}")
 
 
+def check_flag(value: bool, what: str) -> bool:
+    """A flag, as given: a ``bool``, not ``0``, ``1`` or a string."""
+    if type(value) is not bool:
+        raise DomainError(f"{what}: expected true or false, got {value!r}")
+    return value
+
+
 def check_facts(facts: Mapping[str, bool], what: str) -> Mapping[str, bool]:
-    """A fact map, as given: names a precondition can read, each to a ``bool``."""
+    """A fact map, as given: names a precondition can read, each to a flag."""
     if not isinstance(facts, Mapping):
         raise DomainError(f"{what}: expected a mapping of facts to flags, got {facts!r}")
     for name, value in facts.items():
         if not is_fact_name(name):
             raise DomainError(f"{what}.{name}: not a fact name ({FACT_NAME}, not true or false)")
-        if type(value) is not bool:
-            raise DomainError(f"{what}.{name}: expected true or false, got {value!r}")
+        check_flag(value, f"{what}.{name}")
     return facts
 
 
@@ -286,6 +291,16 @@ class ResponseSpec:
     original_benefit: ImpactVector
     terminal: bool = False
 
+    def __post_init__(self) -> None:
+        if type(self.index) is not int:
+            raise DomainError(f"index: expected an integer, got {self.index!r}")
+        check_flag(self.is_general, "general")
+        check_flag(self.terminal, "terminal")
+        if not self.is_general and not self.applicable_results:
+            raise DomainError("needs applies_to entries or general=true")
+        if type(self.place) is not Place:
+            raise DomainError(f"place must be a Place, got {self.place!r}")
+
     def applies_to(self, result: IntrusionResult) -> bool:
         return self.is_general or result in self.applicable_results
 
@@ -293,8 +308,8 @@ class ResponseSpec:
         """A new spec equal to ``dataclasses.replace(self, benefit=benefit)``.
 
         It copies the instance ``__dict__`` and swaps ``benefit``, skipping
-        the constructor: a ``ResponseSpec`` has no ``__post_init__``, and the
-        new ``ImpactVector`` validated itself when it was built.
+        the constructor: ``__post_init__`` would check fields this spec has
+        passed, and the new ``ImpactVector`` validated itself when built.
         """
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, benefit=benefit)

@@ -11,37 +11,30 @@ higher stakes.
 """
 from __future__ import annotations
 
-from math import inf
-
-from .model import DomainError, IntrusionEvent, check_total
+from .model import IntrusionEvent, check_total, check_weight
 
 
 def environment_from_velocity(velocity_kmh: float) -> int:
     """Map velocity (km/h) onto the discrete environment level.
 
     Bands are half-open: [0, 30) -> 0, [30, 50) -> 1, [50, 75) -> 10,
-    [75, inf) -> 100.  A negative, infinite or NaN velocity is rejected,
-    and so are a bool, which passes the range test (``True == 1``), and a
-    non-number, which fails it with a ``TypeError``.
+    [75, inf) -> 100.  The velocity must pass ``model.check_weight``, as in
+    ``VehicleState``: a negative number, ``-0.0``, an infinity, NaN, a bool,
+    a non-number or an int too large for a float is a ``DomainError``.
     """
-    try:
-        if 0 <= velocity_kmh < inf and velocity_kmh.__class__ is not bool:
-            if velocity_kmh >= 75:
-                return 100
-            if velocity_kmh >= 50:
-                return 10
-            if velocity_kmh >= 30:
-                return 1
-            return 0
-    except TypeError:
-        pass
-    raise DomainError(f"velocity must be finite and >= 0, got {velocity_kmh!r}")
+    velocity_kmh = check_weight(velocity_kmh, "velocity")
+    if velocity_kmh >= 75:
+        return 100
+    if velocity_kmh >= 50:
+        return 10
+    if velocity_kmh >= 30:
+        return 1
+    return 0
 
 
 def environment_term(event: IntrusionEvent) -> float:
-    """w_E * E, with E re-derived from the current velocity: the stored
-    ``event.env.e`` is only an initial snapshot, and re-deriving it on
-    every evaluation is what makes the score dynamic."""
+    """w_E * E, with E derived from the event's own velocity; the stored
+    ``event.env.e`` is not read."""
     return event.env.w_e * environment_from_velocity(event.vehicle.velocity_kmh)
 
 

@@ -165,7 +165,7 @@ class TestCatalog:
              "catalog.responses[1].cost: w_a must be a finite non-negative number, got -1"),
             ({"benefit": {"s": 7, "f": 0, "o": 0, "p": 0}},
              "catalog.responses[1].benefit: S must be one of (0, 1, 10, 100), got 7"),
-            ({"index": "6"}, "catalog.responses[1].index: expected an integer, got '6'"),
+            ({"index": "6"}, "catalog.responses[1]: index: expected an integer, got '6'"),
             ({"index": 5}, "catalog.responses[1].index: duplicate response index 5"),
             ({"place": "roof"},
              "catalog.responses[1].place: 'roof' is not one of: source, destination, both"),

@@ -1,27 +1,35 @@
 """Each input rule is stated once, and every place that applies it accepts
 and rejects alike: a fact map through the scenario loader (facts and
-effects), ``Engine(effects=...)`` and ``VehicleState``; a weight through
-the loader and the model; the terminal entry through the catalog loader,
-``CatalogResponses`` and ``Engine``.  The loader adds the JSON path in
-front of the model's message."""
+effects), ``Engine(effects=...)``, ``VehicleState`` and
+``engine.inner_loop``; a flag through ``check_facts``, the catalog loader
+and ``ResponseSpec``; a weight through the loader and the model; a
+velocity through ``risk``, ``VehicleState``, the loader and the CLI, on
+the band too; a catalog entry's index, place and applies rule through the
+loader and ``ResponseSpec``; the terminal entry through the catalog
+loader, ``CatalogResponses`` and ``Engine``.  The loader adds the JSON
+path in front of the model's message."""
 import dataclasses
 import json
 import math
 
 import pytest
 
-from react_irs.engine import Engine
+from react_irs.cli import main
+from react_irs.engine import Engine, inner_loop
 from react_irs.files import SchemaError, parse_catalog, parse_scenario
 from react_irs.model import (
     DomainError,
     EnvironmentTerm,
     IntrusionResult,
+    Place,
     VehicleState,
     check_facts,
+    check_flag,
 )
-from react_irs.responses import CatalogError, CatalogResponses
+from react_irs.responses import CatalogError, CatalogResponses, generate_candidates
+from react_irs.risk import environment_from_velocity, environment_term
 from react_irs.selection import make_selector
-from _support import make_event, make_response
+from _support import CliRunner, make_event, make_response
 
 RULE = "not a fact name ([a-z_][a-z0-9_]*, not true or false)"
 NOT_A_MAP = ": expected a mapping of facts to flags, got "
@@ -191,3 +199,171 @@ class TestTerminalEntry:
             with pytest.raises(CatalogError) as info:
                 Engine(specs, make_selector("lp-max"))
             assert str(info.value) == f"needs exactly one terminal entry, found {terminals}"
+
+
+def _flag_message(value, what):
+    """The flag rule's message for ``value`` at ``what``, or None if accepted."""
+    return None if type(value) is bool else f"{what}: expected true or false, got {value!r}"
+
+
+def _entry_doc(**fields):
+    """A catalog of entry 5, with ``fields`` over its defaults, and a terminal entry."""
+    doc = _catalog_doc(1)
+    doc["responses"][0].update(fields)
+    return doc
+
+
+BEHAVIOR = IntrusionResult.FALSIFY_ALTER_BEHAVIOR
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None, True, False])
+class TestFlags:
+    """One flag rule, ``model.check_flag``: a ``bool``, nothing truthy or falsy."""
+
+    def test_the_rule_itself(self, value):
+        assert _message(DomainError, lambda: check_flag(value, "here")) == _flag_message(
+            value, "here")
+        if type(value) is bool:
+            assert check_flag(value, "here") is value
+
+    def test_check_facts(self, value):
+        got = _message(DomainError, lambda: check_facts({"driving": value}, "facts"))
+        assert got == _flag_message(value, "facts.driving")
+
+    def test_loader_general(self, value):
+        doc = _entry_doc(general=value, applies_to=[BEHAVIOR.value])
+        got = _message(SchemaError, lambda: parse_catalog(doc))
+        assert got == _flag_message(value, "catalog.responses[0]: general")
+        if got is None:
+            assert parse_catalog(doc).responses[0].is_general is value
+
+    def test_loader_terminal(self, value):
+        doc = _entry_doc(terminal=value)
+        got = _message(SchemaError, lambda: parse_catalog(doc))
+        if value is True:  # a flag the rule accepts; a second terminal entry is the catalog's
+            assert got == "catalog: needs exactly one terminal entry, found 2"
+        else:
+            assert got == _flag_message(value, "catalog.responses[0]: terminal")
+        if got is None:
+            assert parse_catalog(doc).responses[0].terminal is value
+
+    def test_response_spec(self, value):
+        applicable = frozenset({BEHAVIOR})
+        got = _message(DomainError, lambda: make_response(
+            5, is_general=value, applicable=applicable))
+        assert got == _flag_message(value, "general")
+        got = _message(DomainError, lambda: make_response(5, terminal=value))
+        assert got == _flag_message(value, "terminal")
+        spec = make_response(5)
+        got = _message(DomainError, lambda: dataclasses.replace(spec, terminal=value))
+        assert got == _flag_message(value, "terminal")
+
+
+VELOCITY = " must be a finite non-negative number, got "
+BAD_VELOCITIES = [
+    pytest.param(-0.0, id="negative-zero"),
+    pytest.param(-1, id="negative"),
+    pytest.param(10**400, id="huge-int"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+    pytest.param(-math.inf, id="minus-inf"),
+    pytest.param(True, id="bool"),
+    pytest.param("fast", id="string"),
+]
+#: (velocity, its environment level E).
+GOOD_VELOCITIES = [(0, 0), (29.999, 0), (30, 1), (75, 100), (1e308, 100)]
+
+
+def _sweep(runner, velocities):
+    return runner.invoke(main, [
+        "run", "--scenario", "scenario2", "--algo", "lp-max", "--mode", "velocity-sweep",
+        "--velocities", velocities, "--format", "jsonl", "--no-timings",
+    ])
+
+
+class TestVelocities:
+    """One velocity rule, ``model.check_weight``, then one set of bands."""
+
+    @pytest.mark.parametrize("velocity", BAD_VELOCITIES)
+    def test_rejected_alike(self, data, velocity):
+        assert (_message(DomainError, lambda: environment_from_velocity(velocity))
+                == f"velocity{VELOCITY}{velocity!r}")
+        assert (_message(DomainError, lambda: VehicleState(velocity))
+                == f"velocity_kmh{VELOCITY}{velocity!r}")
+        doc = _scenario_doc(data, velocity_kmh=velocity)
+        assert (_message(SchemaError, lambda: parse_scenario(doc))
+                == f"scenario.velocity_kmh{VELOCITY}{velocity!r}")
+        result = _sweep(CliRunner(), str(velocity))
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("velocity,level", GOOD_VELOCITIES)
+    def test_accepted_alike_on_one_band(self, data, velocity, level):
+        assert environment_from_velocity(velocity) == level
+        event = dataclasses.replace(make_event(), vehicle=VehicleState(velocity))
+        assert environment_term(event) == level
+        doc = _scenario_doc(data, velocity_kmh=velocity, environment_weight=1.0)
+        assert environment_term(parse_scenario(doc).event()) == level
+        result = _sweep(CliRunner(), str(velocity))
+        assert result.exit_code == 0, result.stderr
+        (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert row["impact"] == 120.0 + level  # scenario2: static levels 120, w_E 1
+
+
+ENTRY_INDICES = [pytest.param("6", id="str"), pytest.param(True, id="bool"),
+                 pytest.param(6.0, id="float")]
+
+
+class TestEntries:
+    """A catalog entry checks itself: an ``int`` index, a ``Place``, and
+    ``general`` or some ``applies_to``, however it is built."""
+
+    @pytest.mark.parametrize("index", ENTRY_INDICES)
+    def test_index(self, index):
+        got = _message(SchemaError, lambda: parse_catalog(_entry_doc(index=index)))
+        assert got == f"catalog.responses[0]: index: expected an integer, got {index!r}"
+        message = f"index: expected an integer, got {index!r}"
+        assert _message(DomainError, lambda: make_response(index)) == message
+        spec = make_response(5)
+        assert _message(DomainError, lambda: dataclasses.replace(spec, index=index)) == message
+
+    def test_applies_rule(self):
+        doc = _entry_doc(general=False)
+        assert (_message(SchemaError, lambda: parse_catalog(doc))
+                == "catalog.responses[0]: needs applies_to entries or general=true")
+        message = "needs applies_to entries or general=true"
+        assert _message(DomainError, lambda: make_response(5, is_general=False)) == message
+        spec = make_response(5, is_general=False, applicable=frozenset({BEHAVIOR}))
+        empty = frozenset()
+        got = _message(DomainError, lambda: dataclasses.replace(spec, applicable_results=empty))
+        assert got == message
+
+    def test_place(self):
+        """The loader spells a place as its JSON string and builds the enum;
+        code must pass the enum, so a spec cannot be placed on both assets
+        by a string that is not ``Place.DESTINATION``."""
+        catalog = parse_catalog(_entry_doc(place="destination"))
+        assert catalog.responses[0].place is Place.DESTINATION
+        message = "place must be a Place, got 'destination'"
+        assert _message(DomainError, lambda: make_response(5, place="destination")) == message
+        spec = make_response(5)
+        got = _message(DomainError, lambda: dataclasses.replace(spec, place="destination"))
+        assert got == message
+        specs = [make_response(5), make_response(31, terminal=True)]
+        targets = [(c.response_index, c.target_asset) for c in generate_candidates(
+            make_event(), CatalogResponses(specs))]
+        assert targets[0] == (5, "ecu") and (5, "cam") not in targets
+
+
+@pytest.mark.parametrize("facts,message", [
+    (["x"], "facts: expected a mapping of facts to flags, got ['x']"),
+    ({"driving": "no"}, "facts.driving: expected true or false, got 'no'"),
+])
+def test_inner_loop_checks_facts_not_the_events_own(facts, message):
+    specs = [make_response(5, s=100, precondition="driving"), make_response(31, terminal=True)]
+    event = make_event()
+    cands = generate_candidates(event, CatalogResponses(specs))
+    selector = make_selector("lp-max")
+    assert _message(DomainError, lambda: inner_loop(event, cands, selector, facts)) == message
+    chosen, _ = inner_loop(event, cands, selector, {"driving": True})
+    assert chosen.response_index == 5
