@@ -10,10 +10,11 @@ failure; on success the levels are restored and the benefit weights get
 a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
 (response index, target asset) instance for the lifetime of the engine.
 
-``Engine.decide`` is the one decision step (impact, candidate set, inner
-loop) and returns a plain tuple.  ``Engine.run`` is the outer loop in one
-body: decide, apply the effects, ask for the verdict, adapt and record,
-then stop, keep the event or take the new intrusion's.
+``Engine.decide`` is the one decision step (candidate set, inner loop)
+and returns a plain tuple; it decides at the impact the event computed
+when it was built (``IntrusionEvent.impact``).  ``Engine.run`` is the
+outer loop in one body: decide, apply the effects, ask for the verdict,
+adapt and record, then stop, keep the event or take the new intrusion's.
 An engine keeps one candidate set, the current intrusion's.  On a new
 (intrusion result, infected asset, affected asset) key it copies the set
 from its ``CatalogResponses``, which generates each set once for all its
@@ -189,6 +190,7 @@ def inner_loop(
     passes one through ``Engine.decide`` to force rejections; the terminal
     entry is exempt and always passes.  ``facts`` other than the event's
     own, which its ``VehicleState`` checked, must pass ``check_facts``.
+    The impact is the event's own, read once through ``event_impact``.
     """
     if facts is not event.vehicle.facts:
         check_facts(facts, "facts")
@@ -298,16 +300,16 @@ class Engine:
 
     def decide(
         self, event: IntrusionEvent, precondition_policy: PreconditionPolicy | None = None
-    ) -> tuple[CandidateInstance, float, int, tuple[Attempt, ...], float, float]:
+    ) -> tuple[CandidateInstance, int, tuple[Attempt, ...], float, float]:
         """``inner_loop`` on the event's candidate set, timing the set's
         lookup or generation and the loop; nothing is applied or adapted.
 
-        Returns ``(chosen, impact, candidate_count, attempts, generation_s,
-        selection_ms)``: the applied instance, the event's impact, the set's
-        size, every attempt (the applied one last), and the seconds the
-        set's lookup or generation took and the milliseconds of the loop.
+        Returns ``(chosen, candidate_count, attempts, generation_s,
+        selection_ms)``: the applied instance, the set's size, every
+        attempt (the applied one last), and the seconds the set's lookup or
+        generation took and the milliseconds of the loop.  The impact it
+        decided at is ``event.impact``.
         """
-        impact = event_impact(event)
         t0 = time.perf_counter()
         candidates = self._candidates_for(event)
         t1 = time.perf_counter()
@@ -315,7 +317,7 @@ class Engine:
             event, candidates, self._selector, event.vehicle.facts, precondition_policy
         )
         selection_ms = (time.perf_counter() - t1) * 1000.0
-        return chosen, impact, len(candidates), tuple(attempts), t1 - t0, selection_ms
+        return chosen, len(candidates), tuple(attempts), t1 - t0, selection_ms
 
     def run(
         self,
@@ -328,7 +330,7 @@ class Engine:
         trace = EngineTrace()
         event = initial_event
         for iteration in range(1, max_iterations + 1):
-            chosen, impact, count, attempts, _, selection_ms = self.decide(event)
+            chosen, count, attempts, _, selection_ms = self.decide(event)
             updates = self._effects.get(chosen.response_index)
             if updates:
                 facts = {**event.vehicle.facts, **updates}
@@ -351,7 +353,7 @@ class Engine:
 
             b = spec.benefit
             trace.records.append(_new(IterationRecord, (
-                iteration, event.vehicle.velocity_kmh, impact, count,
+                iteration, event.vehicle.velocity_kmh, event.impact, count,
                 attempts, attempts[-1], verdict_name,
                 (b.w_s, b.w_f, b.w_o, b.w_p), (b.s, b.f, b.o, b.p), selection_ms,
             )))

@@ -67,10 +67,10 @@ from .model import (
     check_facts,
     check_total,
     check_weight,
+    environment_from_velocity,
 )
 from .preconditions import Precondition, PreconditionError
 from .responses import CatalogResponses
-from .risk import environment_from_velocity
 from .selection import ALGORITHMS
 
 SCHEMA_VERSION = 1

@@ -103,13 +103,14 @@ def run_static_quality(
     terminal.
     """
     engine = _engine(scenario, "static", algorithm, saw_cfg)
-    _, impact, _, attempts, generation_s, _ = engine.decide(
-        scenario.event(), precondition_policy=lambda candidate: False
+    event = scenario.event()
+    _, _, attempts, generation_s, _ = engine.decide(
+        event, precondition_policy=lambda candidate: False
     )
     return RunReport(
         mode="static", algorithm=algorithm, scenario=scenario.name,
         selections=[
-            _row(step, attempt, impact, attempt.selection_time_ms)
+            _row(step, attempt, event.impact, attempt.selection_time_ms)
             for step, attempt in enumerate(attempts, start=1)
         ],
         list_generation_time_s=generation_s,
@@ -169,12 +170,11 @@ def run_velocity_sweep(
     engine = _engine(scenario, "velocity-sweep", algorithm, saw_cfg)
     rows = []
     for step, velocity in enumerate(velocities, start=1):
-        _, impact, _, attempts, generation_s, selection_ms = engine.decide(
-            scenario.event(velocity_kmh=velocity)
-        )
+        event = scenario.event(velocity_kmh=velocity)
+        _, _, attempts, generation_s, selection_ms = engine.decide(event)
         if step == 1:
             first_generation_s = generation_s
-        rows.append(_row(step, attempts[-1], impact, selection_ms, float(velocity)))
+        rows.append(_row(step, attempts[-1], event.impact, selection_ms, float(velocity)))
     return RunReport(mode="velocity-sweep", algorithm=algorithm, scenario=scenario.name,
                      selections=rows, list_generation_time_s=first_generation_s)
 

@@ -1,6 +1,7 @@
 """Domain types shared by every layer: the asset kinds an architecture
 may declare, intrusion events, the four-level impact bundles, and
-response catalog entries.
+response catalog entries, with the velocity bands that set the
+environment level E (``environment_from_velocity``).
 
 Impact-style values live on the discrete level scale {0, 1, 10, 100};
 weights are non-negative reals.  Every type here is frozen: no field can
@@ -14,10 +15,13 @@ it fills its memo of candidate sets lazily.  Each input rule is stated
 here once, in a ``check_*`` function or a ``__post_init__``, and the
 other modules apply it from here.  Each type checks its fields
 where it is built, never coercing them: a ``VehicleState`` its velocity
-and facts, an ``IntrusionEvent`` its result, a ``ResponseSpec`` its
-index, flags, place and applies rule.  Adaptation alone skips the
-checks, for values it derived from checked ones:
-``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``.
+and facts, an ``IntrusionEvent`` its result and the types of its parts,
+a ``ResponseSpec`` its index, flags, place, applies rule and the types
+of its parts.  An ``IntrusionEvent`` also derives its ``impact`` there,
+once, and checks that it is finite, so an overflowing impact is
+rejected when the event is built, not when it is decided on.
+Adaptation alone skips the checks, for values it derived from checked
+ones: ``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -104,6 +108,32 @@ def check_facts(facts: Mapping[str, bool], what: str) -> Mapping[str, bool]:
             raise DomainError(f"{what}.{name}: not a fact name ({FACT_NAME}, not true or false)")
         check_flag(value, f"{what}.{name}")
     return facts
+
+
+def environment_from_velocity(velocity_kmh: float) -> int:
+    """Map velocity (km/h) onto the discrete environment level E.
+
+    Bands are half-open: [0, 30) -> 0, [30, 50) -> 1, [50, 75) -> 10,
+    [75, inf) -> 100.  The velocity must pass ``check_weight``, as in
+    ``VehicleState``: a negative number, ``-0.0``, an infinity, NaN, a bool,
+    a non-number or an int too large for a float is a ``DomainError``.
+    """
+    velocity_kmh = check_weight(velocity_kmh, "velocity")
+    if velocity_kmh >= 75:
+        return 100
+    if velocity_kmh >= 50:
+        return 10
+    if velocity_kmh >= 30:
+        return 1
+    return 0
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """A part of a built value must be a ``kind``, as given, not something
+    that only reads like one."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{what} must be {article} {kind.__name__}, got {value!r}")
 
 
 class AssetKind(str, Enum):
@@ -221,7 +251,13 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class IntrusionEvent:
-    """One detector report: who attacked whom, what it does, how bad it is."""
+    """One detector report: who attacked whom, what it does, how bad it is.
+
+    ``impact`` is I = w_S*S + w_F*F + w_O*O + w_P*P + w_E*E, with E derived
+    from the vehicle's velocity (the stored ``env.e`` is not read).  It is
+    computed and checked to be finite once, when the event is built, and
+    left out of ``==`` and ``repr``, like ``ImpactVector.total``.
+    """
 
     infected_asset: str
     affected_asset: str
@@ -229,10 +265,18 @@ class IntrusionEvent:
     impact_params: ImpactVector
     env: EnvironmentTerm
     vehicle: VehicleState
+    impact: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if type(self.result) is not IntrusionResult:
-            raise DomainError(f"result must be an IntrusionResult, got {self.result!r}")
+        _check_type(self.result, IntrusionResult, "result")
+        _check_type(self.impact_params, ImpactVector, "impact_params")
+        _check_type(self.env, EnvironmentTerm, "env")
+        _check_type(self.vehicle, VehicleState, "vehicle")
+        object.__setattr__(self, "impact", check_total(
+            self.impact_params.total
+            + self.env.w_e * environment_from_velocity(self.vehicle.velocity_kmh),
+            "event impact",
+        ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,8 +342,12 @@ class ResponseSpec:
         check_flag(self.terminal, "terminal")
         if not self.is_general and not self.applicable_results:
             raise DomainError("needs applies_to entries or general=true")
-        if type(self.place) is not Place:
-            raise DomainError(f"place must be a Place, got {self.place!r}")
+        _check_type(self.place, Place, "place")
+        _check_type(self.precondition, Precondition, "precondition")
+        _check_type(self.stop, StopCondition, "stop")
+        _check_type(self.cost, CostVector, "cost")
+        _check_type(self.benefit, ImpactVector, "benefit")
+        _check_type(self.original_benefit, ImpactVector, "original_benefit")
 
     def applies_to(self, result: IntrusionResult) -> bool:
         return self.is_general or result in self.applicable_results

@@ -7,29 +7,13 @@ velocity:
     I = w_S*S + w_F*F + w_O*O + w_P*P + w_E*E
 
 The environment level is a step function of velocity: faster vehicle,
-higher stakes.
+higher stakes.  Both the bands (``environment_from_velocity``) and the
+sum live in ``model``: an ``IntrusionEvent`` computes and checks its
+``impact`` once, when it is built.  This module reads them.
 """
 from __future__ import annotations
 
-from .model import IntrusionEvent, check_total, check_weight
-
-
-def environment_from_velocity(velocity_kmh: float) -> int:
-    """Map velocity (km/h) onto the discrete environment level.
-
-    Bands are half-open: [0, 30) -> 0, [30, 50) -> 1, [50, 75) -> 10,
-    [75, inf) -> 100.  The velocity must pass ``model.check_weight``, as in
-    ``VehicleState``: a negative number, ``-0.0``, an infinity, NaN, a bool,
-    a non-number or an int too large for a float is a ``DomainError``.
-    """
-    velocity_kmh = check_weight(velocity_kmh, "velocity")
-    if velocity_kmh >= 75:
-        return 100
-    if velocity_kmh >= 50:
-        return 10
-    if velocity_kmh >= 30:
-        return 1
-    return 0
+from .model import IntrusionEvent, environment_from_velocity
 
 
 def environment_term(event: IntrusionEvent) -> float:
@@ -39,6 +23,6 @@ def environment_term(event: IntrusionEvent) -> float:
 
 
 def event_impact(event: IntrusionEvent) -> float:
-    """Weighted impact of an event: its static levels plus the
-    environment term, checked to be finite (``model.check_total``)."""
-    return check_total(event.impact_params.total + environment_term(event), "event impact")
+    """Weighted impact of an event, as the event computed and checked it
+    when it was built (``IntrusionEvent.impact``)."""
+    return event.impact

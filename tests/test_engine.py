@@ -27,7 +27,6 @@ from react_irs.model import (
     CandidateInstance, DomainError, EnvironmentTerm, ImpactVector, IntrusionResult, Place,
 )
 from react_irs.responses import CatalogError, CatalogResponses, generate_candidates, response_benefit
-from react_irs.risk import event_impact
 from react_irs.selection import make_selector
 from _support import make_event, make_response, replay
 
@@ -204,10 +203,11 @@ class TestInnerLoop:
         # ``Engine.decide`` passes the policy through to the same drain.
         engine = Engine(self._catalog(), make_selector("lp-max"))
         decision = engine.decide(event, precondition_policy=lambda cand: False)
-        assert type(decision) is tuple and len(decision) == 6
-        decided, impact, count, decided_attempts, generation_s, selection_ms = decision
+        assert type(decision) is tuple and len(decision) == 5
+        decided, count, decided_attempts, generation_s, selection_ms = decision
         assert decided == chosen
-        assert impact == event_impact(event)
+        # It decides at the event's own impact, to which the terminal's cost is pegged.
+        assert decided_attempts[-1].cost == event.impact
         assert count == 3
         assert _untimed(decided_attempts) == _untimed(attempts)
         assert generation_s >= 0.0 and selection_ms >= 0.0
@@ -368,12 +368,15 @@ class TestEngineRuns:
     @pytest.mark.parametrize("algo", ["lp-max", "lp-min", "saw"])
     def test_a_follow_up_with_an_infinite_impact_is_rejected(self, algo):
         """An event built in code can carry an environment weight whose term
-        overflows; the step that decides on it raises instead of ranking
-        at an impact of ``inf``."""
-        huge = replace(make_event(velocity=80), env=EnvironmentTerm(e=100, w_e=1.7e308))
+        overflows; it is rejected when it is built, here by the feedback
+        source reporting it, so no selector ranks at an impact of ``inf``."""
+        def follow_up(iteration, applied):
+            huge = replace(make_event(velocity=80), env=EnvironmentTerm(e=100, w_e=1.7e308))
+            return NewIntrusion(huge)
+
         engine = Engine(self._catalog(), make_selector(algo))
         with pytest.raises(DomainError, match="event impact must be finite, got inf"):
-            engine.run(make_event(), replay([NewIntrusion(huge)]), 3)
+            engine.run(make_event(), follow_up, 3)
 
 
 GENERIC_FACTS = (
@@ -555,8 +558,8 @@ class TestSharedCatalog:
             for probe in (event, later):
                 got = Engine(loaded, selector).decide(probe)
                 want = Engine(fresh, selector).decide(probe)
-                assert got[:3] == want[:3]
-                assert _untimed(got[3]) == _untimed(want[3])
+                assert got[:2] == want[:2]
+                assert _untimed(got[2]) == _untimed(want[2])
                 assert generate_candidates(probe, loaded) == generate_candidates(probe, fresh)
         assert all(
             cand.response.benefit is cand.response.original_benefit

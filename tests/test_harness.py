@@ -232,7 +232,7 @@ class TestVelocitySweep:
         row = run_velocity_sweep(scenario, "lp-max", (50.0,)).selections[0]
         monkeypatch.setattr(engine, "time", counting_clock())
         catalog = load_catalog(scenario.catalog_path("velocity-sweep", "lp-max")).responses
-        _, _, _, attempts, _, selection_ms = engine.Engine(
+        _, _, attempts, _, selection_ms = engine.Engine(
             catalog, make_selector("lp-max")).decide(scenario.event(velocity_kmh=50.0))
         assert [a.response_index for a in attempts] == [17, row.response_index]
         assert row.selection_time_ms == selection_ms > attempts[-1].selection_time_ms

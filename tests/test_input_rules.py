@@ -6,8 +6,10 @@ and ``ResponseSpec``; a weight through the loader and the model; a
 velocity through ``risk``, ``VehicleState``, the loader and the CLI, on
 the band too; a catalog entry's index, place and applies rule through the
 loader and ``ResponseSpec``; the terminal entry through the catalog
-loader, ``CatalogResponses`` and ``Engine``.  The loader adds the JSON
-path in front of the model's message."""
+loader, ``CatalogResponses`` and ``Engine``; the type of each part of an
+event or a catalog entry where it is built, directly or through
+``dataclasses.replace``.  The loader adds the JSON path in front of the
+model's message."""
 import dataclasses
 import json
 import math
@@ -20,8 +22,10 @@ from react_irs.files import SchemaError, parse_catalog, parse_scenario
 from react_irs.model import (
     DomainError,
     EnvironmentTerm,
+    IntrusionEvent,
     IntrusionResult,
     Place,
+    ResponseSpec,
     VehicleState,
     check_facts,
     check_flag,
@@ -133,6 +137,16 @@ def test_a_weight_is_rejected_alike(data, value):
     assert _message(DomainError, lambda: EnvironmentTerm(1, value)) == "w_e" + suffix
 
 
+#: Values that are no part of an event or a catalog entry: nothing, and a
+#: dict that names fields, as a JSON object would.
+PART_VALUES = [pytest.param(None, id="none"), pytest.param({"s": 10}, id="dict")]
+
+
+def _init_fields(value):
+    """The fields ``value``'s constructor takes, by name."""
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+
+
 class TestEventFields:
     """An event's own fields are checked where it is built, never coerced."""
 
@@ -144,6 +158,18 @@ class TestEventFields:
     def test_every_result_is_accepted(self, scenario1):
         for result in IntrusionResult:
             assert dataclasses.replace(scenario1.event(), result=result).result is result
+
+    @pytest.mark.parametrize("name,kind", [
+        ("impact_params", "an ImpactVector"), ("env", "an EnvironmentTerm"),
+        ("vehicle", "a VehicleState"),
+    ])
+    @pytest.mark.parametrize("value", PART_VALUES)
+    def test_each_part_must_have_its_type(self, scenario1, name, kind, value):
+        message = f"{name} must be {kind}, got {value!r}"
+        event = scenario1.event()
+        assert _message(DomainError, lambda: IntrusionEvent(
+            **{**_init_fields(event), name: value})) == message
+        assert _message(DomainError, lambda: dataclasses.replace(event, **{name: value})) == message
 
 
 TERMINAL_COUNTS = [0, 1, 2]
@@ -353,6 +379,21 @@ class TestEntries:
         targets = [(c.response_index, c.target_asset) for c in generate_candidates(
             make_event(), CatalogResponses(specs))]
         assert targets[0] == (5, "ecu") and (5, "cam") not in targets
+
+    @pytest.mark.parametrize("name,kind", [
+        ("precondition", "a Precondition"), ("stop", "a StopCondition"),
+        ("cost", "a CostVector"), ("benefit", "an ImpactVector"),
+        ("original_benefit", "an ImpactVector"),
+    ])
+    @pytest.mark.parametrize("value", PART_VALUES)
+    def test_each_part_must_have_its_type(self, name, kind, value):
+        """A part of another type is rejected where the entry is built, not
+        at its first decision."""
+        message = f"{name} must be {kind}, got {value!r}"
+        spec = make_response(5)
+        assert _message(DomainError, lambda: ResponseSpec(
+            **{**_init_fields(spec), name: value})) == message
+        assert _message(DomainError, lambda: dataclasses.replace(spec, **{name: value})) == message
 
 
 @pytest.mark.parametrize("facts,message", [
