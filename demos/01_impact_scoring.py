@@ -5,7 +5,7 @@ is scored differently depending on how fast the vehicle is moving when the
 detector fires.
 """
 from react_irs.files import data_dir, load_scenario
-from react_irs.risk import environment_from_velocity, event_impact
+from react_irs.model import environment_from_velocity
 
 scenario = load_scenario(data_dir() / "scenario1.json")
 params = scenario.initial_event.impact_params
@@ -18,7 +18,7 @@ print()
 print(f"{'velocity (km/h)':>16} {'env level':>10} {'impact':>8}")
 for velocity in (0, 15, 30, 45, 50, 70, 74.9, 75, 100, 130):
     env = environment_from_velocity(velocity)
-    impact = event_impact(scenario.event(velocity_kmh=velocity))
+    impact = scenario.event(velocity_kmh=velocity).impact
     print(f"{velocity:>16} {env:>10} {impact:>8.0f}")
 
 print()

@@ -19,7 +19,6 @@ from .files import (
 )
 from .harness import emit_series, run_dynamic, run_static_quality, run_velocity_sweep
 from .model import check_weight
-from .responses import response_benefit, response_cost
 from .selection import ALGORITHMS, SawConfig
 
 EXIT_VALIDATION = 2
@@ -97,9 +96,8 @@ def catalog_list(args: argparse.Namespace) -> None:
         applies = ("general" if spec.is_general
                    else ",".join(sorted(r.value for r in spec.applicable_results)))
         applies = applies if len(applies) <= 28 else applies[:25] + "..."
-        cost = "impact" if spec.terminal else f"{response_cost(spec.cost):g}"
-        benefit = response_benefit(spec.benefit)
-        print(f"{spec.index:>3}  {spec.action:<44} {applies:<28} {cost:>6} {benefit:>7g}")
+        cost = "impact" if spec.terminal else f"{spec.cost.total:g}"
+        print(f"{spec.index:>3}  {spec.action:<44} {applies:<28} {cost:>6} {spec.benefit.total:>7g}")
 
 
 def _parser() -> argparse.ArgumentParser:

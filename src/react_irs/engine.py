@@ -50,7 +50,6 @@ from .responses import CatalogResponses, generate_candidates
 # Read by bench/tracing.py, which patches these names; the hot path reads
 # the totals that each candidate holds.
 from .responses import effective_cost, response_benefit
-from .risk import event_impact
 from .selection import SelectionOutcome
 
 #: Benefit level decay applied on a failure verdict.
@@ -172,6 +171,14 @@ def adapt_on_success(spec: ResponseSpec, rng: random.Random) -> ResponseSpec:
             check_weight(weight, name)
         check_total(adapted.total)
     return spec.with_benefit(adapted)
+
+
+# Read by bench/tracing.py, which patches this name; ``inner_loop`` calls
+# it through the module global, once per decision.
+def event_impact(event: IntrusionEvent) -> float:
+    """Weighted impact of an event, as the event computed and checked it
+    when it was built (``IntrusionEvent.impact``)."""
+    return event.impact
 
 
 def inner_loop(

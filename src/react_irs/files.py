@@ -181,17 +181,12 @@ class Catalog:
     responses: tuple[ResponseSpec, ...]
 
 
-def _parse_impact_vector(doc: Any, context: str) -> ImpactVector:
+def _parse_vector(doc: Any, context: str, make: Callable[..., Any], levels: tuple[str, ...]) -> Any:
+    """``make(*levels, *weights)``: each level key is required, and each
+    ``w_<level>`` weight is 1.0 unless given."""
     doc = _object(doc, context)
-    levels = [_require(doc, key, context) for key in ("s", "f", "o", "p")]
-    weights = doc.get("w_s", 1.0), doc.get("w_f", 1.0), doc.get("w_o", 1.0), doc.get("w_p", 1.0)
-    return _build(context, ImpactVector, *levels, *weights)
-
-
-def _parse_cost_vector(doc: Any, context: str) -> CostVector:
-    doc = _object(doc, context)
-    a, perf = _require(doc, "a", context), _require(doc, "perf", context)
-    return _build(context, CostVector, a, perf, doc.get("w_a", 1.0), doc.get("w_perf", 1.0))
+    values = [_require(doc, key, context) for key in levels]
+    return _build(context, make, *values, *[doc.get(f"w_{key}", 1.0) for key in levels])
 
 
 def _parse_stop(doc: Any, context: str) -> StopCondition:
@@ -218,7 +213,8 @@ def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseS
             precondition = shared[text] = Precondition.parse(text)
         except PreconditionError as exc:
             raise SchemaError(f"{context}.precondition: {exc}") from None
-    benefit = _parse_impact_vector(_require(doc, "benefit", context), f"{context}.benefit")
+    benefit = _parse_vector(_require(doc, "benefit", context), f"{context}.benefit",
+                            ImpactVector, ("s", "f", "o", "p"))
     action = _str(_require(doc, "action", context), f"{context}.action")
     place = _enum(Place, doc.get("place", "destination"), f"{context}.place")
     stop = _parse_stop(doc.get("stop", {"kind": "persistent"}), f"{context}.stop")
@@ -231,7 +227,8 @@ def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseS
         precondition=precondition,
         place=place,
         stop=shared.setdefault(stop, stop),
-        cost=_parse_cost_vector(_require(doc, "cost", context), f"{context}.cost"),
+        cost=_parse_vector(_require(doc, "cost", context), f"{context}.cost",
+                           CostVector, ("a", "perf")),
         benefit=benefit,
         original_benefit=benefit,
         terminal=doc.get("terminal", False),
@@ -407,8 +404,8 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
                    f"{context}.intrusion_result")
     velocity = _checked(check_weight, _require(doc, "velocity_kmh", context),
                         f"{context}.velocity_kmh")
-    params = _parse_impact_vector(_require(doc, "impact_params", context),
-                                  f"{context}.impact_params")
+    params = _parse_vector(_require(doc, "impact_params", context), f"{context}.impact_params",
+                           ImpactVector, ("s", "f", "o", "p"))
     w_e = _checked(check_weight, doc.get("environment_weight", 1.0), f"{context}.environment_weight")
     facts = _object(doc.get("facts", {}), f"{context}.facts")
     vehicle = VehicleState(velocity, _checked(check_facts, facts, f"{context}.facts"))

@@ -33,9 +33,8 @@ from .files import Scenario, load_catalog
 from .model import DomainError
 from .selection import SawConfig, make_selector
 # Read by bench/tracing.py, which patches these names; decisions go through Engine.
-from .engine import inner_loop
+from .engine import event_impact, inner_loop
 from .responses import generate_candidates
-from .risk import event_impact
 
 try:
     import resource

@@ -71,13 +71,13 @@ def check_level(value: int, what: str = "level") -> int:
 
 
 def check_weight(value: float, what: str = "weight") -> float:
-    """Accept a finite non-negative number.  Rejects bool, non-numbers,
-    infinities, NaN, which fails the range test because every comparison
-    with it is false, ``-0.0``, which passes it, and ints too large to
-    convert to a float."""
+    """A finite non-negative number, as given: an int stays an int.  Rejects
+    bool, non-numbers, infinities, NaN, which fails the range test because
+    every comparison with it is false, ``-0.0``, which passes it, and ints
+    too large to convert to a float, on which ``math.copysign`` overflows."""
     try:
         if 0 <= value < math.inf and type(value) is not bool and math.copysign(1, value) > 0:
-            return float(value)
+            return value
     except (TypeError, OverflowError):
         pass
     raise DomainError(f"{what} must be a finite non-negative number, got {value!r}")

@@ -8,11 +8,10 @@ the same shape as the intrusion impact:
 
 Both sums are the vectors' ``total``s, computed once when each vector is
 built, and each ``CandidateInstance`` copies them into its ``cost`` and
-``benefit`` fields when it is built.  ``response_cost``,
-``response_benefit`` and ``effective_cost`` remain the public scoring
-API; the selectors and the inner loop read the candidate's fields
-instead, one field load per score rather than a call or a chain of
-attribute reads through the spec.
+``benefit`` fields when it is built.  The selectors and the inner loop
+read the candidate's fields, one field load per score.
+``response_benefit`` and ``effective_cost`` remain because the
+benchmark's tracer patches them to count scoring calls.
 
 ``generate_candidates`` turns a catalog plus an intrusion event into the
 ordered list of concrete (response, target asset) instances the decision
@@ -30,7 +29,6 @@ from typing import Iterable, Sequence
 
 from .model import (
     CandidateInstance,
-    CostVector,
     DomainError,
     ImpactVector,
     IntrusionEvent,
@@ -44,10 +42,6 @@ class CatalogError(DomainError):
     """A catalog with a repeated index, or without exactly one terminal entry."""
 
 
-def response_cost(cost: CostVector) -> float:
-    return cost.total
-
-
 def response_benefit(benefit: ImpactVector) -> float:
     return benefit.total
 
@@ -59,9 +53,7 @@ def effective_cost(candidate: CandidateInstance, impact: float) -> float:
     costs exactly whatever the intrusion currently costs, so its
     effective cost is pegged to the impact at selection time.
     """
-    if candidate.response.terminal:
-        return float(impact)
-    return response_cost(candidate.response.cost)
+    return float(impact) if candidate.terminal else candidate.cost
 
 
 class CatalogResponses(tuple):

@@ -37,11 +37,12 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .model import CandidateInstance, DomainError, IntrusionEvent, check_weight
+from .model import (
+    CandidateInstance, DomainError, IntrusionEvent, check_weight, environment_from_velocity,
+)
 # Read by bench/tracing.py, which patches these names; the hot path reads
 # the totals that each candidate holds.
 from .responses import effective_cost, response_benefit
-from .risk import environment_term
 
 
 #: Scale of the impact-derived SAW preference bound ``RHO * sum(alphas)``.
@@ -109,14 +110,14 @@ def _head(steps: Iterator[SelectionOutcome]) -> SelectionOutcome:
 
 def compute_impact_alphas(event: IntrusionEvent) -> list[float]:
     """Per-metric impact shares of an event for (S, F, O, P, E): 1.0 where
-    the weighted term of :func:`event_impact` is non-zero, else 0.0."""
+    the weighted term of ``event.impact`` is non-zero, else 0.0."""
     params = event.impact_params
     terms = (
         params.w_s * params.s,
         params.w_f * params.f,
         params.w_o * params.o,
         params.w_p * params.p,
-        environment_term(event),
+        event.env.w_e * environment_from_velocity(event.vehicle.velocity_kmh),
     )
     return [1.0 if v else 0.0 for v in terms]
 

@@ -25,9 +25,9 @@ from react_irs.model import (
     StopCondition,
     StopKind,
     VehicleState,
+    environment_from_velocity,
 )
 from react_irs.preconditions import Precondition
-from react_irs.risk import environment_from_velocity
 from react_irs.selection import (
     brute_force_oracle,
     lp_select_max_benefit,

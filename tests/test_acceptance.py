@@ -24,7 +24,7 @@ from react_irs.harness import (
     run_static_quality,
     run_velocity_sweep,
 )
-from react_irs.responses import response_benefit, response_cost
+from react_irs.responses import response_benefit
 from react_irs.selection import SawConfig, make_selector, saw_select
 from _support import (
     assert_selectors_match_oracle,
@@ -198,7 +198,7 @@ def test_4096_candidate_drains_stay_under_the_drain_budget(scenario1):
     candidates = level_grid_set(random.Random(4096), 4096)
     event = scenario1.event()
     feasible = sum(
-        not c.response.terminal and response_cost(c.response.cost) < 210.0 for c in candidates
+        not c.response.terminal and c.response.cost.total < 210.0 for c in candidates
     )
     selectors = {algo: make_selector(algo) for algo in ALGOS}
     selectors["saw at bound 0"] = lambda cands, impact, event: saw_select(

@@ -3,12 +3,12 @@ and rejects alike: a fact map through the scenario loader (facts and
 effects), ``Engine(effects=...)``, ``VehicleState`` and
 ``engine.inner_loop``; a flag through ``check_facts``, the catalog loader
 and ``ResponseSpec``; a weight through the loader and the model; a
-velocity through ``risk``, ``VehicleState``, the loader and the CLI, on
-the band too; a catalog entry's index, place and applies rule through the
-loader and ``ResponseSpec``; the terminal entry through the catalog
-loader, ``CatalogResponses`` and ``Engine``; the type of each part of an
-event or a catalog entry where it is built, directly or through
-``dataclasses.replace``.  The loader adds the JSON path in front of the
+velocity through ``environment_from_velocity``, ``VehicleState``, the
+loader and the CLI, on the band too; a catalog entry's index, place and
+applies rule through the loader and ``ResponseSpec``; the terminal entry
+through the catalog loader, ``CatalogResponses`` and ``Engine``; the type
+of each part of an event or a catalog entry where it is built, directly
+or through ``dataclasses.replace``.  The loader adds the JSON path in front of the
 model's message."""
 import dataclasses
 import json
@@ -29,10 +29,10 @@ from react_irs.model import (
     VehicleState,
     check_facts,
     check_flag,
+    environment_from_velocity,
 )
 from react_irs.responses import CatalogError, CatalogResponses, generate_candidates
-from react_irs.risk import environment_from_velocity, environment_term
-from react_irs.selection import make_selector
+from react_irs.selection import compute_impact_alphas, make_selector
 from _support import CliRunner, make_event, make_response
 
 RULE = "not a fact name ([a-z_][a-z0-9_]*, not true or false)"
@@ -135,6 +135,16 @@ def test_a_weight_is_rejected_alike(data, value):
     assert (_message(SchemaError, lambda: parse_scenario(doc))
             == "scenario.environment_weight" + suffix)
     assert _message(DomainError, lambda: EnvironmentTerm(1, value)) == "w_e" + suffix
+
+
+def test_an_omitted_vector_weight_is_one_everywhere(data):
+    """Every vector the loader reads, an entry's ``cost`` and ``benefit`` and a
+    scenario's ``impact_params``, weighs each level it gives no weight 1.0."""
+    spec = parse_catalog(_catalog_doc(1)).responses[0]
+    doc = _scenario_doc(data, impact_params={"s": 100, "f": 0, "o": 100, "p": 0})
+    params = parse_scenario(doc).initial_event.impact_params
+    weights = (spec.cost.w_a, spec.cost.w_perf, *spec.benefit.weights(), *params.weights())
+    assert [(w, type(w)) for w in weights] == [(1.0, float)] * 10
 
 
 #: Values that are no part of an event or a catalog entry: nothing, and a
@@ -327,13 +337,20 @@ class TestVelocities:
     def test_accepted_alike_on_one_band(self, data, velocity, level):
         assert environment_from_velocity(velocity) == level
         event = dataclasses.replace(make_event(), vehicle=VehicleState(velocity))
-        assert environment_term(event) == level
+        assert compute_impact_alphas(event)[4] == (1.0 if level else 0.0)
         doc = _scenario_doc(data, velocity_kmh=velocity, environment_weight=1.0)
-        assert environment_term(parse_scenario(doc).event()) == level
+        assert compute_impact_alphas(parse_scenario(doc).event())[4] == (1.0 if level else 0.0)
         result = _sweep(CliRunner(), str(velocity))
         assert result.exit_code == 0, result.stderr
         (row,) = [json.loads(line) for line in result.stdout.splitlines()]
         assert row["impact"] == 120.0 + level  # scenario2: static levels 120, w_E 1
+
+    @pytest.mark.parametrize("velocity,level", GOOD_VELOCITIES)
+    def test_a_zero_environment_weight_has_no_alpha_on_any_band(self, data, velocity, level):
+        event = make_event(velocity=velocity, w_e=0.0)
+        assert event.env.e == level and compute_impact_alphas(event)[4] == 0.0
+        doc = _scenario_doc(data, velocity_kmh=velocity, environment_weight=0.0)
+        assert compute_impact_alphas(parse_scenario(doc).event())[4] == 0.0
 
 
 ENTRY_INDICES = [pytest.param("6", id="str"), pytest.param(True, id="bool"),

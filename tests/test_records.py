@@ -12,7 +12,6 @@ from react_irs.engine import (
 from react_irs.files import load_catalog
 from react_irs.harness import SelectionRow
 from react_irs.model import CandidateInstance
-from react_irs.risk import event_impact
 from react_irs.selection import ALGORITHMS, SAW_FOREST_MIN, SelectionOutcome, make_selector
 from _support import level_grid_set, make_event, make_response, replay
 
@@ -101,7 +100,7 @@ def test_drains_build_full_records(algorithm, name):
     candidates = level_grid_set(random.Random(n), n)
     assert (len(candidates) >= SAW_FOREST_MIN) == name.startswith("forest")
     selector = make_selector(algorithm)
-    head = selector(candidates, event_impact(event), event)
+    head = selector(candidates, event.impact, event)
     outcomes = [head, *head.rest]
     if name.endswith("nothing-feasible"):
         assert all(o.fallback for o in outcomes)

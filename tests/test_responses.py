@@ -15,16 +15,15 @@ from react_irs.responses import (
     effective_cost,
     generate_candidates,
     response_benefit,
-    response_cost,
 )
 from _support import make_event, make_response
 
 
 class TestScoring:
     def test_cost_is_weighted_sum(self):
-        assert response_cost(CostVector(a=10, perf=10)) == 20.0
-        assert response_cost(CostVector(a=100, perf=1, w_a=1.0, w_perf=1.0)) == 101.0
-        assert response_cost(CostVector(a=100, perf=10, w_a=0.5, w_perf=2.0)) == 70.0
+        assert CostVector(a=10, perf=10).total == 20.0
+        assert CostVector(a=100, perf=1, w_a=1.0, w_perf=1.0).total == 101.0
+        assert CostVector(a=100, perf=10, w_a=0.5, w_perf=2.0).total == 70.0
 
     def test_benefit_is_weighted_sum(self):
         vec = ImpactVector(s=100, f=100, o=10, p=10)
@@ -69,7 +68,7 @@ class TestCachedTotals:
         for path in sorted(data.glob("catalog_*.json")):
             for spec in load_catalog(path).responses:
                 where = (path.name, spec.index)
-                assert response_cost(spec.cost) == _explicit_cost(spec.cost), where
+                assert spec.cost.total == _explicit_cost(spec.cost), where
                 assert response_benefit(spec.benefit) == _explicit_benefit(spec.benefit), where
 
     def test_adapted_benefit_is_not_stale(self):

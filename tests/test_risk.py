@@ -1,3 +1,5 @@
+"""Impact scoring: the velocity bands and the impact an event computes
+when it is built, both in ``model``."""
 import copy
 import json
 import pickle
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from react_irs.files import parse_scenario
-from react_irs.model import DomainError, EnvironmentTerm, ImpactVector, VehicleState
-from react_irs.risk import environment_from_velocity, event_impact
+from react_irs.engine import event_impact
+from react_irs.model import (
+    DomainError, EnvironmentTerm, ImpactVector, VehicleState, environment_from_velocity,
+)
 from _reference import _impact_terms, legacy_impact
 from _support import make_event
 
@@ -126,10 +130,8 @@ class TestEventImpactField:
     """An event computes its impact once, when it is built, as the
     stdlib-only reference sums the scenario's terms."""
 
-    # The environment weight is drawn as a float: the loader keeps the float
-    # that ``check_weight`` returns, where the reference reads the JSON value.
     @given(st.tuples(levels, levels, levels, levels), st.tuples(weights, weights, weights, weights),
-           float_weights, velocities, velocities)
+           weights, velocities, velocities)
     def test_impact_is_the_reference_sum(self, data, lv, ws, w_e, velocity, other):
         doc = json.loads((data / "scenario1.json").read_text(encoding="utf-8"))
         doc["impact_params"] = {
@@ -149,6 +151,21 @@ class TestEventImpactField:
             for kept in (replace(event), copy.copy(event), copy.deepcopy(event),
                          pickle.loads(pickle.dumps(event))):
                 assert _same(kept.impact, event.impact)
+
+    @pytest.mark.parametrize("w_e,velocity", [(2, 50), (2, 70.0), (2.0, 50), (0, 0)])
+    def test_the_loader_keeps_weights_and_velocity_as_given(self, data, w_e, velocity):
+        doc = json.loads((data / "scenario1.json").read_text(encoding="utf-8"))
+        doc.update(environment_weight=w_e, velocity_kmh=velocity)
+        event = parse_scenario(doc).event()
+        assert _same(event.env.w_e, w_e) and _same(event.vehicle.velocity_kmh, velocity)
+
+    def test_an_all_int_scenario_has_the_int_reference_impact(self, data):
+        doc = json.loads((data / "scenario1.json").read_text(encoding="utf-8"))
+        doc["impact_params"] = {"s": 100, "f": 0, "o": 100, "p": 0,
+                                "w_s": 1, "w_f": 1, "w_o": 1, "w_p": 1}
+        doc.update(environment_weight=1, velocity_kmh=50)
+        event = parse_scenario(doc).event()
+        assert _same(event.impact, sum(_impact_terms(doc))) and _same(event.impact, 210)
 
     def test_impact_is_left_out_of_eq_and_repr(self):
         a, b = make_event(), make_event()

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from react_irs.model import CandidateInstance, DomainError, EnvironmentTerm
 from react_irs import selection
-from react_irs.risk import event_impact
 from react_irs.selection import (
     EPSILON,
     RHO,
@@ -127,7 +126,7 @@ class TestImpactAlphas:
         # alphas must count the environment share too.
         event = make_event(s=100, f=0, o=0, p=0, velocity=100)
         event = replace(event, env=EnvironmentTerm(e=0, w_e=1.0))
-        assert event_impact(event) == 200.0
+        assert event.impact == 200.0
         assert compute_impact_alphas(event) == [1.0, 0.0, 0.0, 0.0, 1.0]
 
 
