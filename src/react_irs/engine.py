@@ -7,8 +7,12 @@ to terminate because the terminal "No Action" entry is always applicable.
 Outer loop: apply the chosen response, ask the detector for a verdict,
 and adapt the catalog parameters — benefit levels decay one step per
 failure; on success the levels are restored and the benefit weights get
-a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per
-(response index, target asset) instance for the lifetime of the engine.
+a random nudge in [R_MIN, R_MAX].  Adaptation is tracked per (response
+index, target asset) instance for the lifetime of the engine, so the
+nudges compound.  A factor's log has mean -0.0067: a response that keeps
+working sinks in an ``lp-max`` ranking, its benefit total a median 0.70
+of the pristine one after 100 successes, 0.0071 after 1,000 and 5e-27
+after 10,000 (20 seeds), yet no weight overflows or turns negative.
 
 ``Engine.decide`` is the one decision step (candidate set, inner loop)
 and returns a plain tuple; it decides at the impact the event computed
@@ -196,7 +200,7 @@ def inner_loop(
     ``precondition_policy`` overrides normal evaluation — static mode
     passes one through ``Engine.decide`` to force rejections; the terminal
     entry is exempt and always passes.  ``facts`` other than the event's
-    own, which its ``VehicleState`` checked, must pass ``check_facts``.
+    own, the read-only copy its ``VehicleState`` checked, pass ``check_facts``.
     The impact is the event's own, read once through ``event_impact``.
     """
     if facts is not event.vehicle.facts:

@@ -18,7 +18,7 @@ An architecture loads as the set of its asset ids.  A scenario's
 its ``catalog_overrides`` keys are ``<mode>:<algorithm>`` or
 ``<mode>:*``.  A scenario loads its event as the model's
 ``IntrusionEvent``, built once: ``Scenario.initial_event``, which
-``Scenario.event`` hands out with facts of the caller's own.
+``Scenario.event`` hands out as it is.
 
 A catalog may be an overlay: it ``extends`` a full catalog, drops the
 base indices it lists in ``remove``, and its ``responses`` replace base
@@ -318,10 +318,10 @@ _INDEX_KEY = re.compile("0|[1-9][0-9]{0,4299}")
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded scenario document.  It stores copies of the initial facts,
-    of both levels of ``effects`` and of ``catalog_overrides`` as read-only
-    ``MappingProxyType`` views, so no caller can change what a later
-    ``event()`` or run reads."""
+    """A loaded scenario document.  It stores copies of both levels of
+    ``effects`` and of ``catalog_overrides`` as read-only
+    ``MappingProxyType`` views, as its event's ``VehicleState`` does its
+    facts, so no caller can change what a later ``event()`` or run reads."""
 
     name: str
     architecture_ref: str
@@ -332,23 +332,20 @@ class Scenario:
     base_dir: Path = field(default=Path("."), compare=False)
 
     def __post_init__(self) -> None:
-        event, put = self.initial_event, object.__setattr__
-        facts = MappingProxyType(dict(event.vehicle.facts))
-        put(self, "initial_event",
-            replace(event, vehicle=VehicleState(event.vehicle.velocity_kmh, facts)))
-        put(self, "catalog_overrides", MappingProxyType(dict(self.catalog_overrides)))
-        put(self, "effects", MappingProxyType(
+        object.__setattr__(self, "catalog_overrides", MappingProxyType(dict(self.catalog_overrides)))
+        object.__setattr__(self, "effects", MappingProxyType(
             {index: MappingProxyType(dict(flags)) for index, flags in self.effects.items()}
         ))
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
-        """``initial_event`` with a facts dict of its own, so a run that
-        changes its facts leaves the scenario's as they were; at
-        ``velocity_kmh``, if given, with E derived from it and ``w_e`` kept."""
+        """``initial_event`` itself, which no caller can change; at
+        ``velocity_kmh``, if given, a new event with E derived from it and
+        ``w_e`` and the read-only facts kept."""
         event = self.initial_event
-        velocity = event.vehicle.velocity_kmh if velocity_kmh is None else velocity_kmh
-        env = EnvironmentTerm(environment_from_velocity(velocity), event.env.w_e)
-        return replace(event, env=env, vehicle=VehicleState(velocity, dict(event.vehicle.facts)))
+        if velocity_kmh is None:
+            return event
+        env = EnvironmentTerm(environment_from_velocity(velocity_kmh), event.env.w_e)
+        return replace(event, env=env, vehicle=VehicleState(velocity_kmh, event.vehicle.facts))
 
     def catalog_path(self, mode: str, algorithm: str) -> Path:
         """The catalog for a run mode/algorithm combination, under ``base_dir``.
@@ -367,12 +364,9 @@ class Scenario:
         return self.base_dir / self.architecture_ref
 
     def __reduce__(self):
-        """Copy and pickle through the constructor, with plain dicts: a
-        ``MappingProxyType`` cannot be pickled."""
-        event = self.initial_event
-        vehicle = VehicleState(event.vehicle.velocity_kmh, dict(event.vehicle.facts))
+        """Copy and pickle through the constructor: a ``MappingProxyType`` cannot be pickled."""
         effects = {index: dict(flags) for index, flags in self.effects.items()}
-        return Scenario, (self.name, self.architecture_ref, replace(event, vehicle=vehicle),
+        return Scenario, (self.name, self.architecture_ref, self.initial_event,
                           self.catalog_ref, dict(self.catalog_overrides), effects, self.base_dir)
 
 

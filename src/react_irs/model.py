@@ -4,22 +4,20 @@ response catalog entries, with the velocity bands that set the
 environment level E (``environment_from_velocity``).
 
 Impact-style values live on the discrete level scale {0, 1, 10, 100};
-weights are non-negative reals.  Every type here is frozen: no field can
-be reassigned.  Only one holds something that can change: a
-``VehicleState`` keeps its caller's facts mapping, not a copy, so it and
-its ``IntrusionEvent`` are unhashable and see any change to that mapping
-(``files.Scenario.event`` hands each caller a dict of its own).  The
-other types are immutable values, safe to share between threads; the
-tuple of a catalog's specs, ``responses.CatalogResponses``, is not, as
-it fills its memo of candidate sets lazily.  Each input rule is stated
-here once, in a ``check_*`` function or a ``__post_init__``, and the
-other modules apply it from here.  Each type checks its fields
-where it is built, never coercing them: a ``VehicleState`` its velocity
-and facts, an ``IntrusionEvent`` its result and the types of its parts,
-a ``ResponseSpec`` its index, flags, place, applies rule and the types
-of its parts.  An ``IntrusionEvent`` also derives its ``impact`` there,
-once, and checks that it is finite, so an overflowing impact is
-rejected when the event is built, not when it is decided on.
+weights are non-negative reals.  Every type here is immutable, safe to
+share between threads: no field can be reassigned, and a
+``VehicleState`` keeps a read-only copy of the facts it checked, never
+its caller's mapping, so no write after the build reaches a decision;
+that copy makes it and its ``IntrusionEvent`` unhashable.  Not so
+``responses.CatalogResponses``, which fills its memo of sets lazily.
+Each input rule is stated here once, in a ``check_*`` function or a
+``__post_init__``, and the other modules apply it.  Each type checks its
+fields where it is built, never coercing them: a ``VehicleState`` its
+velocity and facts, an ``IntrusionEvent`` its result and the types of
+its parts, a ``ResponseSpec`` its index, flags, place, applies rule and
+the types of its parts.  An ``IntrusionEvent`` also derives its
+``impact`` there, once, and checks that it is finite, so an overflowing
+impact is rejected when the event is built, not when it is decided on.
 Adaptation alone skips the checks, for values it derived from checked
 ones: ``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``.
 
@@ -40,10 +38,7 @@ plain tuple of their fields.  A ``CandidateInstance`` is built from its
 spec and target alone and derives its other four fields, the catalog
 index, the static cost and benefit totals and the terminal flag, from
 the spec, so the hot path reads each in one field load.  The input types
-stay frozen dataclasses.
-``ImpactVector`` and ``CostVector`` are slotted, with no instance
-``__dict__``, and compute their ``total`` once, when they are built; it
-is left out of ``==``, ``hash`` and ``repr``.
+stay frozen dataclasses; ``ImpactVector`` and ``CostVector`` are slotted.
 """
 from __future__ import annotations
 
@@ -51,6 +46,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .preconditions import FACT_NAME, Precondition, is_fact_name
@@ -241,12 +237,18 @@ class EnvironmentTerm:
 
 @dataclass(frozen=True)
 class VehicleState:
+    """Velocity and a read-only copy of the facts.  Copies and pickles go
+    through the constructor: a ``MappingProxyType`` cannot be pickled."""
+
     velocity_kmh: float
     facts: Mapping[str, bool] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_weight(self.velocity_kmh, "velocity_kmh")
-        check_facts(self.facts, "facts")
+        object.__setattr__(self, "facts", MappingProxyType(dict(check_facts(self.facts, "facts"))))
+
+    def __reduce__(self):
+        return VehicleState, (self.velocity_kmh, dict(self.facts))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -28,7 +29,7 @@ from react_irs.model import (
 )
 from react_irs.responses import CatalogError, CatalogResponses, generate_candidates, response_benefit
 from react_irs.selection import make_selector
-from _support import make_event, make_response, replay
+from _support import by_index, make_event, make_response, replay
 
 
 def _untimed(attempts):
@@ -727,6 +728,67 @@ class TestRecord:
         engine._record(handed[1], adapt_on_failure(handed[1].response))
         assert _same_objects(handed, snapshot)
         assert engine._candidates_for(event) is not handed
+
+
+def _finite(vector):
+    """Every weight and the total of ``vector`` are finite and >= 0."""
+    return all(0 <= value < math.inf for value in (*vector.weights(), vector.total))
+
+
+class TestLongLivedEngine:
+    """What thousands of verdicts do to one engine: the success factors
+    compound, so a weight drifts towards 0, yet nothing overflows, goes
+    negative or raises, and the engine keeps one adapted instance per
+    (index, target)."""
+
+    def test_100000_successes_keep_every_weight_finite(self, generic_catalog):
+        spec = by_index(generic_catalog, 1)
+        pristine = spec.benefit.total
+        rng = random.Random(1)
+        for _ in range(100_000):
+            spec = adapt_on_success(spec, rng)
+            assert _finite(spec.benefit)
+        assert spec.benefit.total < 1e-200 * pristine
+
+    def test_one_engine_takes_10000_verdicts_over_changing_keys(self, data, generic_catalog):
+        from react_irs.files import load_architecture
+
+        assets = sorted(load_architecture(data / "architecture.json"))
+        catalog = generic_catalog.responses
+        fresh = CatalogResponses(list(catalog))
+        pairs = {
+            (cand.response_index, cand.target_asset)
+            for result in IntrusionResult for infected in assets for affected in assets
+            for cand in generate_candidates(
+                make_event(result=result, infected=infected, affected=affected), fresh)
+        }
+        assert len(pairs) == 264
+        rng = random.Random(2)
+
+        def event():
+            return make_event(
+                s=rng.choice((0, 1, 10, 100)), f=rng.choice((0, 1, 10, 100)),
+                o=rng.choice((0, 1, 10, 100)), p=rng.choice((0, 1, 10, 100)),
+                velocity=rng.choice((0.0, 30.0, 70.0, 120.0)), infected=rng.choice(assets),
+                affected=rng.choice(assets), result=rng.choice(list(IntrusionResult)),
+                facts={name: rng.random() < 0.5 for name in GENERIC_FACTS},
+            )
+
+        def feedback(iteration, applied):
+            if iteration == 10_000:
+                return Success()
+            return Failure() if rng.random() < 0.5 else NewIntrusion(event())
+
+        engine = Engine(catalog, make_selector("lp-max"), AdaptationConfig(rng_seed=2))
+        trace = engine.run(event(), feedback, max_iterations=10_000)
+        assert len(trace.records) == 10_000 and trace.records[-1].verdict == "success"
+        assert all(0 <= w < math.inf for record in trace.records for w in record.adapted_weights)
+        assert set(engine._adapted) <= pairs
+        for (index, target), adapted in engine._adapted.items():
+            assert (adapted.response_index, adapted.target_asset) == (index, target)
+            assert _finite(adapted.response.benefit)
+        for cand in engine._candidates:
+            assert engine._adapted.get((cand.response_index, cand.target_asset), cand) is cand
 
 
 class TestLoopTiming:

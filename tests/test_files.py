@@ -327,12 +327,13 @@ class TestScenario:
         assert scenario1.event() == scenario1.initial_event
 
     def test_each_event_has_facts_of_its_own(self, data):
-        scenario = parse_scenario(scenario1_doc(data), base_dir=data)
-        facts = dict(scenario.initial_event.vehicle.facts)
-        event = scenario.event()
-        event.vehicle.facts["intruder_seen"] = True
-        assert scenario.event().vehicle.facts == facts
-        assert scenario.initial_event.vehicle.facts == facts
+        doc = scenario1_doc(data)
+        scenario = parse_scenario(doc, base_dir=data)
+        facts = scenario.event().vehicle.facts
+        assert facts == doc["facts"] and facts is not doc["facts"]
+        with pytest.raises(TypeError):
+            facts["intruder_seen"] = True
+        assert scenario.initial_event.vehicle.facts == doc["facts"]
 
     def test_event_at_a_velocity_derives_e_and_keeps_the_rest(self, data):
         scenario = parse_scenario({**scenario1_doc(data), "environment_weight": 0.5},

@@ -8,11 +8,15 @@ loader and the CLI, on the band too; a catalog entry's index, place and
 applies rule through the loader and ``ResponseSpec``; the terminal entry
 through the catalog loader, ``CatalogResponses`` and ``Engine``; the type
 of each part of an event or a catalog entry where it is built, directly
-or through ``dataclasses.replace``.  The loader adds the JSON path in front of the
+or through ``dataclasses.replace``; that an event's facts cannot change
+after it is built, through ``VehicleState``, the loader and
+``Scenario.event``.  The loader adds the JSON path in front of the
 model's message."""
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 
@@ -105,7 +109,10 @@ class TestFactMaps:
 def test_accepted_facts_are_kept_as_given(data):
     """Nothing coerces or filters a fact map it accepts."""
     facts = {"driving": True, "update_available": False}
-    assert VehicleState(70.0, facts).facts is facts
+    kept = VehicleState(70.0, facts).facts
+    assert kept == facts and kept is not facts
+    with pytest.raises(TypeError):
+        kept["driving"] = False
     scenario = parse_scenario(_scenario_doc(data, facts=facts, effects={"17": facts}))
     assert scenario.initial_event.vehicle.facts == facts
     assert scenario.effects == {17: facts}
@@ -425,3 +432,52 @@ def test_inner_loop_checks_facts_not_the_events_own(facts, message):
     assert _message(DomainError, lambda: inner_loop(event, cands, selector, facts)) == message
     chosen, _ = inner_loop(event, cands, selector, {"driving": True})
     assert chosen.response_index == 5
+
+
+def _built_directly(data, facts):
+    return make_event(facts=facts)
+
+
+def _initial_event(data, facts):
+    return parse_scenario(_scenario_doc(data, facts=facts)).initial_event
+
+
+def _scenario_event(data, facts):
+    return parse_scenario(_scenario_doc(data, facts=facts)).event()
+
+
+def _scenario_event_at_50(data, facts):
+    return parse_scenario(_scenario_doc(data, facts=facts)).event(velocity_kmh=50.0)
+
+
+#: Every way an event gets its facts: ``VehicleState``, the loader's
+#: ``initial_event``, and ``Scenario.event`` with and without a velocity.
+EVENT_BUILDS = [
+    pytest.param(_built_directly, id="vehicle-state"),
+    pytest.param(_initial_event, id="initial-event"),
+    pytest.param(_scenario_event, id="scenario-event"),
+    pytest.param(_scenario_event_at_50, id="scenario-event-at-50"),
+]
+
+
+@pytest.mark.parametrize("build", EVENT_BUILDS)
+def test_an_events_facts_cannot_change_after_it_is_built(data, build):
+    """The facts an event was checked with are the ones it is decided on:
+    a write to its own map is refused, a write to the caller's dict does
+    not reach it, and a copy keeps them read-only.  Entry 17 reads
+    ``driving``, which is false when the event is built; ``"no"`` written
+    after would pass its precondition, so only the terminal 31 applies."""
+    specs = [make_response(17, s=100, precondition="driving"), make_response(31, terminal=True)]
+    given = {"driving": False}
+    event = build(data, given)
+    with pytest.raises(TypeError):
+        event.vehicle.facts["driving"] = "no"
+    given["driving"] = "no"
+    assert event.vehicle.facts == {"driving": False}
+    assert Engine(specs, make_selector("lp-max")).decide(event)[0].response_index == 31
+    for duplicate in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        vehicle, twin = duplicate(event.vehicle), duplicate(event)
+        assert (vehicle, twin) == (event.vehicle, event)
+        for facts in (vehicle.facts, twin.vehicle.facts):
+            with pytest.raises(TypeError):
+                facts["driving"] = True
