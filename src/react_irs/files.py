@@ -339,13 +339,13 @@ class Scenario:
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
         """``initial_event`` itself, which no caller can change; at
-        ``velocity_kmh``, if given, a new event with E derived from it and
-        ``w_e`` and the read-only facts kept."""
+        ``velocity_kmh``, if given, a new event with E derived from it,
+        ``w_e`` kept and the read-only facts shared, not checked again."""
         event = self.initial_event
         if velocity_kmh is None:
             return event
         env = EnvironmentTerm(environment_from_velocity(velocity_kmh), event.env.w_e)
-        return replace(event, env=env, vehicle=VehicleState(velocity_kmh, event.vehicle.facts))
+        return replace(event, env=env, vehicle=event.vehicle.at_velocity(velocity_kmh))
 
     def catalog_path(self, mode: str, algorithm: str) -> Path:
         """The catalog for a run mode/algorithm combination, under ``base_dir``.

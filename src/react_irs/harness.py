@@ -18,6 +18,11 @@ suppressed the output is byte-stable for a fixed seed.  Each JSONL line
 equals ``json.dumps(record, sort_keys=True)``, but no record dict is built:
 a per-report template holds the encoded constants (algorithm, mode,
 scenario, seed) and each line formats only its row's fields into it.
+Each CSV row is what ``csv.writer`` writes (``QUOTE_MINIMAL``, one
+newline per row), formatted by one f-string that spells each number as
+``str`` does; a writer's record buffer reaches 128 KiB on its first row,
+so a row goes through one only when its target holds a character that
+``csv`` may quote.  Either way, one ``write`` per line.
 """
 from __future__ import annotations
 
@@ -54,6 +59,10 @@ class SelectionRow(NamedTuple):
 
 
 CSV_COLUMNS = SelectionRow._fields[:-1]
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+#: What ``csv.QUOTE_MINIMAL`` quotes, on some Python: 3.11 leaves "\r" bare
+#: under ``lineterminator="\n"`` and 3.12 quotes it, so ``csv`` decides.
+_CSV_QUOTED = frozenset(',"\r\n')
 
 
 def _peak_memory_bytes() -> int | None:
@@ -209,15 +218,16 @@ def _number(value) -> str:
 
 
 def _emit(report, fmt, fh, include_timings):
-    rows = report.selections
+    rows, write = report.selections, fh.write
     if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        width = len(CSV_COLUMNS)
-        if include_timings:
-            writer.writerows(row[:width] for row in rows)
-        else:
-            writer.writerows((*row[:width - 1], 0.0) for row in rows)
+        write(_CSV_HEADER)
+        for step, index, target, cost, benefit, impact, ms, _ in rows:
+            ms = ms if include_timings else 0.0
+            if _CSV_QUOTED.isdisjoint(target):
+                write(f"{step},{index},{target},{cost},{benefit},{impact},{ms}\n")
+            else:
+                csv.writer(fh, lineterminator="\n").writerow(
+                    (step, index, target, cost, benefit, impact, ms))
         return
     # The record's keys in sorted order, with the report's constants encoded
     # once: each line formats only its row's own fields.
@@ -226,7 +236,6 @@ def _emit(report, fmt, fh, include_timings):
     mode = f', "mode": {text(report.mode)}, "response_index": '
     seed = "" if report.seed is None else f'"seed": {num(report.seed)}, '
     scenario = f', "scenario": {text(report.scenario)}, {seed}"selection_time_ms": '
-    write = fh.write
     for step, index, target, cost, benefit, impact, ms, velocity in rows:
         ms = num(ms) if include_timings else "0.0"
         velocity = "" if velocity is None else f', "velocity_kmh": {num(velocity)}'

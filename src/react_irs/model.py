@@ -18,8 +18,10 @@ its parts, a ``ResponseSpec`` its index, flags, place, applies rule and
 the types of its parts.  An ``IntrusionEvent`` also derives its
 ``impact`` there, once, and checks that it is finite, so an overflowing
 impact is rejected when the event is built, not when it is decided on.
-Adaptation alone skips the checks, for values it derived from checked
-ones: ``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``.
+Only values derived from checked ones skip the checks: adaptation's
+``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``, and
+``VehicleState.at_velocity``, which checks the new velocity and shares
+the checked facts.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -249,6 +251,14 @@ class VehicleState:
 
     def __reduce__(self):
         return VehicleState, (self.velocity_kmh, dict(self.facts))
+
+    def at_velocity(self, velocity_kmh: float) -> VehicleState:
+        """This state at ``velocity_kmh``, checked, sharing ``facts``: the
+        proxy wraps a private copy that no caller can reach or change."""
+        state = object.__new__(VehicleState)
+        object.__setattr__(state, "velocity_kmh", check_weight(velocity_kmh, "velocity_kmh"))
+        object.__setattr__(state, "facts", self.facts)
+        return state
 
 
 @dataclass(frozen=True)

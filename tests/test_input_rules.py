@@ -3,8 +3,9 @@ and rejects alike: a fact map through the scenario loader (facts and
 effects), ``Engine(effects=...)``, ``VehicleState`` and
 ``engine.inner_loop``; a flag through ``check_facts``, the catalog loader
 and ``ResponseSpec``; a weight through the loader and the model; a
-velocity through ``environment_from_velocity``, ``VehicleState``, the
-loader and the CLI, on the band too; a catalog entry's index, place and
+velocity through ``environment_from_velocity``, ``VehicleState`` and
+its ``at_velocity``, ``Scenario.event``, the loader and the CLI, on the
+band too; a catalog entry's index, place and
 applies rule through the loader and ``ResponseSpec``; the terminal entry
 through the catalog loader, ``CatalogResponses`` and ``Engine``; the type
 of each part of an event or a catalog entry where it is built, directly
@@ -333,6 +334,10 @@ class TestVelocities:
                 == f"velocity{VELOCITY}{velocity!r}")
         assert (_message(DomainError, lambda: VehicleState(velocity))
                 == f"velocity_kmh{VELOCITY}{velocity!r}")
+        assert (_message(DomainError, lambda: VehicleState(50.0).at_velocity(velocity))
+                == f"velocity_kmh{VELOCITY}{velocity!r}")
+        assert (_message(DomainError, lambda: parse_scenario(_scenario_doc(data)).event(velocity))
+                == f"velocity{VELOCITY}{velocity!r}")
         doc = _scenario_doc(data, velocity_kmh=velocity)
         assert (_message(SchemaError, lambda: parse_scenario(doc))
                 == f"scenario.velocity_kmh{VELOCITY}{velocity!r}")
@@ -481,3 +486,22 @@ def test_an_events_facts_cannot_change_after_it_is_built(data, build):
         for facts in (vehicle.facts, twin.vehicle.facts):
             with pytest.raises(TypeError):
                 facts["driving"] = True
+
+
+@pytest.mark.parametrize("velocity", [v for v, _ in GOOD_VELOCITIES])
+def test_a_state_at_another_velocity_shares_its_checked_facts(data, velocity):
+    """``at_velocity`` checks only the velocity: the facts were checked
+    when the first state was built, and the new state shares their
+    read-only copy.  ``Scenario.event`` builds its sweep states this way."""
+    state = VehicleState(70.0, {"driving": True, "update_available": False})
+    moved = state.at_velocity(velocity)
+    assert moved == VehicleState(velocity, dict(state.facts))
+    assert type(moved.velocity_kmh) is type(velocity)
+    assert moved.facts is state.facts
+    for duplicate in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        twin = duplicate(moved)
+        assert twin == moved
+        with pytest.raises(TypeError):
+            twin.facts["driving"] = False
+    scenario = parse_scenario(_scenario_doc(data))
+    assert scenario.event(velocity).vehicle.facts is scenario.initial_event.vehicle.facts
