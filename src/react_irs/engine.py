@@ -45,7 +45,6 @@ from .model import (
     IntrusionEvent,
     IntrusionResult,
     ResponseSpec,
-    VehicleState,
     check_facts,
     check_total,
     check_weight,
@@ -344,9 +343,7 @@ class Engine:
             chosen, count, attempts, _, selection_ms = self.decide(event)
             updates = self._effects.get(chosen.response_index)
             if updates:
-                facts = {**event.vehicle.facts, **updates}
-                vehicle = VehicleState(velocity_kmh=event.vehicle.velocity_kmh, facts=facts)
-                event = replace(event, vehicle=vehicle)
+                event = replace(event, vehicle=event.vehicle._with_facts(updates))
             verdict = feedback(iteration, chosen)
             match verdict:
                 case Success():

@@ -37,15 +37,23 @@ start empty.
 
 Within one parse, equal values are built once: every entry with the same
 precondition text holds one ``Precondition``, and equal ``applies_to``
-sets and stop rules are one object each.  Nothing is shared between two
-parses, not even with an overlay's base, so a rewritten file gets fresh
-objects throughout.
+sets and stop rules are one object each; the ``persistent`` rule of an
+entry with no ``stop`` is built once, and is the object an explicit
+``persistent`` rule gets.  Nothing is shared between two parses, not
+even with an overlay's base, so a rewritten file gets fresh objects
+throughout.
+
+Building a catalog is most of a cold start's load, so the per-entry path
+is kept short: a vector's level keys are read directly, with
+``_require``'s message only for a missing one, and its weights are passed
+positionally to the model's vector, which accepts its common form (``int``
+levels, positive finite ``float`` weights) in one test.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -181,12 +189,22 @@ class Catalog:
     responses: tuple[ResponseSpec, ...]
 
 
-def _parse_vector(doc: Any, context: str, make: Callable[..., Any], levels: tuple[str, ...]) -> Any:
+#: A vector's level keys, and the ``w_<level>`` key of each level's weight.
+_IMPACT_KEYS = ("s", "f", "o", "p"), ("w_s", "w_f", "w_o", "w_p")
+_COST_KEYS = ("a", "perf"), ("w_a", "w_perf")
+
+
+def _parse_vector(doc: Any, context: str, make: Callable[..., Any],
+                  keys: tuple[tuple[str, ...], tuple[str, ...]]) -> Any:
     """``make(*levels, *weights)``: each level key is required, and each
     ``w_<level>`` weight is 1.0 unless given."""
     doc = _object(doc, context)
-    values = [_require(doc, key, context) for key in levels]
-    return _build(context, make, *values, *[doc.get(f"w_{key}", 1.0) for key in levels])
+    levels, weights = keys
+    try:
+        values = [doc[key] for key in levels]
+    except KeyError:
+        values = [_require(doc, key, context) for key in levels]
+    return _build(context, make, *values, *[doc.get(key, 1.0) for key in weights])
 
 
 def _parse_stop(doc: Any, context: str) -> StopCondition:
@@ -195,11 +213,17 @@ def _parse_stop(doc: Any, context: str) -> StopCondition:
     return _build(context, StopCondition, kind, doc.get("seconds"))
 
 
+#: ``shared``'s key for the ``persistent`` stop rule of an entry that gives
+#: none, so that a parse builds it once; no text, set or rule equals it.
+_NO_STOP = object()
+
+
 def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseSpec:
     """One entry, built from the values its catalog has already parsed:
-    ``shared`` maps each precondition text to its parse, and each
-    ``applies_to`` set and stop rule to the first one equal to it.  The
-    ``ResponseSpec`` checks the index, both flags and the applies rule."""
+    ``shared`` maps each precondition text to its parse, each
+    ``applies_to`` set and stop rule to the first one equal to it, and
+    ``_NO_STOP`` to the default stop rule.  The ``ResponseSpec`` checks
+    the index, both flags and the applies rule."""
     doc = _object(doc, context)
     index = _require(doc, "index", context)
     applies = frozenset(
@@ -214,10 +238,17 @@ def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseS
         except PreconditionError as exc:
             raise SchemaError(f"{context}.precondition: {exc}") from None
     benefit = _parse_vector(_require(doc, "benefit", context), f"{context}.benefit",
-                            ImpactVector, ("s", "f", "o", "p"))
+                            ImpactVector, _IMPACT_KEYS)
     action = _str(_require(doc, "action", context), f"{context}.action")
     place = _enum(Place, doc.get("place", "destination"), f"{context}.place")
-    stop = _parse_stop(doc.get("stop", {"kind": "persistent"}), f"{context}.stop")
+    if "stop" in doc:
+        stop = _parse_stop(doc["stop"], f"{context}.stop")
+        stop = shared.setdefault(stop, stop)
+    else:
+        stop = shared.get(_NO_STOP)
+        if stop is None:
+            stop = StopCondition(StopKind.PERSISTENT)
+            stop = shared[_NO_STOP] = shared.setdefault(stop, stop)
     return _build(
         context, ResponseSpec,
         index=index,
@@ -226,9 +257,9 @@ def _parse_response(doc: Any, context: str, shared: dict[Any, Any]) -> ResponseS
         is_general=doc.get("general", False),
         precondition=precondition,
         place=place,
-        stop=shared.setdefault(stop, stop),
+        stop=stop,
         cost=_parse_vector(_require(doc, "cost", context), f"{context}.cost",
-                           CostVector, ("a", "perf")),
+                           CostVector, _COST_KEYS),
         benefit=benefit,
         original_benefit=benefit,
         terminal=doc.get("terminal", False),
@@ -339,13 +370,11 @@ class Scenario:
 
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
         """``initial_event`` itself, which no caller can change; at
-        ``velocity_kmh``, if given, a new event with E derived from it,
-        ``w_e`` kept and the read-only facts shared, not checked again."""
+        ``velocity_kmh``, if given, ``IntrusionEvent.at_velocity``: a new
+        event with E derived from it, ``w_e`` kept and the other parts
+        shared, not checked again."""
         event = self.initial_event
-        if velocity_kmh is None:
-            return event
-        env = EnvironmentTerm(environment_from_velocity(velocity_kmh), event.env.w_e)
-        return replace(event, env=env, vehicle=event.vehicle.at_velocity(velocity_kmh))
+        return event if velocity_kmh is None else event.at_velocity(velocity_kmh)
 
     def catalog_path(self, mode: str, algorithm: str) -> Path:
         """The catalog for a run mode/algorithm combination, under ``base_dir``.
@@ -399,7 +428,7 @@ def parse_scenario(doc: Mapping[str, Any], base_dir: str | Path = ".") -> Scenar
     velocity = _checked(check_weight, _require(doc, "velocity_kmh", context),
                         f"{context}.velocity_kmh")
     params = _parse_vector(_require(doc, "impact_params", context), f"{context}.impact_params",
-                           ImpactVector, ("s", "f", "o", "p"))
+                           ImpactVector, _IMPACT_KEYS)
     w_e = _checked(check_weight, doc.get("environment_weight", 1.0), f"{context}.environment_weight")
     facts = _object(doc.get("facts", {}), f"{context}.facts")
     vehicle = VehicleState(velocity, _checked(check_facts, facts, f"{context}.facts"))

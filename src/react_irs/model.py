@@ -12,16 +12,18 @@ that copy makes it and its ``IntrusionEvent`` unhashable.  Not so
 ``responses.CatalogResponses``, which fills its memo of sets lazily.
 Each input rule is stated here once, in a ``check_*`` function or a
 ``__post_init__``, and the other modules apply it.  Each type checks its
-fields where it is built, never coercing them: a ``VehicleState`` its
-velocity and facts, an ``IntrusionEvent`` its result and the types of
-its parts, a ``ResponseSpec`` its index, flags, place, applies rule and
-the types of its parts.  An ``IntrusionEvent`` also derives its
-``impact`` there, once, and checks that it is finite, so an overflowing
-impact is rejected when the event is built, not when it is decided on.
-Only values derived from checked ones skip the checks: adaptation's
-``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``, and
-``VehicleState.at_velocity``, which checks the new velocity and shares
-the checked facts.
+fields where it is built, never coercing them: a vector its levels and
+weights, a ``VehicleState`` its velocity and facts, an
+``IntrusionEvent`` its result and the types of its parts, a
+``ResponseSpec`` its index, flags, place, applies rule and the types of
+its parts.  An ``IntrusionEvent`` also derives its ``impact`` there,
+once, and checks that it is finite, so an overflowing impact is rejected
+when the event is built, not when it is decided on.  Only values derived
+from checked ones skip the checks: adaptation's
+``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``; the
+``at_velocity`` of a ``VehicleState`` and of an ``IntrusionEvent``,
+which check the new velocity, once, and share the checked facts; and
+``VehicleState._with_facts``, which merges an engine's checked effects.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -55,6 +57,10 @@ from .preconditions import FACT_NAME, Precondition, is_fact_name
 
 #: The only admissible discrete impact levels.
 LEVELS = (0, 1, 10, 100)
+#: For the vectors' one test of their common form: a set and a global are
+#: faster to read there than the tuple and ``math.inf``.
+_LEVEL_SET = frozenset(LEVELS)
+_INF = math.inf
 
 
 class DomainError(ValueError):
@@ -126,6 +132,18 @@ def environment_from_velocity(velocity_kmh: float) -> int:
     return 0
 
 
+def _changed(value, **changes):
+    """``dataclasses.replace(value, **changes)`` without ``__post_init__``:
+    only for changes that are checked or derived from checked values.
+    Fields are set one by one, as ``__init__`` sets them: writing the
+    instance ``__dict__`` instead would make it a dict of its own, about
+    50 bytes more per object than the layout instances of a class share."""
+    new = object.__new__(type(value))
+    for name in value.__dataclass_fields__:
+        object.__setattr__(new, name, changes[name] if name in changes else getattr(value, name))
+    return new
+
+
 def _check_type(value, kind: type, what: str) -> None:
     """A part of a built value must be a ``kind``, as given, not something
     that only reads like one."""
@@ -175,6 +193,13 @@ class ImpactVector:
     and adaptation builds a new one.  The sum starts at int 0, as
     ``sum()`` did on Python 3.10 and 3.11, so its type and bits match:
     int weights give an int total.
+
+    One test accepts the form every shipped and generated catalog carries:
+    ``int`` levels in ``LEVELS`` and ``float`` weights with
+    ``0.0 < w < inf``.  Any other value, valid or not, goes through
+    ``check_level`` and ``check_weight`` field by field, which still accept
+    an int or ``0.0`` weight and a float level, and raise the message of
+    the first field that fails.
     """
 
     s: int
@@ -188,13 +213,18 @@ class ImpactVector:
     total: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("s", "f", "o", "p"):
-            check_level(getattr(self, name), name.upper())
-        for name in ("w_s", "w_f", "w_o", "w_p"):
-            check_weight(getattr(self, name), name)
-        object.__setattr__(self, "total", check_total(
-            0 + self.w_s * self.s + self.w_f * self.f + self.w_o * self.o + self.w_p * self.p
-        ))
+        s, f, o, p, w_s, w_f, w_o, w_p = (
+            self.s, self.f, self.o, self.p, self.w_s, self.w_f, self.w_o, self.w_p
+        )
+        if not (type(s) is type(f) is type(o) is type(p) is int
+                and s in _LEVEL_SET and f in _LEVEL_SET and o in _LEVEL_SET and p in _LEVEL_SET
+                and type(w_s) is type(w_f) is type(w_o) is type(w_p) is float
+                and 0.0 < w_s < _INF and 0.0 < w_f < _INF and 0.0 < w_o < _INF and 0.0 < w_p < _INF):
+            for name in ("s", "f", "o", "p"):
+                check_level(getattr(self, name), name.upper())
+            for name in ("w_s", "w_f", "w_o", "w_p"):
+                check_weight(getattr(self, name), name)
+        object.__setattr__(self, "total", check_total(0 + w_s * s + w_f * f + w_o * o + w_p * p))
 
     @classmethod
     def _unchecked(
@@ -255,10 +285,14 @@ class VehicleState:
     def at_velocity(self, velocity_kmh: float) -> VehicleState:
         """This state at ``velocity_kmh``, checked, sharing ``facts``: the
         proxy wraps a private copy that no caller can reach or change."""
-        state = object.__new__(VehicleState)
-        object.__setattr__(state, "velocity_kmh", check_weight(velocity_kmh, "velocity_kmh"))
-        object.__setattr__(state, "facts", self.facts)
-        return state
+        return _changed(self, velocity_kmh=check_weight(velocity_kmh, "velocity_kmh"))
+
+    def _with_facts(self, updates: Mapping[str, bool]) -> VehicleState:
+        """This state with ``updates`` merged into a new read-only copy of
+        its facts, equal to ``VehicleState(velocity_kmh, {**facts,
+        **updates})``.  Nothing is checked again: only ``engine.Engine.run``
+        calls it, with effects it checked when it was built."""
+        return _changed(self, facts=MappingProxyType({**self.facts, **updates}))
 
 
 @dataclass(frozen=True)
@@ -290,13 +324,26 @@ class IntrusionEvent:
             "event impact",
         ))
 
+    def at_velocity(self, velocity_kmh: float) -> IntrusionEvent:
+        """This event at ``velocity_kmh``, with E derived from it, ``w_e``
+        kept and the read-only facts shared.  Only the velocity is checked,
+        once, and the impact computed and checked again; the other parts
+        were checked when this event was built."""
+        e = environment_from_velocity(velocity_kmh)
+        return _changed(
+            self,
+            env=_changed(self.env, e=e),
+            vehicle=_changed(self.vehicle, velocity_kmh=velocity_kmh),
+            impact=check_total(self.impact_params.total + self.env.w_e * e, "event impact"),
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class CostVector:
     """Availability / performance cost levels of applying a response;
     ``total`` is the weighted sum, computed once when the vector is built
-    and left out of ``==``, ``hash`` and ``repr``, like
-    ``ImpactVector.total``."""
+    and left out of ``==``, ``hash`` and ``repr``, and the common form is
+    accepted in one test, both like ``ImpactVector``."""
 
     a: int
     perf: int
@@ -305,11 +352,14 @@ class CostVector:
     total: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_level(self.a, "A")
-        check_level(self.perf, "Perf")
-        check_weight(self.w_a, "w_a")
-        check_weight(self.w_perf, "w_perf")
-        object.__setattr__(self, "total", check_total(self.w_a * self.a + self.w_perf * self.perf))
+        a, perf, w_a, w_perf = self.a, self.perf, self.w_a, self.w_perf
+        if not (type(a) is type(perf) is int and a in _LEVEL_SET and perf in _LEVEL_SET
+                and type(w_a) is type(w_perf) is float and 0.0 < w_a < _INF and 0.0 < w_perf < _INF):
+            check_level(a, "A")
+            check_level(perf, "Perf")
+            check_weight(w_a, "w_a")
+            check_weight(w_perf, "w_perf")
+        object.__setattr__(self, "total", check_total(w_a * a + w_perf * perf))
 
 
 @dataclass(frozen=True)

@@ -287,12 +287,11 @@ def test_run_output_matches_frozen_series(runner, name, mode, algo):
         assert all(r["impact"] == doc["impact"] for r in records)
 
 
-def test_no_timings_outputs_keep_their_digest(runner):
-    """The 48 default ``react run --no-timings`` outputs (2 scenarios x 4
-    modes x 3 strategies x CSV/JSONL), concatenated in this loop order, keep
-    one digest: a change to any byte of any of them is a behaviour change."""
+def _no_timings_digest(runner, names) -> str:
+    """The md5 of the ``react run --no-timings`` outputs of ``names``, in 4
+    modes x 3 strategies x CSV/JSONL each, concatenated in this loop order."""
     stdout = []
-    for name in ("scenario1", "scenario2"):
+    for name in names:
         for mode in ("static", "dynamic-success", "dynamic-fail", "velocity-sweep"):
             for algo in ("lp-max", "lp-min", "saw"):
                 for fmt in ("csv", "jsonl"):
@@ -300,8 +299,19 @@ def test_no_timings_outputs_keep_their_digest(runner):
                                                   mode, "--format", fmt, "--no-timings"])
                     assert result.exit_code == 0, result.output
                     stdout.append(result.stdout)
-    digest = hashlib.md5("".join(stdout).encode("utf-8")).hexdigest()
-    assert digest == "9ee849f16da4bce8081b6671a5eccdd2"
+    return hashlib.md5("".join(stdout).encode("utf-8")).hexdigest()
+
+
+def test_no_timings_outputs_keep_their_digest(runner):
+    """The 48 default outputs, of both paper scenarios, keep one digest: a
+    change to any byte of any of them is a behaviour change."""
+    assert _no_timings_digest(runner, ("scenario1", "scenario2")) == "9ee849f16da4bce8081b6671a5eccdd2"
+
+
+def test_demo_no_timings_outputs_keep_their_digest(runner):
+    """The demo's 24 outputs, whose dynamic runs apply its one effect
+    (``Engine.run`` merges it into the event's facts), keep theirs."""
+    assert _no_timings_digest(runner, ("demo",)) == "23535c90ba2fa26437fac2106c3de0ed"
 
 
 class TestValidate:

@@ -4,7 +4,7 @@ import random
 import re
 from dataclasses import replace
 from itertools import chain, count
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +26,7 @@ from react_irs.engine import (
 )
 from react_irs.model import (
     CandidateInstance, DomainError, EnvironmentTerm, ImpactVector, IntrusionResult, Place,
+    VehicleState,
 )
 from react_irs.responses import CatalogError, CatalogResponses, generate_candidates, response_benefit
 from react_irs.selection import make_selector
@@ -358,6 +359,18 @@ class TestEngineRuns:
         # 29 is locked out until applying 17 sets the fact it needs
         assert picks[0] == 17
         assert 29 in picks[1:]
+
+    def test_an_effect_merges_into_the_checked_facts(self, demo_scenario):
+        """The state an effect gives equals the one the constructor builds
+        from the merged facts, and holds a new read-only copy of them."""
+        vehicle = demo_scenario.event().vehicle
+        before = dict(vehicle.facts)
+        for updates in demo_scenario.effects.values():
+            merged = vehicle._with_facts(updates)
+            assert merged == VehicleState(vehicle.velocity_kmh, {**vehicle.facts, **updates})
+            assert merged.velocity_kmh is vehicle.velocity_kmh
+            assert type(merged.facts) is MappingProxyType and merged.facts != vehicle.facts
+        assert vehicle.facts == before
 
     @pytest.mark.parametrize("iterations", [0, True, 2.5])
     def test_rejects_nonpositive_iterations(self, iterations):

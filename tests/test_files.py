@@ -20,7 +20,9 @@ from react_irs.files import (
     validate_file,
 )
 from react_irs.harness import run_dynamic
-from react_irs.model import EnvironmentTerm, IntrusionResult, StopKind, VehicleState
+from react_irs.model import (
+    EnvironmentTerm, IntrusionResult, StopKind, VehicleState, environment_from_velocity,
+)
 from react_irs.preconditions import Precondition
 from _support import (
     BAD_FILES, BAD_PATHS, by_index, report_rows, write_bad_file, write_scenario,
@@ -342,6 +344,20 @@ class TestScenario:
         assert initial.env == EnvironmentTerm(e=10, w_e=0.5)
         assert fast == replace(initial, env=EnvironmentTerm(e=100, w_e=0.5),
                                vehicle=VehicleState(100.0, initial.vehicle.facts))
+
+    @pytest.mark.parametrize("velocity", [0, 29.99, 30, 50.0, 74.5, 75, 1e308])
+    def test_event_at_a_velocity_is_the_constructors_event(self, data, velocity):
+        """Built from checked parts, it equals the event the constructor
+        builds from the same ones, impact bits included, and keeps the
+        velocity as given."""
+        scenario = parse_scenario({**scenario1_doc(data), "environment_weight": 0.3},
+                                  base_dir=data)
+        initial = scenario.initial_event
+        moved = scenario.event(velocity)
+        built = replace(initial, env=EnvironmentTerm(environment_from_velocity(velocity), 0.3),
+                        vehicle=VehicleState(velocity, initial.vehicle.facts))
+        assert moved == built and moved.vehicle.velocity_kmh is velocity
+        assert type(moved.impact) is type(built.impact) and repr(moved.impact) == repr(built.impact)
 
     def test_catalog_override_resolution(self, scenario1):
         assert scenario1.catalog_path("static", "saw").name == "catalog_scenario1_saw.json"
@@ -697,6 +713,23 @@ class TestSharedValues:
         assert seven.applicable_results is eight.applicable_results
         assert five.stop is eight.stop is by_index(catalog, 31).stop
         assert six.stop is seven.stop is not five.stop
+
+    @pytest.mark.parametrize("default_first", [True, False], ids=["default-first", "explicit-first"])
+    def test_a_missing_stop_is_the_one_persistent_rule(self, default_first):
+        """An entry with no ``stop`` and one with ``{"kind": "persistent"}``
+        hold one object per parse, whichever comes first, and two parses
+        share none."""
+        entries = [_entry(6), _entry(7, stop={"kind": "persistent"}), _entry(8)]
+        if not default_first:
+            entries.reverse()
+        doc = minimal_catalog_doc()
+        doc["responses"] += entries
+        first, second = parse_catalog(doc), parse_catalog(doc)
+        for catalog in (first, second):
+            stops = {id(by_index(catalog, i).stop) for i in (5, 6, 7, 8, 31)}
+            assert len(stops) == 1
+            assert by_index(catalog, 6).stop.kind is StopKind.PERSISTENT
+        assert by_index(first, 6).stop is not by_index(second, 6).stop
 
     def test_two_parses_share_nothing(self):
         first, second = parse_catalog(minimal_catalog_doc()), parse_catalog(minimal_catalog_doc())

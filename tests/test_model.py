@@ -1,7 +1,8 @@
 """The slotted value types: ``ImpactVector`` and ``CostVector`` compute
-their ``total`` once, when they are built, and adaptation builds its
-vectors without re-validating them.  The precondition nodes are slotted
-too."""
+their ``total`` once, when they are built, accept their common form in
+one test and every other value only through the per-field checks, and
+adaptation builds its vectors without re-validating them.  The
+precondition nodes are slotted too."""
 import dataclasses
 import math
 import random
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from react_irs.engine import R_MAX, R_MIN, adapt_on_failure, adapt_on_success
-from react_irs.model import LEVELS, CostVector, DomainError, ImpactVector
+from react_irs.model import (
+    LEVELS, CostVector, DomainError, ImpactVector, check_level, check_weight,
+)
 from react_irs.preconditions import And, Fact, Lit, Not, Or
 from _support import make_response
 
@@ -114,6 +117,105 @@ class TestTotals:
                 CostVector(a, perf, w_a, w_perf)
             return
         assert _same(CostVector(a, perf, w_a, w_perf).total, expected)
+
+
+class _Float(float):
+    """A valid level or weight that is not the common form: not a ``float``."""
+
+
+#: Every form that only the per-field checks decide on, valid or not.
+FALLBACKS = (
+    1, 0, 0.0, -0.0, 1.0, 10.0, True, False, math.nan, math.inf, -math.inf,
+    2**1100, 2, -1.0, "1", None, _Float(1.0), _Float(0.5),
+)
+#: The common form: an ``int`` level in ``LEVELS`` and a positive finite
+#: ``float`` weight, up to one that overflows a total.
+common_weights = st.one_of(
+    st.sampled_from((0.5, 1.0, 1.25, 1e308)),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@st.composite
+def _fields(draw, n_levels: int) -> tuple:
+    """Levels then weights in the common form, some swapped for a fallback."""
+    values = [draw(levels) for _ in range(n_levels)] + [draw(common_weights) for _ in range(n_levels)]
+    for i in draw(st.sets(st.integers(0, 2 * n_levels - 1))):
+        values[i] = draw(st.sampled_from(FALLBACKS))
+    return tuple(values)
+
+
+def _first_failure(values: tuple, names: tuple[str, ...]) -> str | None:
+    """The message of the first field, in field order, that its check rejects."""
+    n = len(values) // 2
+    for i, (value, name) in enumerate(zip(values, names)):
+        try:
+            (check_level if i < n else check_weight)(value, name)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+def _fold(values: tuple):
+    """The weighted sum as a left fold: from int 0 for an ``ImpactVector``,
+    from the first product for a ``CostVector``, as each is built."""
+    n = len(values) // 2
+    products = [w * level for level, w in zip(values[:n], values[n:])]
+    return reduce(add, products, 0) if n == 4 else reduce(add, products)
+
+
+#: Each vector with its field names as its checks spell them, and one
+#: value in the common form.
+VECTORS = [
+    pytest.param(ImpactVector, ("S", "F", "O", "P", "w_s", "w_f", "w_o", "w_p"),
+                 (1, 10, 0, 100, 0.5, 1.2, 1.0, 0.75), id="impact"),
+    pytest.param(CostVector, ("A", "Perf", "w_a", "w_perf"), (10, 1, 0.5, 1.2), id="cost"),
+]
+
+
+class TestCommonForm:
+    """A vector accepts its common form in one test and sends every other
+    value through the per-field checks: it raises exactly when one of them
+    does, with the first failing field's message, and otherwise keeps each
+    field as given, with the total of the left fold."""
+
+    @staticmethod
+    def _agrees(make, names: tuple[str, ...], values: tuple) -> None:
+        expected = _first_failure(values, names)
+        if expected is None and not _fold(values) <= sys.float_info.max:
+            expected = f"weighted total must be finite, got {_fold(values)!r}"
+        if expected is not None:
+            with pytest.raises(DomainError) as raised:
+                make(*values)
+            assert str(raised.value) == expected
+            return
+        vector = make(*values)
+        assert all(getattr(vector, f.name) is value
+                   for f, value in zip(dataclasses.fields(vector), values))
+        assert _same(vector.total, _fold(values))
+
+    @pytest.mark.parametrize("make,names,common", VECTORS)
+    def test_each_fallback_in_each_field(self, make, names, common):
+        self._agrees(make, names, common)
+        for i in range(len(common)):
+            for value in FALLBACKS:
+                self._agrees(make, names, common[:i] + (value,) + common[i + 1:])
+
+    @given(_fields(4))
+    @example((1, 10, 0, 1.0, 0.5, 1.2, 0.0, _Float(0.75)))
+    @example((100, 100, 100, 100, 1e308, 1.0, 1.0, 1.0))
+    @example((1, 10, 0, 100, 0.5, 1.2, -0.0, 0.75))
+    @example((True, 10, 0, 100, 0.5, 1.2, 1.0, 0.75))
+    def test_impact_vector(self, values):
+        self._agrees(ImpactVector, VECTORS[0].values[1], values)
+
+    @given(_fields(2))
+    @example((10, 1.0, 0, _Float(1.2)))
+    @example((100, 100, 1e308, 1.0))
+    @example((10, 1, -0.0, 1.2))
+    @example((10, True, 0.5, 1.2))
+    def test_cost_vector(self, values):
+        self._agrees(CostVector, VECTORS[1].values[1], values)
 
 
 def _validated(vector: ImpactVector) -> ImpactVector:

@@ -16,7 +16,8 @@ FLOOR = re.search(
     r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M
 )
 SOURCES = sorted(
-    path for tree in ("src", "tests", "demos", "bench") for path in (ROOT / tree).rglob("*.py")
+    path for tree in ("src", "tests", "demos", "bench", "tools")
+    for path in (ROOT / tree).rglob("*.py")
 )
 
 
