@@ -15,10 +15,12 @@ of the pristine one after 100 successes, 0.0071 after 1,000 and 5e-27
 after 10,000 (20 seeds), yet no weight overflows or turns negative.
 
 ``Engine.decide`` is the one decision step (candidate set, inner loop)
-and returns a plain tuple; it decides at the impact the event computed
-when it was built (``IntrusionEvent.impact``).  ``Engine.run`` is the
-outer loop in one body: decide, apply the effects, ask for the verdict,
-adapt and record, then stop, keep the event or take the new intrusion's.
+and returns a plain tuple; it decides only on an ``IntrusionEvent``, at
+the impact the event computed when it was built (``IntrusionEvent.impact``).
+``Engine.run`` is the outer loop in one body: decide, apply the effects
+(``IntrusionEvent._with_facts``, which keeps the impact), ask for the
+verdict, adapt and record, then stop, keep the event or take the new
+intrusion's.
 An engine keeps one candidate set, the current intrusion's.  On a new
 (intrusion result, infected asset, affected asset) key it copies the set
 from its ``CatalogResponses``, which generates each set once for all its
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -320,6 +322,8 @@ class Engine:
         generation took and the milliseconds of the loop.  The impact it
         decided at is ``event.impact``.
         """
+        if not isinstance(event, IntrusionEvent):
+            raise DomainError(f"event: expected an IntrusionEvent, got {event!r}")
         t0 = time.perf_counter()
         candidates = self._candidates_for(event)
         t1 = time.perf_counter()
@@ -343,7 +347,7 @@ class Engine:
             chosen, count, attempts, _, selection_ms = self.decide(event)
             updates = self._effects.get(chosen.response_index)
             if updates:
-                event = replace(event, vehicle=event.vehicle._with_facts(updates))
+                event = event._with_facts(updates)
             verdict = feedback(iteration, chosen)
             match verdict:
                 case Success():
@@ -390,12 +394,18 @@ def estimate_loop_time(
     holds; ``n`` the candidate count.  Check-first always evaluates every
     precondition; select-first pays for expected reselections instead.
     ``t_select`` is the cost of one ranking step: the selector ranks once,
-    and each reselection takes the next outcome of that ranking.
+    and each reselection takes the next outcome of that ranking.  The times
+    and ``p`` pass ``model.check_weight``, ``p`` is at most 1, ``n`` is an
+    ``int`` of at least 1 and ``order`` a ``LoopOrder``; else a ``DomainError``.
     """
-    if not 0 <= p <= 1:
+    if not isinstance(order, LoopOrder):
+        raise DomainError(f"order: expected a LoopOrder, got {order!r}")
+    for name, value in (("t_check", t_check), ("t_select", t_select), ("t_execute", t_execute)):
+        check_weight(value, name)
+    if check_weight(p, "p") > 1:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"n must be an int >= 1, got {n!r}")
     if order is LoopOrder.CHECK_FIRST:
         return n * t_check + t_select + t_execute
     return t_select + t_check + p * t_execute + (1 - p) * (n - 1) * (t_select + t_check)

@@ -371,8 +371,8 @@ class Scenario:
     def event(self, velocity_kmh: float | None = None) -> IntrusionEvent:
         """``initial_event`` itself, which no caller can change; at
         ``velocity_kmh``, if given, ``IntrusionEvent.at_velocity``: a new
-        event with E derived from it, ``w_e`` kept and the other parts
-        shared, not checked again."""
+        event with E derived from it, ``w_e`` kept and the other parts,
+        the read-only facts too, shared, not checked again."""
         event = self.initial_event
         return event if velocity_kmh is None else event.at_velocity(velocity_kmh)
 

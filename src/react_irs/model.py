@@ -20,10 +20,9 @@ its parts.  An ``IntrusionEvent`` also derives its ``impact`` there,
 once, and checks that it is finite, so an overflowing impact is rejected
 when the event is built, not when it is decided on.  Only values derived
 from checked ones skip the checks: adaptation's
-``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``; the
-``at_velocity`` of a ``VehicleState`` and of an ``IntrusionEvent``,
-which check the new velocity, once, and share the checked facts; and
-``VehicleState._with_facts``, which merges an engine's checked effects.
+``ImpactVector._unchecked`` and ``ResponseSpec.with_benefit``, and an
+``IntrusionEvent``'s ``at_velocity``, which checks the new velocity,
+once, and ``_with_facts``, which merges an engine's checked effects.
 
 The records the decision loop builds per candidate, ranking step,
 attempt, iteration and emitted row (``CandidateInstance`` here,
@@ -282,18 +281,6 @@ class VehicleState:
     def __reduce__(self):
         return VehicleState, (self.velocity_kmh, dict(self.facts))
 
-    def at_velocity(self, velocity_kmh: float) -> VehicleState:
-        """This state at ``velocity_kmh``, checked, sharing ``facts``: the
-        proxy wraps a private copy that no caller can reach or change."""
-        return _changed(self, velocity_kmh=check_weight(velocity_kmh, "velocity_kmh"))
-
-    def _with_facts(self, updates: Mapping[str, bool]) -> VehicleState:
-        """This state with ``updates`` merged into a new read-only copy of
-        its facts, equal to ``VehicleState(velocity_kmh, {**facts,
-        **updates})``.  Nothing is checked again: only ``engine.Engine.run``
-        calls it, with effects it checked when it was built."""
-        return _changed(self, facts=MappingProxyType({**self.facts, **updates}))
-
 
 @dataclass(frozen=True)
 class IntrusionEvent:
@@ -336,6 +323,15 @@ class IntrusionEvent:
             vehicle=_changed(self.vehicle, velocity_kmh=velocity_kmh),
             impact=check_total(self.impact_params.total + self.env.w_e * e, "event impact"),
         )
+
+    def _with_facts(self, updates: Mapping[str, bool]) -> IntrusionEvent:
+        """This event with ``updates`` merged into a new read-only copy of
+        its facts, equal to ``replace(self, vehicle=VehicleState(velocity,
+        {**facts, **updates}))`` and keeping the impact, which does not read
+        them.  Nothing is checked again: only ``engine.Engine.run`` calls
+        it, with effects it checked when it was built."""
+        facts = MappingProxyType({**self.vehicle.facts, **updates})
+        return _changed(self, vehicle=_changed(self.vehicle, facts=facts))
 
 
 @dataclass(frozen=True, slots=True)

@@ -361,16 +361,39 @@ class TestEngineRuns:
         assert 29 in picks[1:]
 
     def test_an_effect_merges_into_the_checked_facts(self, demo_scenario):
-        """The state an effect gives equals the one the constructor builds
-        from the merged facts, and holds a new read-only copy of them."""
-        vehicle = demo_scenario.event().vehicle
-        before = dict(vehicle.facts)
+        """The event an effect gives equals the one the constructors build
+        from the merged facts, keeps the impact's bits, holds a new
+        read-only copy of the facts and leaves its source unchanged."""
+        event = demo_scenario.event()
+        vehicle, before = event.vehicle, dict(event.vehicle.facts)
         for updates in demo_scenario.effects.values():
-            merged = vehicle._with_facts(updates)
-            assert merged == VehicleState(vehicle.velocity_kmh, {**vehicle.facts, **updates})
-            assert merged.velocity_kmh is vehicle.velocity_kmh
-            assert type(merged.facts) is MappingProxyType and merged.facts != vehicle.facts
-        assert vehicle.facts == before
+            merged = event._with_facts(updates)
+            built = replace(
+                event, vehicle=VehicleState(vehicle.velocity_kmh, {**vehicle.facts, **updates})
+            )
+            assert merged == built
+            assert merged.impact.hex() == built.impact.hex()
+            assert merged.vehicle.velocity_kmh is vehicle.velocity_kmh
+            assert type(merged.vehicle.facts) is MappingProxyType
+            assert merged.vehicle.facts != vehicle.facts
+        assert event.vehicle is vehicle and vehicle.facts == before
+
+    def test_the_decision_after_an_effect_sees_the_merged_facts(self, demo_scenario, generic_catalog):
+        """On ``demo.json``, ``lp-max`` applies entry 20 at the fourth of
+        five failures; the fifth decision is made on its effect."""
+        seen, select = [], make_selector("lp-max")
+
+        def selector(candidates, impact, event):
+            seen.append(event)
+            return select(candidates, impact, event)
+
+        event = demo_scenario.event()
+        engine = Engine(generic_catalog.responses, selector, effects=demo_scenario.effects)
+        trace = engine.run(event, replay([Failure()] * 5), 5)
+        assert [r.applied.response_index for r in trace.records][3] == 20
+        merged = {**event.vehicle.facts, **demo_scenario.effects[20]}
+        assert [dict(e.vehicle.facts) for e in seen] == [dict(event.vehicle.facts)] * 4 + [merged]
+        assert {e.impact for e in seen} == {event.impact}
 
     @pytest.mark.parametrize("iterations", [0, True, 2.5])
     def test_rejects_nonpositive_iterations(self, iterations):
@@ -828,9 +851,14 @@ class TestLoopTiming:
         select_first = estimate_loop_time(LoopOrder.SELECT_FIRST, **kwargs)
         assert abs(check_first - select_first) / check_first < 0.01
 
-    @pytest.mark.parametrize("bad", [{"p": -0.1}, {"p": 1.5}, {"n": 0}])
+    @pytest.mark.parametrize("bad", [
+        {"p": -0.1}, {"p": 1.5}, {"n": 0}, {"order": "check-first"}, {"order": None},
+        {"n": True}, {"n": 2.5}, {"n": "3"}, {"p": "x"}, {"p": True}, {"p": math.nan},
+        {"t_check": math.nan}, {"t_select": -1.0}, {"t_execute": math.inf},
+    ])
     def test_invalid_inputs_rejected(self, bad):
-        kwargs = dict(t_check=1.0, t_select=1.0, t_execute=1.0, p=0.5, n=10)
+        kwargs = dict(order=LoopOrder.CHECK_FIRST, t_check=1.0, t_select=1.0, t_execute=1.0,
+                      p=0.5, n=10)
         kwargs.update(bad)
         with pytest.raises(DomainError):
-            estimate_loop_time(LoopOrder.CHECK_FIRST, **kwargs)
+            estimate_loop_time(**kwargs)

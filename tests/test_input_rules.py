@@ -3,16 +3,16 @@ and rejects alike: a fact map through the scenario loader (facts and
 effects), ``Engine(effects=...)``, ``VehicleState`` and
 ``engine.inner_loop``; a flag through ``check_facts``, the catalog loader
 and ``ResponseSpec``; a weight through the loader and the model; a
-velocity through ``environment_from_velocity``, ``VehicleState`` and
-its ``at_velocity``, ``Scenario.event``, the loader and the CLI, on the
-band too; a catalog entry's index, place and
-applies rule through the loader and ``ResponseSpec``; the terminal entry
-through the catalog loader, ``CatalogResponses`` and ``Engine``; the type
-of each part of an event or a catalog entry where it is built, directly
-or through ``dataclasses.replace``; that an event's facts cannot change
-after it is built, through ``VehicleState``, the loader and
-``Scenario.event``.  The loader adds the JSON path in front of the
-model's message."""
+velocity through ``environment_from_velocity``, ``VehicleState``,
+``Scenario.event``, the loader and the CLI, on the band too; a catalog
+entry's index, place and applies rule through the loader and
+``ResponseSpec``; the terminal entry through the catalog loader,
+``CatalogResponses`` and ``Engine``; the type of each part of an event
+or a catalog entry where it is built, directly or through
+``dataclasses.replace``, and of the event an engine decides on; that an
+event's facts cannot change after it is built, through ``VehicleState``,
+the loader and ``Scenario.event``.  The loader adds the JSON path in
+front of the model's message."""
 import copy
 import dataclasses
 import json
@@ -38,7 +38,7 @@ from react_irs.model import (
 )
 from react_irs.responses import CatalogError, CatalogResponses, generate_candidates
 from react_irs.selection import compute_impact_alphas, make_selector
-from _support import CliRunner, make_event, make_response
+from _support import CliRunner, make_event, make_response, replay
 
 RULE = "not a fact name ([a-z_][a-z0-9_]*, not true or false)"
 NOT_A_MAP = ": expected a mapping of facts to flags, got "
@@ -189,6 +189,13 @@ class TestEventFields:
             **{**_init_fields(event), name: value})) == message
         assert _message(DomainError, lambda: dataclasses.replace(event, **{name: value})) == message
 
+    @pytest.mark.parametrize("value", [*PART_VALUES, pytest.param("x", id="str")])
+    def test_an_engine_decides_only_on_an_event(self, value):
+        engine = Engine([make_response(31, terminal=True)], make_selector("lp-max"))
+        message = f"event: expected an IntrusionEvent, got {value!r}"
+        assert _message(DomainError, lambda: engine.decide(value)) == message
+        assert _message(DomainError, lambda: engine.run(value, replay([]))) == message
+
 
 TERMINAL_COUNTS = [0, 1, 2]
 
@@ -333,8 +340,6 @@ class TestVelocities:
         assert (_message(DomainError, lambda: environment_from_velocity(velocity))
                 == f"velocity{VELOCITY}{velocity!r}")
         assert (_message(DomainError, lambda: VehicleState(velocity))
-                == f"velocity_kmh{VELOCITY}{velocity!r}")
-        assert (_message(DomainError, lambda: VehicleState(50.0).at_velocity(velocity))
                 == f"velocity_kmh{VELOCITY}{velocity!r}")
         assert (_message(DomainError, lambda: parse_scenario(_scenario_doc(data)).event(velocity))
                 == f"velocity{VELOCITY}{velocity!r}")
@@ -490,11 +495,12 @@ def test_an_events_facts_cannot_change_after_it_is_built(data, build):
 
 @pytest.mark.parametrize("velocity", [v for v, _ in GOOD_VELOCITIES])
 def test_a_state_at_another_velocity_shares_its_checked_facts(data, velocity):
-    """``at_velocity`` checks only the velocity: the facts were checked
-    when the first state was built, and the new state shares their
-    read-only copy.  ``Scenario.event`` builds its sweep states this way."""
-    state = VehicleState(70.0, {"driving": True, "update_available": False})
-    moved = state.at_velocity(velocity)
+    """``Scenario.event(v)`` checks only the velocity: the facts were
+    checked when the scenario's event was built, and the swept event's
+    state shares their read-only copy, which its copies keep read-only."""
+    scenario = parse_scenario(_scenario_doc(data))
+    state = scenario.initial_event.vehicle
+    moved = scenario.event(velocity).vehicle
     assert moved == VehicleState(velocity, dict(state.facts))
     assert type(moved.velocity_kmh) is type(velocity)
     assert moved.facts is state.facts
@@ -503,5 +509,3 @@ def test_a_state_at_another_velocity_shares_its_checked_facts(data, velocity):
         assert twin == moved
         with pytest.raises(TypeError):
             twin.facts["driving"] = False
-    scenario = parse_scenario(_scenario_doc(data))
-    assert scenario.event(velocity).vehicle.facts is scenario.initial_event.vehicle.facts
